@@ -29,6 +29,7 @@ from .stochastic_mc import (
     levy_area_estimate,
     moment_scaling_probe,
     sample_bridge_batch,
+    small_time_limit,
     spectral_phi_kernel,
 )
 
@@ -327,8 +328,8 @@ def _spec_chains():
 def criterion_8(seed: int = 0) -> CriterionResult:
     start = time.time()
     chain0, chain1 = _spec_chains()
-    res0 = jlo.small_time_limit(chain0, t_sequence=(1.6, 0.8), truncation=6)
-    res1 = jlo.small_time_limit(chain1, t_sequence=(1.6, 0.8), truncation=6)
+    res0 = small_time_limit(chain0, t_sequence=(1.6, 0.8), truncation=6)
+    res1 = small_time_limit(chain1, t_sequence=(1.6, 0.8), truncation=6)
     elapsed = time.time() - start
     passed = (
         res0.relative_error <= 0.02 and res1.relative_error <= 0.02 and elapsed <= 120

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import __version__, acceptance, clifford, jlo, phi_core
+from . import __version__, acceptance, clifford, phi_core
 from .jsonio import (
     ConfigError,
     chain_from_json,
@@ -33,6 +33,7 @@ from .stochastic_mc import (
     levy_area_estimate,
     localization_check,
     sample_bridge_batch,
+    small_time_limit,
     spectral_phi_kernel,
 )
 
@@ -152,11 +153,9 @@ def cmd_phi(args) -> int:
 def cmd_jlo(args) -> int:
     started = time.time()
     cfg = load_config(args.config)
-    d, chain = chain_from_json(cfg)
+    _, chain = chain_from_json(cfg)
     t_grid = _parse_t_grid(args.t_grid)
-    res = jlo.small_time_limit(
-        chain, t_sequence=t_grid, truncation=args.truncation, d=d
-    )
+    res = small_time_limit(chain, t_sequence=t_grid, truncation=args.truncation)
     rows = [
         {"chain": cfg.get("chain"), "t": t, "value_re": v.real, "value_im": v.imag}
         for t, v in res.sweep
@@ -286,7 +285,8 @@ def cmd_levy_area(args) -> int:
     steps = args.steps or cfg.get("steps", 512)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     res = levy_area_estimate(omega, d, paths, steps, seed=seed)
-    oracle = clifford.a_hat_series(omega, d)
+    # the unit-weight area exponential follows the series at 2 Omega
+    oracle = clifford.a_hat_series([[2.0 * e for e in row] for row in omega], d)
     top_mask = (1 << d) - 1
     diff = abs(res.top_mean - oracle.coefficient(top_mask))
     tol = 0.01 * max(1.0, abs(oracle.coefficient(top_mask)))

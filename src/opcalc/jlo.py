@@ -1,14 +1,17 @@
 """Differential graded heat-semigroup cocycle evaluation on finite graded
 modules, with ordered-partition combinatorics, heat-supertrace constancy
-diagnostics, and small-time localization studies on the flat-torus spin
-model.
+diagnostics, and the localization target of the flat-torus small-time study.
 
-The small-time study evaluates the deterministically computable functional
+That study (``opcalc jlo``, ``stochastic_mc.localize.small_time_limit``)
+evaluates the functional
 
     F(t) = (t/2)^(-n/2 + sum_j deg(w_j')/2)
            * Str( sum_m (-2)^m sum_I c(w_0') Phi^{D^2/2}_t(P(w_{I_1}), ...) )
 
-whose t -> 0 limit is the localization target
+exactly for the K-truncated flat-torus spin model, computed per mode with
+the supertrace over the whole torus: (2 pi)^d times ``opcalc localize`` up
+to truncation.  Only ``localize`` enforces the 1e-10 torus-tail guard.  The
+t -> 0 limit is the localization target
     ((-1)^n 2^(2n) / (n! (2 pi sqrt(-1))^(d/2))) * vol * top(w_0'^w_1''^...^w_n'').
 Plain cocycle evaluation (chern_eval, unit coefficients at t = 1 with the
 rescaled module) is exposed separately; its small-t limit differs from the
@@ -17,13 +20,12 @@ localization target by 2^(2n), see the package notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from math import factorial
 
 import numpy as np
 
-from . import linalg
-from .clifford import SpinorRep, build_spinor_rep, clifford_quantize
+from .clifford import SpinorRep, clifford_quantize
 from .grassmann import MultiVector, berezin
 from .linalg import herm_exp, hermitian
 from .phi_core import OperatorFamily, phi_fermionic
@@ -131,31 +133,33 @@ def ordered_partitions(m: int, n: int) -> tuple:
     return tuple(out)
 
 
-def _graded_commutator_with_dirac(dirac: np.ndarray, c_prime: np.ndarray, deg: int):
-    sign = -1.0 if deg % 2 else 1.0
-    return dirac @ c_prime - sign * c_prime @ dirac
-
-
 def p_of(module: FredholmModule, omega: DGAElement) -> np.ndarray:
     """P(w) = [D, c(w')] - c(dw') + c(w'') with the graded commutator.
 
     The constant-form differential vanishes.  w' must have pure degree.
     """
-    deg = omega.prime.pure_degree()
+    sign = -1.0 if omega.prime.pure_degree() % 2 else 1.0
     c_prime = module.quantize(omega.prime)
-    return _graded_commutator_with_dirac(module.dirac, c_prime, deg) + module.quantize(
-        omega.doubleprime
+    commutator = module.dirac @ c_prime - sign * c_prime @ module.dirac
+    return commutator + module.quantize(omega.doubleprime)
+
+
+def clifford_defect(quantize, omega1: DGAElement, omega2: DGAElement) -> np.ndarray:
+    """(-1)^deg(w1') (c(w1'^w2') - c(w1') c(w2')) for the quantization map c.
+
+    The pair block of the partition sum; it does not involve D.
+    """
+    deg = omega1.prime.pure_degree()
+    sign = -1.0 if deg % 2 else 1.0
+    return sign * (
+        quantize(omega1.prime.wedge(omega2.prime))
+        - quantize(omega1.prime) @ quantize(omega2.prime)
     )
 
 
 def p_of_pair(module: FredholmModule, omega1: DGAElement, omega2: DGAElement):
-    """P(w1, w2) = (-1)^deg(w1') (c(w1'^w2') - c(w1') c(w2'))."""
-    deg = omega1.prime.pure_degree()
-    sign = -1.0 if deg % 2 else 1.0
-    return sign * (
-        module.quantize(omega1.prime.wedge(omega2.prime))
-        - module.quantize(omega1.prime) @ module.quantize(omega2.prime)
-    )
+    """P(w1, w2): the Clifford defect of the module's quantization map."""
+    return clifford_defect(module.quantize, omega1, omega2)
 
 
 def p_of_block(module: FredholmModule, omegas) -> np.ndarray:
@@ -178,39 +182,26 @@ def chern_eval(module: FredholmModule, chain, t: float) -> complex:
     if t <= 0:
         raise ValueError("t must be positive")
     t = t * module.scale_t
-    chain = tuple(chain)
+    chain = tuple(
+        DGAElement(
+            t ** (w.prime.pure_degree() / 2.0) * w.prime,
+            t ** (w.doubleprime.pure_degree() / 2.0) * w.doubleprime,
+        )
+        for w in chain
+    )
     n = len(chain) - 1
-    omega0 = chain[0]
-    c0 = t ** (omega0.prime.pure_degree() / 2.0) * module.quantize(omega0.prime)
+    c0 = module.quantize(chain[0].prime)
     h_t = hermitian(t * (module.dirac @ module.dirac), require_nonneg=True)
     if n == 0:
         return module.supertrace(c0 @ herm_exp(h_t, 1.0))
 
-    sqrt_t = np.sqrt(t)
-    dirac_t = sqrt_t * module.dirac
-
-    def block_matrix(indices) -> np.ndarray:
-        omegas = tuple(chain[i] for i in indices)
-        if len(omegas) == 1:
-            w = omegas[0]
-            deg_p = w.prime.pure_degree()
-            deg_dp = w.doubleprime.pure_degree()
-            out = t ** (deg_p / 2.0) * _graded_commutator_with_dirac(
-                dirac_t, module.quantize(w.prime), deg_p
-            )
-            out = out + t ** (deg_dp / 2.0) * module.quantize(w.doubleprime)
-            return out
-        if len(omegas) == 2:
-            scale = t ** (
-                (omegas[0].prime.pure_degree() + omegas[1].prime.pure_degree()) / 2.0
-            )
-            return scale * p_of_pair(module, omegas[0], omegas[1])
-        return np.zeros((module.dim, module.dim), dtype=complex)
-
+    module_t = replace(module, dirac=np.sqrt(t) * module.dirac)
     acc = np.zeros((module.dim, module.dim), dtype=complex)
     for m in range(1, n + 1):
         for partition in ordered_partitions(m, n):
-            blocks = tuple(block_matrix(block) for block in partition)
+            blocks = tuple(
+                p_of_block(module_t, (chain[i] for i in block)) for block in partition
+            )
             if all(np.all(b == 0) for b in blocks):
                 continue
             fam = OperatorFamily(h_t, blocks)
@@ -248,69 +239,6 @@ def mckean_singer(module: FredholmModule, t_grid):
     return mckean_singer_raw(module.grading, module.dirac, t_grid)
 
 
-# ---------------------------------------------------------------------------
-# flat-torus spin model
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlatTorusSpinModel:
-    """Truncated Fourier model of the flat-torus Dirac operator.
-
-    State space is (modes) x (spinors) with modes-major layout; every
-    constant-coefficient operator is block-diagonal over the modes.
-    """
-
-    d: int
-    truncation: int
-    rep: SpinorRep = field(init=False)
-    modes: tuple = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rep", build_spinor_rep(self.d))
-        rng = range(-self.truncation, self.truncation + 1)
-        modes = []
-
-        def build(prefix):
-            if len(prefix) == self.d:
-                modes.append(tuple(prefix))
-                return
-            for k in rng:
-                build(prefix + [k])
-
-        build([])
-        object.__setattr__(self, "modes", tuple(modes))
-
-    @property
-    def volume(self) -> float:
-        return TWO_PI**self.d
-
-    @property
-    def dim(self) -> int:
-        return len(self.modes) * self.rep.dim
-
-    def dirac_matrix(self) -> np.ndarray:
-        """Block-diagonal D with per-mode block i * sum_j k_j c_j."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for j in range(self.d):
-            kj = np.array([k[j] for k in self.modes], dtype=float)
-            out += np.kron(np.diag(1j * kj), self.rep.gammas[j])
-        return out
-
-    def quantize_big(self, form: MultiVector) -> np.ndarray:
-        return np.kron(np.eye(len(self.modes)), clifford_quantize(self.rep, form))
-
-    def module(self) -> FredholmModule:
-        grading = np.kron(np.eye(len(self.modes)), self.rep.chirality)
-        rep_big = None  # quantization handled via quantize_big
-        mod = FredholmModule(self.dirac_matrix(), grading, rep_big)
-        return mod
-
-
-def _chain_degrees(chain) -> tuple:
-    return tuple(w.prime.pure_degree() for w in chain)
-
-
 def localization_target(chain, d: int, volume: float = 1.0) -> complex:
     """((-1)^n 2^(2n) / (n! (2 pi i)^(d/2))) * volume * top(w_0'^w_1''^...)."""
     chain = tuple(chain)
@@ -323,71 +251,6 @@ def localization_target(chain, d: int, volume: float = 1.0) -> complex:
     return coeff * volume * berezin(top)
 
 
-def flat_localization_value(model: FlatTorusSpinModel, chain, t: float) -> complex:
-    """The deterministically computable localization functional at time t.
-
-    Evaluated on the truncated dense model with the supertrace running over
-    all retained modes (hence proportional to the torus volume).
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    chain = tuple(chain)
-    n = len(chain) - 1
-    degs = _chain_degrees(chain)
-    prefactor = (t / 2.0) ** (-n / 2.0 + sum(degs) / 2.0)
-    dirac = model.dirac_matrix()
-    h = hermitian(0.5 * (dirac @ dirac), require_nonneg=True)
-    grading = np.kron(np.eye(len(model.modes)), model.rep.chirality)
-    c0 = model.quantize_big(chain[0].prime)
-
-    def str_big(m: np.ndarray) -> complex:
-        return complex(np.trace(grading @ m))
-
-    if n == 0:
-        return prefactor * str_big(c0 @ herm_exp(h, t))
-
-    def block_matrix(indices) -> np.ndarray:
-        omegas = tuple(chain[i] for i in indices)
-        if len(omegas) == 1:
-            w = omegas[0]
-            deg = w.prime.pure_degree()
-            cp = model.quantize_big(w.prime)
-            return _graded_commutator_with_dirac(dirac, cp, deg) + model.quantize_big(
-                w.doubleprime
-            )
-        if len(omegas) == 2:
-            w1, w2 = omegas
-            sign = -1.0 if w1.prime.pure_degree() % 2 else 1.0
-            return sign * (
-                model.quantize_big(w1.prime.wedge(w2.prime))
-                - model.quantize_big(w1.prime) @ model.quantize_big(w2.prime)
-            )
-        return np.zeros((model.dim, model.dim), dtype=complex)
-
-    acc = 0.0 + 0.0j
-    for m in range(1, n + 1):
-        for partition in ordered_partitions(m, n):
-            blocks = tuple(block_matrix(block) for block in partition)
-            if all(np.all(b == 0) for b in blocks):
-                continue
-            fam = OperatorFamily(h, blocks)
-            val = phi_fermionic(fam, t).value
-            acc = acc + (-2.0) ** m * str_big(c0 @ val)
-    return prefactor * acc
-
-
-@dataclass(frozen=True)
-class SmallTimeResult:
-    extrapolated: complex
-    target: complex
-    sweep: tuple  # rows of (t, value)
-
-    @property
-    def relative_error(self) -> float:
-        scale = max(abs(self.target), 1e-300)
-        return abs(self.extrapolated - self.target) / scale
-
-
 def richardson(values, order: float = 1.0) -> complex:
     """Two-point Richardson step for a geometric (ratio-2) time sequence."""
     values = list(values)
@@ -395,26 +258,3 @@ def richardson(values, order: float = 1.0) -> complex:
         return values[0]
     factor = 2.0**order
     return (factor * values[-1] - values[-2]) / (factor - 1.0)
-
-
-def small_time_limit(
-    chain,
-    t_sequence=(1.6, 0.8),
-    truncation: int = 6,
-    d: int | None = None,
-    richardson_order: float = 1.0,
-) -> SmallTimeResult:
-    """Extrapolate the flat-model localization functional toward t = 0.
-
-    ``t_sequence`` must decrease geometrically by factor 2.  The target is
-    the h-map pairing with unit characteristic class and the full torus
-    volume.
-    """
-    chain = tuple(chain)
-    if d is None:
-        d = chain[0].d
-    model = FlatTorusSpinModel(d, truncation)
-    values = [flat_localization_value(model, chain, t) for t in t_sequence]
-    extrapolated = richardson(values, richardson_order)
-    target = localization_target(chain, d, model.volume)
-    return SmallTimeResult(extrapolated, target, tuple(zip(t_sequence, values)))

@@ -142,15 +142,6 @@ def relative_bound_probe(
     return eps, c_eps, holds
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def block_assemble(grid) -> np.ndarray:
-    """Assemble a matrix from a 2D grid of equally shaped blocks."""
-    return np.block([[np.asarray(b, dtype=complex) for b in row] for row in grid])
-
-
 def op_norm(m: np.ndarray) -> float:
     """Largest singular value."""
     m = np.asarray(m, dtype=complex)

@@ -15,6 +15,7 @@ from .localize import (
     chain_block_perturbation,
     localization_check,
     localization_value,
+    small_time_limit,
     spin_torus_model,
 )
 from .model import (
@@ -45,6 +46,7 @@ __all__ = [
     "sample_bridge_batch",
     "sample_winding",
     "simulate_functionals",
+    "small_time_limit",
     "spectral_phi_kernel",
     "spin_torus_model",
     "winding_cutoff",

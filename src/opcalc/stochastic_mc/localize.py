@@ -1,4 +1,4 @@
-"""Flat-model localization check through the exact spectral route.
+"""Flat-model localization functional through the exact per-mode route.
 
 Evaluates, deterministically and per point (homogeneity makes the point
 irrelevant),
@@ -9,8 +9,12 @@ irrelevant),
 
 with the per-mode kernels of the flat-torus spin model, extrapolates t -> 0,
 and compares against the localization target with unit characteristic
-class.  Optionally cross-checks one grid time against the Monte Carlo
-path estimator.
+class.  ``localization_check`` (``opcalc localize``) uses the spectral
+oracle, which rejects truncations whose torus-tail estimate exceeds 1e-10,
+and optionally cross-checks one grid time against the Monte Carlo path
+estimator.  ``small_time_limit`` (``opcalc jlo``) gives exact values for the
+K-truncated model with the supertrace over the whole torus, (2 pi)^d times
+the unguarded mode sum, so (2 pi)^d times ``localize`` up to truncation.
 """
 
 from __future__ import annotations
@@ -20,9 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..clifford import build_spinor_rep, clifford_quantize, supertrace
-from ..jlo import localization_target, ordered_partitions, richardson
+from ..jlo import clifford_defect, localization_target, ordered_partitions, richardson
 from .engine import fk_estimate
-from .model import PerturbationSpec, TorusModel, spectral_phi_kernel
+from .model import (
+    TWO_PI,
+    PerturbationSpec,
+    TorusModel,
+    _truncated_kernel,
+    spectral_phi_kernel,
+)
 
 
 def spin_torus_model(d: int, perturbations=()) -> TorusModel:
@@ -47,46 +57,64 @@ def chain_block_perturbation(rep, chain, indices) -> PerturbationSpec:
         )
         return PerturbationSpec(first, clifford_quantize(rep, w.doubleprime))
     if len(omegas) == 2:
-        w1, w2 = omegas
-        sign = -1.0 if w1.prime.pure_degree() % 2 else 1.0
-        v = sign * (
-            clifford_quantize(rep, w1.prime.wedge(w2.prime))
-            - clifford_quantize(rep, w1.prime) @ clifford_quantize(rep, w2.prime)
-        )
+        v = clifford_defect(lambda form: clifford_quantize(rep, form), *omegas)
         return PerturbationSpec.zeroth(v, d)
     return PerturbationSpec.zeroth(np.zeros((rep.dim, rep.dim), dtype=complex), d)
 
 
-def localization_value(chain, t: float, truncation: int, x=None) -> complex:
-    """The deterministic localization functional at one time."""
-    chain = tuple(chain)
-    d = chain[0].d
-    rep = build_spinor_rep(d)
+def _prefactor(chain, t: float) -> float:
     n = len(chain) - 1
     degs = [w.prime.pure_degree() for w in chain]
-    prefactor = (t / 2.0) ** (-n / 2.0 + sum(degs) / 2.0)
-    x = np.zeros(d) if x is None else np.asarray(x, dtype=float)
-    c0 = clifford_quantize(rep, chain[0].prime)
+    return (t / 2.0) ** (-n / 2.0 + sum(degs) / 2.0)
+
+
+def _partition_models(rep, chain):
+    """Yield ((-2)^m, spin-torus model) over the chain's ordered partitions.
+
+    A partition's model carries one perturbation per block, in order; a
+    chain with n = 0 yields the unperturbed model with coefficient 1.
+    """
+    d = rep.d
+    n = len(chain) - 1
     if n == 0:
-        kernel = spectral_phi_kernel(spin_torus_model(d), t, x, x, truncation)
-        return prefactor * supertrace(rep, c0 @ kernel)
-    acc = 0.0 + 0.0j
+        yield 1.0, spin_torus_model(d)
+        return
     for m in range(1, n + 1):
         for partition in ordered_partitions(m, n):
             blocks = tuple(
                 chain_block_perturbation(rep, chain, block) for block in partition
             )
-            model = spin_torus_model(d, blocks)
-            kernel = spectral_phi_kernel(model, t, x, x, truncation)
-            acc += (-2.0) ** m * supertrace(rep, c0 @ kernel)
-    return prefactor * acc
+            yield (-2.0) ** m, spin_torus_model(d, blocks)
+
+
+def _functional(chain, t: float, kernel) -> complex:
+    """F(t), with ``kernel(model)`` the diagonal kernel of a partition's model."""
+    rep = build_spinor_rep(chain[0].d)
+    c0 = clifford_quantize(rep, chain[0].prime)
+    acc = 0.0 + 0.0j
+    for coeff, model in _partition_models(rep, chain):
+        acc += coeff * supertrace(rep, c0 @ kernel(model))
+    return _prefactor(chain, t) * acc
+
+
+def localization_value(chain, t: float, truncation: int, x=None) -> complex:
+    """The deterministic localization functional at one time and point.
+
+    Uses the guarded spectral oracle, so a truncation whose tail estimate
+    exceeds 1e-10 raises ValueError.
+    """
+    chain = tuple(chain)
+    x = np.zeros(chain[0].d) if x is None else np.asarray(x, dtype=float)
+    return _functional(
+        chain, t, lambda model: spectral_phi_kernel(model, t, x, x, truncation)
+    )
 
 
 @dataclass(frozen=True)
 class LocalizationResult:
     extrapolated: complex
     target: complex
-    sweep: tuple
+    sweep: tuple  # rows of (t, value)
     mc_check: dict | None
 
     @property
@@ -135,36 +163,56 @@ def localization_check(
     return LocalizationResult(extrapolated, target, tuple(zip(t_sequence, values)), mc_check)
 
 
-def _mc_localization(chain, t, paths, steps, seed):
-    """Monte Carlo version of the localization functional at one time."""
+def small_time_limit(
+    chain,
+    t_sequence=(1.6, 0.8),
+    truncation: int = 6,
+    richardson_order: float = 1.0,
+) -> LocalizationResult:
+    """Extrapolate the K-truncated flat-model functional toward t = 0.
+
+    Each value is exact for the model truncated to the modes |k|_inf <= K,
+    with the supertrace over the whole torus: (2 pi)^d times the mode sum,
+    with no tail check, since the truncated model is what is studied.
+    ``t_sequence`` must decrease geometrically by factor 2.  The target is
+    the h-map pairing with unit characteristic class and the full torus
+    volume.
+    """
     chain = tuple(chain)
     d = chain[0].d
+    if any(t <= 0 for t in t_sequence):
+        raise ValueError("t must be positive")
+    x = np.zeros(d)
+    volume = TWO_PI**d
+    values = [
+        volume
+        * _functional(
+            chain, t, lambda model: _truncated_kernel(model, t, x, x, truncation)
+        )
+        for t in t_sequence
+    ]
+    extrapolated = richardson(values, richardson_order)
+    target = localization_target(chain, d, volume)
+    return LocalizationResult(extrapolated, target, tuple(zip(t_sequence, values)), None)
+
+
+def _mc_localization(chain, t, paths, steps, seed):
+    """Monte Carlo version of the localization functional at one time."""
+    d = chain[0].d
     rep = build_spinor_rep(d)
-    n = len(chain) - 1
-    degs = [w.prime.pure_degree() for w in chain]
-    prefactor = (t / 2.0) ** (-n / 2.0 + sum(degs) / 2.0)
+    prefactor = _prefactor(chain, t)
     x = np.zeros(d)
     c0 = clifford_quantize(rep, chain[0].prime)
+    # crude error propagation through the weighted supertrace
+    weights = np.abs(rep.chirality @ c0)
     acc_mc = 0.0 + 0.0j
     acc_det = 0.0 + 0.0j
     err_sq = 0.0
-    blocks_seen = 0
-    for m in range(1, max(n, 1) + 1):
-        partitions = ordered_partitions(m, n) if n else ((),)
-        for partition in partitions:
-            blocks = tuple(
-                chain_block_perturbation(rep, chain, block) for block in partition
-            )
-            model = spin_torus_model(d, blocks)
-            res = fk_estimate(model, t, x, x, paths, steps, seed=seed + blocks_seen)
-            det_kernel = spectral_phi_kernel(model, t, x, x, 14)
-            coeff = prefactor * ((-2.0) ** m if n else 1.0)
-            acc_mc += coeff * supertrace(rep, c0 @ res.estimate)
-            acc_det += coeff * supertrace(rep, c0 @ det_kernel)
-            # crude error propagation through the weighted supertrace
-            weights = np.abs(rep.chirality @ c0)
-            err_sq += (abs(coeff) * float(np.sum(weights * res.stderr))) ** 2
-            blocks_seen += 1
-        if n == 0:
-            break
+    for i, (sign, model) in enumerate(_partition_models(rep, chain)):
+        res = fk_estimate(model, t, x, x, paths, steps, seed=seed + i)
+        det_kernel = spectral_phi_kernel(model, t, x, x, 14)
+        coeff = prefactor * sign
+        acc_mc += coeff * supertrace(rep, c0 @ res.estimate)
+        acc_det += coeff * supertrace(rep, c0 @ det_kernel)
+        err_sq += (abs(coeff) * float(np.sum(weights * res.stderr))) ** 2
     return acc_mc, float(np.sqrt(err_sq)), acc_det

@@ -164,13 +164,19 @@ def spectral_phi_kernel(model: TorusModel, t: float, x, y, truncation: int):
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     tail = _truncation_tail(model, t, truncation)
     if tail > 1e-10:
         raise ValueError(
             f"truncation K={truncation} has tail estimate {tail:.2e} > 1e-10"
         )
+    return _truncated_kernel(model, t, x, y, truncation)
+
+
+def _truncated_kernel(model: TorusModel, t: float, x, y, truncation: int):
+    """The mode sum of ``spectral_phi_kernel`` without its tail check: the
+    exact kernel of the model truncated to the modes |k|_inf <= K."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     out = np.zeros((model.r, model.r), dtype=complex)
     n = model.n
     for k in _mode_range(model.d, truncation):

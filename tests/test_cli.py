@@ -133,6 +133,62 @@ def test_levy_area_subcommand(tmp_path):
     assert report["verdicts"]["within_tolerance"] is True
 
 
+def test_levy_area_subcommand_d4_uses_doubled_series(tmp_path):
+    """The unit-weight estimate is checked against the series at 2 Omega."""
+    theta = [{"indices": [1, 2], "re": 0.4}, {"indices": [3, 4], "re": -0.55}]
+    minus = [{"indices": [1, 2], "re": -0.4}, {"indices": [3, 4], "re": 0.55}]
+    cfg = {
+        "d": 4,
+        "omega": [
+            [None, theta, None, None],
+            [minus, None, None, None],
+            [None, None, None, None],
+            [None, None, None, None],
+        ],
+        "paths": 20000,
+        "steps": 256,
+    }
+    path = tmp_path / "levy4.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "levy4.json.out"
+    assert run_cli(["levy-area", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    # top coefficient of the series at 2 Omega: 4 * 0.4 * (-0.55) / 12
+    assert abs(report["results"]["oracle_top"]["re"] - 4 * 0.4 * (-0.55) / 12) < 1e-12
+
+
+def test_jlo_rows_equal_volume_times_localize_sweep(tmp_path):
+    """jlo's whole-torus values are (2 pi)^d times localize's per-point ones.
+
+    jlo truncates at K = 6 and localize at its default K = 14: at t = 1.6
+    the dropped modes are below rounding, at t = 0.8 they differ by the
+    K = 6 torus tail (~4e-9 relative).
+    """
+    e1 = [{"indices": [1], "re": 1.0}]
+    e2 = [{"indices": [2], "re": 1.0}]
+    chains = (
+        [{"prime": [{"indices": [1, 2], "re": 1.0}]}],
+        [{"prime": e1}, {"doubleprime": e2}],
+    )
+    volume = (2 * np.pi) ** 2
+    for i, chain in enumerate(chains):
+        path = tmp_path / f"chain{i}.json"
+        path.write_text(json.dumps({"d": 2, "chain": chain}))
+        reports = {}
+        for route, extra in (("jlo", ["--truncation", "6"]), ("localize", [])):
+            out = tmp_path / f"{route}{i}.json"
+            argv = [route, "--config", str(path), "--t-grid", "1.6,0.8", "--out", str(out)]
+            assert run_cli(argv + extra) == 0
+            reports[route] = json.loads(out.read_text())["results"]
+        rows = reports["jlo"]["rows"]
+        sweep = reports["localize"]["sweep"]
+        for row, point, tol in zip(rows, sweep, (1e-12, 1e-8)):
+            assert row["t"] == point["t"]
+            dense = complex(row["value_re"], row["value_im"])
+            per_point = volume * complex(point["value"]["re"], point["value"]["im"])
+            assert abs(dense - per_point) <= tol * abs(per_point)
+
+
 def test_localize_subcommand(tmp_path):
     cfg = {
         "d": 2,

@@ -4,6 +4,8 @@ import pytest
 from opcalc import clifford, jlo, linalg
 from opcalc.grassmann import MultiVector
 from opcalc.jlo import DGAElement
+from opcalc.phi_core import OperatorFamily, phi_fermionic
+from opcalc.stochastic_mc.localize import small_time_limit
 
 
 @pytest.fixture(scope="module")
@@ -184,52 +186,51 @@ def test_mckean_singer_engineered_signature():
     assert np.abs(values - sig).max() <= 1e-9
 
 
-# --- flat model ----------------------------------------------------------------
+# --- flat-torus small-time study ------------------------------------------------
 
 
-def test_flat_model_dirac_square_is_laplacian():
-    model = jlo.FlatTorusSpinModel(2, 2)
-    d_mat = model.dirac_matrix()
-    sq = d_mat @ d_mat
-    expect = np.kron(
-        np.diag([float(k[0] ** 2 + k[1] ** 2) for k in model.modes]), np.eye(2)
+def test_truncated_value_matches_dense_flat_model():
+    """The per-mode truncated value equals a dense assembly of the K = 2 model.
+
+    The dense model lives on (modes) x (spinors), modes-major, where every
+    constant-coefficient operator is block-diagonal over the modes.
+    """
+    d, truncation, t = 2, 2, 0.9
+    rep = clifford.build_spinor_rep(d)
+    ks = range(-truncation, truncation + 1)
+    modes = [(k1, k2) for k1 in ks for k2 in ks]
+    eye = np.eye(len(modes))
+    dirac = sum(
+        np.kron(np.diag([1j * k[j] for k in modes]), rep.gammas[j]) for j in range(d)
     )
-    assert np.allclose(sq, expect, atol=1e-12)
+    # D^2 is the flat Laplacian: |k|^2 on each mode
+    laplacian = np.kron(np.diag([float(k1**2 + k2**2) for k1, k2 in modes]), np.eye(2))
+    assert np.allclose(dirac @ dirac, laplacian, atol=1e-12)
 
-
-def test_flat_localization_value_matches_dense_chern_structure():
-    """Per-mode block-diagonal evaluation agrees with a direct dense check."""
-    model = jlo.FlatTorusSpinModel(2, 2)
-    d = 2
     e1 = MultiVector.generator(d, 1)
     e2 = MultiVector.generator(d, 2)
     chain = (DGAElement.of(e1, None, d), DGAElement.of(None, e2, d))
-    t = 0.9
-    val = jlo.flat_localization_value(model, chain, t)
-    # independent dense assembly of the same functional
-    dirac = model.dirac_matrix()
     h = linalg.hermitian(0.5 * dirac @ dirac, require_nonneg=True)
-    from opcalc.phi_core import OperatorFamily, phi_fermionic
-
-    grading = np.kron(np.eye(len(model.modes)), model.rep.chirality)
-    c0 = model.quantize_big(e1)
-    p1 = model.quantize_big(e2)
+    grading = np.kron(eye, rep.chirality)
+    c0 = np.kron(eye, clifford.clifford_quantize(rep, e1))
+    p1 = np.kron(eye, clifford.clifford_quantize(rep, e2))
     phi = phi_fermionic(OperatorFamily(h, (p1,)), t).value
     expect = (t / 2.0) ** 0 * (-2.0) * np.trace(grading @ c0 @ phi)
-    assert abs(val - expect) < 1e-9
+    res = small_time_limit(chain, t_sequence=(t,), truncation=truncation)
+    assert abs(res.sweep[0][1] - expect) < 1e-9
 
 
 def test_small_time_limit_spec_chains():
     d = 2
     e1, e2 = MultiVector.generator(d, 1), MultiVector.generator(d, 2)
     chain0 = (DGAElement.of(e1.wedge(e2), None, d),)
-    res0 = jlo.small_time_limit(chain0, t_sequence=(1.6, 0.8), truncation=5)
+    res0 = small_time_limit(chain0, t_sequence=(1.6, 0.8), truncation=5)
     vol = (2 * np.pi) ** 2
     assert abs(res0.target - vol / (2j * np.pi)) < 1e-12
     assert res0.relative_error < 0.02
 
     chain1 = (DGAElement.of(e1, None, d), DGAElement.of(None, e2, d))
-    res1 = jlo.small_time_limit(chain1, t_sequence=(1.6, 0.8), truncation=5)
+    res1 = small_time_limit(chain1, t_sequence=(1.6, 0.8), truncation=5)
     assert abs(res1.target - (-4.0) / (2j * np.pi) * vol) < 1e-12
     assert res1.relative_error < 0.02
 
@@ -239,7 +240,7 @@ def test_small_time_limit_degree_unbalanced_chain():
     e1 = MultiVector.generator(d, 1)
     chain = (DGAElement.of(e1.wedge(MultiVector.generator(d, 2)), None, d),
              DGAElement.of(None, e1, d))
-    res = jlo.small_time_limit(chain, t_sequence=(1.6, 0.8), truncation=4)
+    res = small_time_limit(chain, t_sequence=(1.6, 0.8), truncation=4)
     assert res.target == 0
     assert abs(res.extrapolated) < 1e-6
 
@@ -248,8 +249,6 @@ def test_truncation_stability():
     d = 2
     e1, e2 = MultiVector.generator(d, 1), MultiVector.generator(d, 2)
     chain = (DGAElement.of(e1.wedge(e2), None, d),)
-    model5 = jlo.FlatTorusSpinModel(d, 5)
-    model6 = jlo.FlatTorusSpinModel(d, 6)
-    v5 = jlo.flat_localization_value(model5, chain, 0.8)
-    v6 = jlo.flat_localization_value(model6, chain, 0.8)
+    v5 = small_time_limit(chain, t_sequence=(0.8,), truncation=5).sweep[0][1]
+    v6 = small_time_limit(chain, t_sequence=(0.8,), truncation=6).sweep[0][1]
     assert abs(v5 - v6) < 1e-5 * max(1.0, abs(v6))

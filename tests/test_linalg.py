@@ -98,10 +98,7 @@ def test_relative_bound_probe():
     assert holds and c_eps >= 1.0
 
 
-def test_kron_block_and_norm():
-    assert np.array_equal(linalg.kron(np.eye(2), np.eye(3)), np.eye(6))
-    grid = [[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), 2 * np.eye(2)]]
-    assert np.array_equal(linalg.block_assemble(grid), np.diag([1, 1, 2, 2]).astype(complex))
+def test_op_norm_diagonal():
     assert linalg.op_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, abs=1e-12)
 
 
