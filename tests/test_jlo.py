@@ -189,24 +189,33 @@ def test_mckean_singer_engineered_signature():
 # --- flat-torus small-time study ------------------------------------------------
 
 
-def test_truncated_value_matches_dense_flat_model():
-    """The per-mode truncated value equals a dense assembly of the K = 2 model.
+def _dense_flat_model(d=2, truncation=2):
+    """Dense assembly of the K = 2 flat-torus spin model.
 
     The dense model lives on (modes) x (spinors), modes-major, where every
     constant-coefficient operator is block-diagonal over the modes.
     """
-    d, truncation, t = 2, 2, 0.9
     rep = clifford.build_spinor_rep(d)
     ks = range(-truncation, truncation + 1)
     modes = [(k1, k2) for k1 in ks for k2 in ks]
-    eye = np.eye(len(modes))
     dirac = sum(
         np.kron(np.diag([1j * k[j] for k in modes]), rep.gammas[j]) for j in range(d)
     )
+    return rep, modes, dirac
+
+
+def test_flat_model_dirac_square_is_laplacian():
+    _, modes, dirac = _dense_flat_model()
     # D^2 is the flat Laplacian: |k|^2 on each mode
     laplacian = np.kron(np.diag([float(k1**2 + k2**2) for k1, k2 in modes]), np.eye(2))
     assert np.allclose(dirac @ dirac, laplacian, atol=1e-12)
 
+
+def test_flat_localization_value_matches_dense_chern_structure():
+    """The per-mode truncated value equals a dense assembly of the K = 2 model."""
+    d, truncation, t = 2, 2, 0.9
+    rep, modes, dirac = _dense_flat_model(d, truncation)
+    eye = np.eye(len(modes))
     e1 = MultiVector.generator(d, 1)
     e2 = MultiVector.generator(d, 2)
     chain = (DGAElement.of(e1, None, d), DGAElement.of(None, e2, d))
