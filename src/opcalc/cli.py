@@ -36,6 +36,7 @@ from .stochastic_mc import (
     small_time_limit,
     spectral_phi_kernel,
 )
+from .stochastic_mc.model import _oracle_z, _truncation_tail
 
 EXIT_PASS, EXIT_NUMERIC, EXIT_USAGE = 0, 1, 2
 
@@ -256,9 +257,12 @@ def cmd_fk(args) -> int:
     k = args.truncation or cfg.get("K", 14)
     oracle = spectral_phi_kernel(model, t, x, y, k)
     res = fk_estimate(model, t, x, y, paths, steps, seed=seed, workers=args.workers)
-    # floor the stderr at the rounding scale so exact zero-variance cases pass
-    floor = 1e-12 * max(float(np.abs(oracle).max()), 1e-300)
-    z = np.abs(res.estimate - oracle) / np.maximum(res.stderr, floor)
+    z = _oracle_z(
+        np.abs(res.estimate - oracle),
+        res.stderr,
+        _truncation_tail(model, t, k),
+        float(np.abs(oracle).max()),
+    )
     results = {
         "estimate": matrix_to_json(res.estimate),
         "stderr": matrix_to_json(res.stderr + 0j),

@@ -3,8 +3,8 @@
 Per-path randomness comes from counter-based Philox streams keyed by
 (seed, chunk index) with a fixed chunk size, so any path's stream is a
 deterministic function of (seed, path index) alone.  Worker threads only
-map chunks; partial sums are reduced in chunk order, making every estimate
-bitwise independent of the worker count.
+map chunks; per-chunk means and centred second moments are merged in chunk
+order, making every estimate bitwise independent of the worker count.
 
 Path functionals, per step k with left-endpoint (Ito) evaluation:
     M_k       = expm(sum_j A_j dB^j_k)              (transport step)
@@ -12,7 +12,8 @@ Path functionals, per step k with left-endpoint (Ito) evaluation:
     Wf_{k+1}  = Wf_k expm(-h V_k W V_k^-1)          (multiplicative functional)
     G_{k+1}   = G_k expm(-h W) M_k                  (= Wf_{k+1} V_{k+1})
     dPsi_i(k) = G_k (sum_j S_i^j dB^j_k + V_i h) G_k^-1
-    I_m      += I_{m-1} dPsi_m(k)   (m descending, so I_{m-1} is left value)
+    I_m      += I_{m-1} dPsi_m(k)   (m descending, so I_{m-1} is left value;
+                                     I_0 = 1, so I_1 += dPsi_1)
 
 The increment conjugation uses the full dressed functional G rather than
 the bare transport: expanding the enlarged-space product formula term by
@@ -21,6 +22,17 @@ increments followed by one right factor G(t), so the kernel estimate is
 p(t,x,y) E[I_n(t) G(t)].  When the potential commutes with everything
 (scalar W, or W = 0) the dressing drops out and this reduces to the
 familiar form p E[Wf(t) I_n(t) V(t)].
+
+Plane layout.  Inside the step loop every per-path stack (V, G, G^-1, the
+iterated integrals, the step matrices) is a C-contiguous (r, r, P) array:
+entry (i, j) of all P paths is one contiguous plane.  A product of two
+stacks is r broadcast multiply-adds of (r, 1, P) by (1, r, P) planes
+(``_plane_mul``), and the constant factors expm(-hW), expm(hW) and hV
+enter as (r, r, 1) arrays that broadcast over the paths.  The step
+generators sum_j A_j dB^j and sum_j S^j dB^j are one (r, r, d) @ (d, P)
+product each, with the increments held as (d, P).  Products write into
+buffers allocated once per call.  ``FunctionalState`` exposes the final
+planes as (P, r, r) views.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .bridge import sample_winding
 from .model import TWO_PI, TorusModel, heat_kernel
@@ -36,51 +49,62 @@ from .model import TWO_PI, TorusModel, heat_kernel
 CHUNK_SIZE = 16384
 
 
-def bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched matrix product; elementwise fast path for 2x2 stacks."""
-    if a.shape[-1] == 2 and a.ndim == 3 and b.ndim == 3:
+def _plane_mul(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """``a b`` for plane stacks of shape (r, r, P); returns ``out``.
+
+    An r-term sum of broadcast products of contiguous (P,) planes; a factor
+    of shape (r, r, 1) is constant over the paths.  ``out`` and ``tmp`` are
+    (r, r, P) buffers that must not overlap ``a`` or ``b``.
+    """
+    if out is None:
         out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-        out[:, 0, 0] = a[:, 0, 0] * b[:, 0, 0] + a[:, 0, 1] * b[:, 1, 0]
-        out[:, 0, 1] = a[:, 0, 0] * b[:, 0, 1] + a[:, 0, 1] * b[:, 1, 1]
-        out[:, 1, 0] = a[:, 1, 0] * b[:, 0, 0] + a[:, 1, 1] * b[:, 1, 0]
-        out[:, 1, 1] = a[:, 1, 0] * b[:, 0, 1] + a[:, 1, 1] * b[:, 1, 1]
-        return out
-    return a @ b
+    np.multiply(a[:, :1], b[:1], out=out)
+    if tmp is None:
+        tmp = np.empty_like(out)
+    for k in range(1, a.shape[0]):
+        np.multiply(a[:, k:k + 1], b[k:k + 1], out=tmp)
+        out += tmp
+    return out
 
 
-def _expm_2x2(m: np.ndarray) -> np.ndarray:
-    """Exact exponential of a 2x2 stack via the Cayley-Hamilton closed form.
+def _expm_2x2(m: np.ndarray, out=None) -> np.ndarray:
+    """Exact exponential of 2x2 planes (2, 2, P) via the Cayley-Hamilton
+    closed form.
 
     With mu = tr(m)/2 and B = m - mu I one has B^2 = Delta^2 I, so
     exp(m) = e^mu (cosh(Delta) I + sinhc(Delta) B).
     """
-    mu = 0.5 * (m[:, 0, 0] + m[:, 1, 1])
-    b00 = m[:, 0, 0] - mu
-    delta_sq = b00 * b00 + m[:, 0, 1] * m[:, 1, 0]
-    delta = np.sqrt(delta_sq.astype(complex))
-    cosh = np.cosh(delta)
-    small = np.abs(delta) < 1e-4
+    m = np.asarray(m, dtype=complex)
+    mu = m[0, 0] + m[1, 1]
+    mu *= 0.5
+    b00 = m[0, 0] - mu
+    delta_sq = b00 * b00
+    delta_sq += m[0, 1] * m[1, 0]
+    delta = np.sqrt(delta_sq)
     with np.errstate(invalid="ignore", divide="ignore"):
-        sinhc = np.where(small, 1.0 + delta_sq / 6.0 + delta_sq**2 / 120.0,
-                         np.sinh(delta) / np.where(small, 1.0, delta))
+        sinhc = np.sinh(delta)
+        sinhc /= delta
+    small = np.abs(delta) < 1e-4
+    if small.any():
+        s = delta_sq[small]
+        sinhc[small] = 1.0 + s / 6.0 + s**2 / 120.0
     scale = np.exp(mu)
-    out = np.empty_like(m)
-    out[:, 0, 0] = scale * (cosh + sinhc * b00)
-    out[:, 0, 1] = scale * sinhc * m[:, 0, 1]
-    out[:, 1, 0] = scale * sinhc * m[:, 1, 0]
-    out[:, 1, 1] = scale * (cosh - sinhc * b00)
+    cosh = np.cosh(delta)
+    cosh *= scale
+    sinhc *= scale
+    if out is None:
+        out = np.empty_like(m)
+    b00 *= sinhc
+    np.add(cosh, b00, out=out[0, 0])
+    np.subtract(cosh, b00, out=out[1, 1])
+    np.multiply(sinhc, m[0, 1], out=out[0, 1])
+    np.multiply(sinhc, m[1, 0], out=out[1, 0])
     return out
 
 
-def batch_expm(m: np.ndarray) -> np.ndarray:
-    """Exponential of a stack of small matrices.
-
-    2x2 stacks use an exact closed form; larger blocks fall back to a
-    truncated series with one batchwide scaling exponent, which keeps the
-    evaluation schedule-independent.
-    """
-    if m.shape[-1] == 2:
-        return _expm_2x2(np.ascontiguousarray(m))
+def _expm_series(m: np.ndarray) -> np.ndarray:
+    """Truncated exponential series of a (P, r, r) stack with one batchwide
+    scaling exponent, which keeps the evaluation schedule-independent."""
     norm = float(np.abs(m).sum(axis=-1).max()) if m.size else 0.0
     squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.25))))
     a = m / (2.0**squarings)
@@ -95,12 +119,33 @@ def batch_expm(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _expm_planes(m: np.ndarray, out=None) -> np.ndarray:
+    """Exponential of every path's matrix in a plane stack (r, r, P)."""
+    if m.shape[0] == 2:
+        return _expm_2x2(m, out)
+    series = np.moveaxis(_expm_series(np.ascontiguousarray(np.moveaxis(m, -1, 0))), 0, -1)
+    if out is None:
+        return series
+    out[...] = series
+    return out
+
+
+def batch_expm(m: np.ndarray) -> np.ndarray:
+    """Exponential of a (P, r, r) stack of small matrices.
+
+    2x2 stacks use an exact closed form; larger blocks fall back to a
+    truncated series with one batchwide scaling exponent.
+    """
+    return np.moveaxis(_expm_planes(np.moveaxis(m, 0, -1)), -1, 0)
+
+
 @dataclass
 class FunctionalState:
     """Per-path accumulators after a simulated horizon.
 
     ``iterated`` holds the G-dressed iterated integrals;
-    ``full_transport`` is G = multiplicative * transport_inv.
+    ``full_transport`` is G = multiplicative * transport_inv.  Each array
+    is a (P, r, r) view of the engine's (r, r, P) planes.
     """
 
     transport_inv: np.ndarray          # (P, r, r)
@@ -113,6 +158,16 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
     )
+
+
+def _planes(matrices) -> np.ndarray:
+    """(k, r, r) matrices as a contiguous (r, r, k) plane stack."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(matrices, dtype=complex), 0, -1))
+
+
+def _adjoint(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every path's matrix in a plane stack."""
+    return np.conjugate(a.transpose(1, 0, 2), out=out)
 
 
 def simulate_functionals(
@@ -140,88 +195,86 @@ def simulate_functionals(
     y = np.asarray(y, dtype=float)
 
     windings = sample_winding(rng, d, x, y, t, n_paths)
-    z = y + TWO_PI * windings
+    z = np.ascontiguousarray((y + TWO_PI * windings).T)  # (d, P)
 
-    a_stack = np.stack(model.connection)  # (d, r, r)
-    has_connection = bool(np.any(a_stack))
-    w_pot = model.potential
-    has_potential = bool(np.any(w_pot))
-    s_stacks = [np.stack(spec.first_order) for spec in model.perturbations]
-    s_flags = [bool(np.any(s)) for s in s_stacks]
-    v_flags = [bool(np.any(spec.zeroth_order)) for spec in model.perturbations]
-    v_bigs = {
-        i: np.broadcast_to(
-            h * model.perturbations[i].zeroth_order, (n_paths, r, r)
-        ).copy()
-        for i in range(max_order)
-        if v_flags[i] and not s_flags[i]
-    }
+    a_planes = _planes(model.connection)  # (r, r, d)
+    has_connection = bool(np.any(a_planes))
+    has_potential = bool(np.any(model.potential))
+    specs = model.perturbations[:max_order]
+    s_planes = [_planes(spec.first_order) if np.any(spec.first_order) else None
+                for spec in specs]
+    hv = [h * spec.zeroth_order[..., None] if np.any(spec.zeroth_order) else None
+          for spec in specs]
     if has_potential:
-        import scipy.linalg
+        e_w_minus = scipy.linalg.expm(-h * model.potential)[..., None]
+        e_w_plus = scipy.linalg.expm(h * model.potential)[..., None]
 
-        e_w_minus = np.broadcast_to(
-            scipy.linalg.expm(-h * w_pot), (n_paths, r, r)
-        ).copy()
-        e_w_plus = np.broadcast_to(
-            scipy.linalg.expm(h * w_pot), (n_paths, r, r)
-        ).copy()
-    eye = np.broadcast_to(np.eye(r, dtype=complex), (n_paths, r, r)).copy()
-
+    shape = (r, r, n_paths)
+    eye = np.zeros(shape, dtype=complex)
+    for i in range(r):
+        eye[i, i] = 1.0
     v_inv = eye.copy()
-    g = eye.copy()
-    g_inv = eye.copy()
-    iterated = [eye.copy()] + [
-        np.zeros((n_paths, r, r), dtype=complex) for _ in range(max_order)
-    ]
+    g, g_inv = (eye.copy(), eye.copy()) if has_potential else (v_inv, None)
+    iterated = [eye] + [np.zeros(shape, dtype=complex) for _ in range(max_order)]
+    tmp, spare, half, dpsi_buf, prod, local_buf, gen, m_buf, adj = (
+        np.empty(shape, dtype=complex) for _ in range(9)
+    )
 
-    cur = np.broadcast_to(x, (n_paths, d)).copy()
+    cur = np.broadcast_to(x[:, None], (d, n_paths)).copy()
     for k in range(steps):
         tau = t - k * h
         if k < steps - 1:
             mean = cur + (z - cur) * (h / tau)
             std = np.sqrt(h * (tau - h) / tau)
-            nxt = mean + std * rng.standard_normal((n_paths, d))
+            nxt = mean + std * rng.standard_normal((n_paths, d)).T
         else:
             nxt = z
         db = nxt - cur
         cur = nxt
 
         if max_order:
-            if has_potential:
-                g_here, g_here_inv = g, g_inv
-            else:
-                g_here = v_inv
-                g_here_inv = np.conj(np.swapaxes(v_inv, -1, -2))
+            if has_connection and not has_potential:
+                g_inv = _adjoint(v_inv, adj)  # G = V is unitary
             for i in range(max_order, 0, -1):
-                if s_flags[i - 1]:
-                    local = np.tensordot(db, s_stacks[i - 1], axes=(1, 0))
-                    if v_flags[i - 1]:
-                        local = local + h * model.perturbations[i - 1].zeroth_order
-                elif v_flags[i - 1]:
-                    local = v_bigs[i - 1]
+                if s_planes[i - 1] is not None:
+                    local = np.matmul(s_planes[i - 1], db, out=local_buf)
+                    if hv[i - 1] is not None:
+                        local += hv[i - 1]
+                elif hv[i - 1] is not None:
+                    local = hv[i - 1]
                 else:
                     continue  # zero increment
                 if has_connection or has_potential:
-                    dpsi = bmm(bmm(g_here, local), g_here_inv)
+                    dpsi = _plane_mul(_plane_mul(g, local, half, tmp), g_inv, dpsi_buf, tmp)
                 else:
                     dpsi = local
-                iterated[i] = iterated[i] + bmm(iterated[i - 1], dpsi)
+                if i == 1:
+                    iterated[1] += dpsi
+                else:
+                    iterated[i] += _plane_mul(iterated[i - 1], dpsi, prod, tmp)
 
         if has_connection:
-            m_step = batch_expm(np.tensordot(db, a_stack, axes=(1, 0)))
-            v_inv = bmm(v_inv, m_step)
+            m_step = _expm_planes(np.matmul(a_planes, db, out=gen), m_buf)
+            v_inv, spare = _plane_mul(v_inv, m_step, spare, tmp), v_inv
+            if not has_potential:
+                g = v_inv
         if has_potential:
-            g = bmm(g, e_w_minus)
-            g_inv = bmm(e_w_plus, g_inv)
+            g, spare = _plane_mul(g, e_w_minus, spare, tmp), g
+            g_inv, spare = _plane_mul(e_w_plus, g_inv, spare, tmp), g_inv
             if has_connection:
-                g = bmm(g, m_step)
-                g_inv = bmm(np.conj(np.swapaxes(m_step, -1, -2)), g_inv)
+                g, spare = _plane_mul(g, m_step, spare, tmp), g
+                g_inv, spare = _plane_mul(_adjoint(m_step, adj), g_inv, spare, tmp), g_inv
 
-    if not has_potential:
-        g = v_inv
-    mult = bmm(g, np.conj(np.swapaxes(v_inv, -1, -2)))
+    mult = _plane_mul(g, _adjoint(v_inv, adj), tmp=spare)
+
+    def paths_first(a):
+        return np.moveaxis(a, -1, 0)
+
     return FunctionalState(
-        v_inv, mult, g, {m: iterated[m] for m in orders} if orders else {}
+        paths_first(v_inv),
+        paths_first(mult),
+        paths_first(g),
+        {m: paths_first(iterated[m]) for m in orders},
     )
 
 
@@ -233,18 +286,19 @@ class FkResult:
 
 
 def _fk_chunk(model, x, y, t, steps, seed, chunk_index, chunk_paths):
+    """(paths, mean, centred second moment) of I_n(t) G(t) over one chunk.
+
+    The second moment sums |f - mean|^2 over the chunk, real and imaginary
+    parts combined.
+    """
     rng = _chunk_rng(seed, chunk_index)
     state = simulate_functionals(model, x, y, t, steps, rng, chunk_paths)
-    n = model.n
-    if n:
-        f = bmm(state.iterated[n], state.full_transport)
-    else:
-        f = state.full_transport
-    return (
-        f.sum(axis=0),
-        (f.real**2).sum(axis=0),
-        (f.imag**2).sum(axis=0),
-    )
+    f = np.moveaxis(state.full_transport, 0, -1)  # (r, r, P) planes
+    if model.n:
+        f = _plane_mul(np.moveaxis(state.iterated[model.n], 0, -1), f)
+    mean = f.mean(axis=-1)
+    dev = f - mean[..., None]
+    return chunk_paths, mean, (dev.real**2 + dev.imag**2).sum(axis=-1)
 
 
 def fk_estimate(
@@ -263,7 +317,8 @@ def fk_estimate(
     multiplicative transport Wf(t) V(t); for commuting potentials this is
     the familiar p E[Wf(t) I_n(t) V(t)].  Entrywise standard errors come
     from the per-entry sample variance of real and imaginary parts
-    combined.
+    combined, merged from per-chunk centred moments in chunk order
+    (Chan, Golub & LeVeque), so no E[x^2] - mean^2 cancellation occurs.
     """
     if paths < 1:
         raise ValueError("need at least one path")
@@ -284,18 +339,16 @@ def fk_estimate(
     else:
         results = [run(spec) for spec in chunks]
 
-    total = np.zeros((model.r, model.r), dtype=complex)
-    total_re2 = np.zeros((model.r, model.r))
-    total_im2 = np.zeros((model.r, model.r))
-    for s, r2, i2 in results:  # fixed chunk order
-        total += s
-        total_re2 += r2
-        total_im2 += i2
-    mean = total / paths
-    var = (
-        np.maximum(total_re2 / paths - mean.real**2, 0.0)
-        + np.maximum(total_im2 / paths - mean.imag**2, 0.0)
-    )
+    count = 0
+    mean = np.zeros((model.r, model.r), dtype=complex)
+    m2 = np.zeros((model.r, model.r))
+    for n_b, mean_b, m2_b in results:  # fixed chunk order
+        total = count + n_b
+        delta = mean_b - mean
+        mean = mean + delta * (n_b / total)
+        m2 = m2 + m2_b + (delta.real**2 + delta.imag**2) * (count * n_b / total)
+        count = total
+    var = m2 / paths
     p = heat_kernel(model.d, t, x, y)
     return FkResult(
         p * mean,

@@ -30,7 +30,9 @@ from .model import (
     TWO_PI,
     PerturbationSpec,
     TorusModel,
+    _oracle_z,
     _truncated_kernel,
+    _truncation_tail,
     spectral_phi_kernel,
 )
 
@@ -134,8 +136,10 @@ def localization_check(
 ) -> LocalizationResult:
     """Extrapolated flat-model localization value against the h-map target.
 
-    With ``mc_paths`` > 0, the coarsest grid time is re-evaluated through
-    the Feynman-Kac path estimator and reported with a combined z-score.
+    With ``mc_paths`` > 0, the first grid time is re-evaluated through the
+    Feynman-Kac path estimator and compared with the spectral value at the
+    same truncation: ``z`` is the discrepancy beyond the spectral value's
+    truncation-tail bound (``tail_bound``), in standard errors.
     """
     chain = tuple(chain)
     d = chain[0].d
@@ -149,15 +153,16 @@ def localization_check(
     mc_check = None
     if mc_paths > 0:
         t_mc = float(t_sequence[0])
-        mc_value, mc_err, det_value = _mc_localization(
-            chain, t_mc, mc_paths, mc_steps, seed
+        mc_value, mc_err, det_value, det_tail = _mc_localization(
+            chain, t_mc, mc_paths, mc_steps, seed, truncation
         )
-        z = abs(mc_value - det_value) / max(mc_err, 1e-300)
+        z = float(_oracle_z(abs(mc_value - det_value), mc_err, det_tail, abs(det_value)))
         mc_check = {
             "t": t_mc,
             "mc_value": mc_value,
             "stderr": mc_err,
             "deterministic": det_value,
+            "tail_bound": det_tail,
             "z": z,
         }
     return LocalizationResult(extrapolated, target, tuple(zip(t_sequence, values)), mc_check)
@@ -196,8 +201,9 @@ def small_time_limit(
     return LocalizationResult(extrapolated, target, tuple(zip(t_sequence, values)), None)
 
 
-def _mc_localization(chain, t, paths, steps, seed):
-    """Monte Carlo version of the localization functional at one time."""
+def _mc_localization(chain, t, paths, steps, seed, truncation):
+    """Monte Carlo version of the localization functional at one time, with
+    its deterministic value at the same truncation."""
     d = chain[0].d
     rep = build_spinor_rep(d)
     prefactor = _prefactor(chain, t)
@@ -208,11 +214,15 @@ def _mc_localization(chain, t, paths, steps, seed):
     acc_mc = 0.0 + 0.0j
     acc_det = 0.0 + 0.0j
     err_sq = 0.0
+    det_tail = 0.0
     for i, (sign, model) in enumerate(_partition_models(rep, chain)):
         res = fk_estimate(model, t, x, x, paths, steps, seed=seed + i)
-        det_kernel = spectral_phi_kernel(model, t, x, x, 14)
+        det_kernel = spectral_phi_kernel(model, t, x, x, truncation)
         coeff = prefactor * sign
         acc_mc += coeff * supertrace(rep, c0 @ res.estimate)
         acc_det += coeff * supertrace(rep, c0 @ det_kernel)
         err_sq += (abs(coeff) * float(np.sum(weights * res.stderr))) ** 2
-    return acc_mc, float(np.sqrt(err_sq)), acc_det
+        det_tail += abs(coeff) * float(np.sum(weights)) * _truncation_tail(
+            model, t, truncation
+        )
+    return acc_mc, float(np.sqrt(err_sq)), acc_det, det_tail

@@ -210,3 +210,17 @@ def _truncation_tail(model: TorusModel, t: float, truncation: int) -> float:
         if term < 1e-18 * max(total, 1e-300):
             break
     return total / TWO_PI**model.d
+
+
+def _oracle_z(error, stderr, tail, scale):
+    """Discrepancy between a Monte Carlo estimate and the spectral oracle,
+    in standard errors.
+
+    Only the part of ``error`` beyond the oracle's truncation-tail bound
+    ``tail`` counts, and the standard error is floored at 1e-12 of the
+    oracle's ``scale``, the rounding scale, so that an exact zero-variance
+    estimate passes.
+    """
+    return np.maximum(np.subtract(error, tail), 0.0) / np.maximum(
+        stderr, 1e-12 * max(scale, 1e-300)
+    )

@@ -115,6 +115,31 @@ def test_fk_subcommand_small(tmp_path):
     assert report["verdicts"]["within_3_stderr"] is True
 
 
+def test_fk_zero_variance_estimate_at_the_guard_edge(tmp_path):
+    """A zeroth-order perturbation alone gives every path the same value, so
+    the stderr is at the rounding scale; at K = 15, t = 0.2 the oracle still
+    carries its truncation tail, which the z-scores must not count."""
+    zero = matrix_to_json(np.zeros((2, 2), dtype=complex))
+    cfg = {
+        "d": 2,
+        "r": 2,
+        "perturbations": [
+            {"S": [zero, zero], "V": matrix_to_json(np.array([[0.7, 0.2], [0.2, -0.3]]))}
+        ],
+        "t": 0.2,
+        "paths": 64,
+        "steps": 8,
+        "K": 15,
+    }
+    path = tmp_path / "fk.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "fk_report.json"
+    assert run_cli(["fk", "--config", str(path), "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert max(results["stderr"]["re"]) < 1e-15
+    assert max(results["z_scores"]["re"]) <= 3.0
+
+
 def test_levy_area_subcommand(tmp_path):
     cfg = {
         "d": 2,
@@ -206,6 +231,35 @@ def test_localize_subcommand(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["verdicts"]["within_2_percent"] is True
+
+
+def test_localize_mc_check_uses_the_requested_truncation(tmp_path):
+    """The Monte Carlo cross-check's spectral reference runs at --truncation.
+
+    At t = 0.2 the torus-tail guard rejects K = 14 and accepts K = 15, so a
+    reference fixed at K = 14 would make the K = 15 run exit 2.
+    """
+    cfg = {
+        "d": 2,
+        "chain": [
+            {"prime": [{"indices": [1], "re": 1.0}]},
+            {"doubleprime": [{"indices": [2], "re": 1.0}]},
+        ],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(cfg))
+    codes = {}
+    for k in (14, 15):
+        out = tmp_path / f"loc{k}.json"
+        codes[k] = run_cli(
+            ["localize", "--config", str(path), "--t-grid", "0.2", "--truncation", str(k),
+             "--paths", "64", "--steps", "8", "--out", str(out)]
+        )
+    assert codes == {14: 2, 15: 0}
+    report = json.loads((tmp_path / "loc15.json").read_text())
+    mc = report["results"]["mc_check"]
+    assert mc["deterministic"] == report["results"]["sweep"][0]["value"]
+    assert report["verdicts"]["mc_within_3_stderr"] is True
 
 
 def test_bridge_test_subcommand(tmp_path):

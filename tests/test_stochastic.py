@@ -21,7 +21,7 @@ from opcalc.stochastic_mc import (
     spectral_phi_kernel,
     spin_torus_model,
 )
-from opcalc.stochastic_mc.engine import _chunk_rng
+from opcalc.stochastic_mc.engine import CHUNK_SIZE, _chunk_rng
 from opcalc.stochastic_mc.model import TWO_PI
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -330,6 +330,47 @@ def test_iterated_ito_quadratic_variation_identity():
     assert np.abs(2 * i2 - (psi**2 - qv)).max() < 1e-10
 
 
+def test_generic_plane_code_reproduces_the_2x2_fast_path():
+    """An r = 2 model embedded block-diagonally in r = 3, with a decoupled
+    third component, runs the series exponential and the generic plane
+    products; its top-left block must reproduce the 2x2 closed-form run."""
+    rng0 = np.random.default_rng(18)
+    a = (0.5 * skew(rng0, 2), 0.5 * skew(rng0, 2))
+    w = herm(rng0, 2, shift=2.2)
+    perts = tuple(
+        PerturbationSpec((0.4 * skew(rng0, 2), 0.4 * skew(rng0, 2)), herm(rng0, 2))
+        for _ in range(2)
+    )
+    model2 = TorusModel(2, 2, a, w, perts)
+
+    def embed(m, corner=0.0):
+        out = np.zeros((3, 3), dtype=complex)
+        out[:2, :2] = m
+        out[2, 2] = corner
+        return out
+
+    model3 = TorusModel(
+        2,
+        3,
+        tuple(embed(c) for c in a),
+        embed(w, 0.7),
+        tuple(
+            PerturbationSpec(tuple(embed(s) for s in p.first_order), embed(p.zeroth_order))
+            for p in perts
+        ),
+    )
+    x, y, t = np.array([0.3, 1.9]), np.array([2.2, 0.4]), 0.6
+    s2, s3 = (
+        simulate_functionals(m, x, y, t, 32, _chunk_rng(18, 0), 64, orders=(1, 2))
+        for m in (model2, model3)
+    )
+    for name in ("transport_inv", "multiplicative", "full_transport"):
+        assert np.abs(getattr(s2, name) - getattr(s3, name)[:, :2, :2]).max() < 1e-12
+    for order in (1, 2):
+        assert np.abs(s2.iterated[order] - s3.iterated[order][:, :2, :2]).max() < 1e-12
+    assert np.abs(s3.full_transport[:, 2, 2] - np.exp(-0.7 * t)).max() < 1e-12
+
+
 def test_simulate_reproducible_streams():
     model = TorusModel(1, 2, (skew(np.random.default_rng(0), 2),))
     a = simulate_functionals(model, np.zeros(1), np.ones(1), 0.5, 64, _chunk_rng(1, 0), 32)
@@ -380,6 +421,33 @@ def test_fk_worker_count_bitwise_identical():
     res4 = fk_estimate(model, 0.4, x, y, paths=40000, steps=32, seed=5, workers=4)
     assert np.array_equal(res1.estimate, res4.estimate)
     assert np.array_equal(res1.stderr, res4.stderr)
+
+
+def test_fk_stderr_stable_for_large_mean_and_tiny_spread():
+    """Mean ~0.47 with spread ~3e-11: E[x^2] - mean^2 cancels to 0 there,
+    the chunk-merged centred moments keep the two-pass sample variance."""
+    one = np.ones((1, 1), dtype=complex)
+    eps = 1e-10
+    # I_2 = sum_k (k h) (h + eps dB_k): a Riemann sum plus eps int s dB_s
+    model = TorusModel(
+        1, 1, perturbations=(PerturbationSpec.zeroth(one, 1), PerturbationSpec((eps * one,), one))
+    )
+    x, t, steps, seed = np.array([0.5]), 1.0, 16, 3
+    paths = 2 * CHUNK_SIZE + 1000
+    res = fk_estimate(model, t, x, x, paths, steps, seed=seed)
+    f = []
+    for idx, start in enumerate(range(0, paths, CHUNK_SIZE)):
+        take = min(CHUNK_SIZE, paths - start)
+        state = simulate_functionals(model, x, x, t, steps, _chunk_rng(seed, idx), take)
+        f.append(state.iterated[2][:, 0, 0])
+    f = np.concatenate(f)
+    p = heat_kernel(1, t, x, x)
+    assert np.std(f) < 1e-10 * abs(f.mean())
+    two_pass = p * np.sqrt((np.var(f.real) + np.var(f.imag)) / paths)
+    naive = p * np.sqrt(max(np.mean(np.abs(f) ** 2) - abs(f.mean()) ** 2, 0.0) / paths)
+    assert abs(naive - two_pass) > 0.5 * two_pass  # the old formula's digits are gone
+    assert res.stderr[0, 0] == pytest.approx(two_pass, rel=1e-6, abs=0.0)
+    assert res.estimate[0, 0] == pytest.approx(p * f.mean(), rel=1e-14, abs=0.0)
 
 
 def test_fk_stderr_scaling_with_paths():
