@@ -32,6 +32,7 @@ from .stochastic_mc import (
     small_time_limit,
     spectral_phi_kernel,
 )
+from .stochastic_mc.engine import _chunk_rng
 
 
 @dataclass
@@ -468,35 +469,43 @@ def criterion_11(seed: int = 0) -> CriterionResult:
 # --- criterion 12 ----------------------------------------------------------
 
 
-def criterion_12(seed: int = 0) -> CriterionResult:
-    start = time.time()
-    d, t, steps, samples, bins = 1, 0.7, 2, 10**5, 40
-    x = np.array([0.8])
-    y = np.array([2.9])
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    windings, positions = sample_bridge_batch(rng, d, x, y, t, steps, samples)
-    mid = np.mod(positions[:, 1, 0], 2 * np.pi)
+def bridge_midpoint_chi2(d: int, t: float, samples: int, bins: int, seed: int = 0):
+    """Chi-squared test of two-step torus bridges from (0.8, ...) to
+    (2.9, ...): the first coordinate of the wrapped midpoint against its
+    product-of-kernels marginal, plus exact endpoint pinning.
+
+    Draws from ``_chunk_rng(seed, 0)``; returns (chi2, 1% critical value,
+    endpoints_exact).
+    """
+    x = np.full(d, 0.8)
+    y = np.full(d, 2.9)
+    windings, positions = sample_bridge_batch(_chunk_rng(seed, 0), d, x, y, t, 2, samples)
     endpoints_exact = bool(
-        np.all(positions[:, 0, 0] == x[0])
-        and np.all(positions[:, -1, 0] == y[0] + 2 * np.pi * windings[:, 0])
+        np.all(positions[:, 0] == x)
+        and np.all(positions[:, -1] == y + 2 * np.pi * windings)
     )
+    mid = np.mod(positions[:, 1, 0], 2 * np.pi)
     edges = np.linspace(0, 2 * np.pi, bins + 1)
     counts, _ = np.histogram(mid, bins=edges)
-    s = t / 2.0
-    p_total = heat_kernel(d, t, x, y)
+    # the other coordinates integrate out of the first one's marginal
+    x1, y1, s = x[:1], y[:1], t / 2.0
     probs = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         grid = np.linspace(lo, hi, 9)
         dens = [
-            heat_kernel(d, s, x, np.array([z])) * heat_kernel(d, t - s, np.array([z]), y)
+            heat_kernel(1, s, x1, np.array([z])) * heat_kernel(1, t - s, np.array([z]), y1)
             for z in grid
         ]
-        probs.append(np.trapezoid(dens, grid) / p_total)
-    probs = np.asarray(probs)
-    probs /= probs.sum()
+        probs.append(np.trapezoid(dens, grid))
+    probs = np.asarray(probs) / np.sum(probs)  # normalizes out p(t, x1, y1)
     expected = probs * samples
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    crit = float(scipy.stats.chi2.ppf(0.99, bins - 1))
+    return chi2, float(scipy.stats.chi2.ppf(0.99, bins - 1)), endpoints_exact
+
+
+def criterion_12(seed: int = 0) -> CriterionResult:
+    start = time.time()
+    chi2, crit, endpoints_exact = bridge_midpoint_chi2(1, 0.7, 10**5, 40, seed)
     passed = chi2 <= crit and endpoints_exact
     return CriterionResult(
         12,

@@ -29,10 +29,8 @@ from .jsonio import (
 )
 from .stochastic_mc import (
     fk_estimate,
-    heat_kernel,
     levy_area_estimate,
     localization_check,
-    sample_bridge_batch,
     small_time_limit,
     spectral_phi_kernel,
 )
@@ -342,45 +340,13 @@ def cmd_localize(args) -> int:
 
 def cmd_bridge_test(args) -> int:
     started = time.time()
-    import scipy.stats
-
-    d, t, steps = args.d, args.t, 2
-    x = np.full(d, 0.8)
-    y = np.full(d, 2.9)
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([args.seed, 0], dtype=np.uint64))
+    chi2, crit, endpoints_exact = acceptance.bridge_midpoint_chi2(
+        args.d, args.t, args.samples, args.bins, args.seed
     )
-    windings, positions = sample_bridge_batch(rng, d, x, y, t, steps, args.samples)
-    endpoints_exact = bool(
-        np.all(positions[:, 0, :] == x) and
-        np.all(positions[:, -1, :] == y + 2 * np.pi * windings)
-    )
-    mid = np.mod(positions[:, 1, 0], 2 * np.pi)
-    bins = args.bins
-    edges = np.linspace(0, 2 * np.pi, bins + 1)
-    counts, _ = np.histogram(mid, bins=edges)
-    s = t / 2.0
-    p_total = heat_kernel(d, t, x, y)
-    probs = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        grid = np.linspace(lo, hi, 9)
-        dens = []
-        for z0 in grid:
-            z = np.array([z0] + list(x[1:]))
-            # marginal of the first coordinate: other coordinates integrate out
-            dens.append(
-                heat_kernel(1, s, x[:1], z[:1]) * heat_kernel(1, t - s, z[:1], y[:1])
-            )
-        probs.append(np.trapezoid(dens, grid))
-    probs = np.asarray(probs) / heat_kernel(1, t, x[:1], y[:1])
-    probs /= probs.sum()
-    expected = probs * args.samples
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    crit = float(scipy.stats.chi2.ppf(0.99, bins - 1))
     results = {
         "chi2": chi2,
         "critical_1pct": crit,
-        "bins": bins,
+        "bins": args.bins,
         "samples": args.samples,
         "endpoints_exact": endpoints_exact,
     }
@@ -496,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     common(p, config=False)
     p.add_argument("--criteria", help="comma-separated criterion numbers (default all)")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_selftest)
 
     return parser

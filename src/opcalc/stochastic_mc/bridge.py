@@ -5,6 +5,11 @@ w per coordinate with probability proportional to exp(-(dy + 2 pi w)^2 / 2t),
 then an exact Euclidean Gaussian bridge to the lifted endpoint y + 2 pi w.
 Endpoints are pinned exactly: positions[0] == x and positions[-1] equals the
 lift bitwise.
+
+``_bridge_steps`` holds the one copy of the conditional-Gaussian recurrence.
+It streams (position, increment) pairs step by step, so the path-functional
+engine and the Levy-area estimator never store paths; ``sample_bridge_batch``
+fills its position array from the same stepper.
 """
 
 from __future__ import annotations
@@ -56,26 +61,28 @@ def sample_winding(rng: np.random.Generator, d: int, x, y, t: float, n_paths: in
     return out
 
 
-def _bridge_positions(
-    rng: np.random.Generator, x, z, t: float, steps: int, n_paths: int, d: int
-):
-    """Euclidean bridge positions from x to per-path endpoints z, exact law.
+def _bridge_steps(rng: np.random.Generator, x, z, t: float, steps: int):
+    """Yield (position, increment) per step of Euclidean bridges from x to z.
 
-    Sequential conditional sampling; the final step is deterministic, so the
-    endpoint is assigned rather than rounded.
+    ``x`` is a d-vector and ``z`` the (d, P) per-path endpoints; both
+    yielded arrays are (d, P), the position being the step's left endpoint.
+    Sequential conditional sampling draws one (P, d) normal block per step
+    except the last, which is deterministic: its increment lands exactly on
+    ``z``.  Yielded arrays are read-only to the caller.
     """
     h = t / steps
-    pos = np.empty((n_paths, steps + 1, d))
-    cur = np.broadcast_to(np.asarray(x, dtype=float), (n_paths, d)).copy()
-    pos[:, 0, :] = cur
-    for k in range(steps - 1):
-        tau = t - k * h
-        mean = cur + (z - cur) * (h / tau)
-        std = np.sqrt(h * (tau - h) / tau)
-        cur = mean + std * rng.standard_normal((n_paths, d))
-        pos[:, k + 1, :] = cur
-    pos[:, steps, :] = z
-    return pos
+    d, n_paths = z.shape
+    cur = np.broadcast_to(np.asarray(x, dtype=float)[:, None], (d, n_paths))
+    for k in range(steps):
+        if k < steps - 1:
+            tau = t - k * h
+            mean = cur + (z - cur) * (h / tau)
+            std = np.sqrt(h * (tau - h) / tau)
+            nxt = mean + std * rng.standard_normal((n_paths, d)).T
+        else:
+            nxt = z
+        yield cur, nxt - cur
+        cur = nxt
 
 
 def sample_bridge_batch(
@@ -92,7 +99,10 @@ def sample_bridge_batch(
     y = np.asarray(y, dtype=float)
     windings = sample_winding(rng, d, x, y, t, n_paths)
     z = y + TWO_PI * windings
-    positions = _bridge_positions(rng, x, z, t, steps, n_paths, d)
+    positions = np.empty((n_paths, steps + 1, d))
+    for k, (pos, _) in enumerate(_bridge_steps(rng, x, z.T, t, steps)):
+        positions[:, k] = pos.T
+    positions[:, steps] = z
     return windings, positions
 
 
@@ -109,11 +119,3 @@ def sample_bridge(
         positions[0],
     )
 
-
-def standard_bridge_increments(
-    rng: np.random.Generator, d: int, steps: int, n_paths: int
-):
-    """Increments of the standard Euclidean bridge 0 -> 0 on [0, 1]."""
-    zeros = np.zeros(d)
-    pos = _bridge_positions(rng, zeros, np.zeros((n_paths, d)), 1.0, steps, n_paths, d)
-    return pos[:, :-1, :], np.diff(pos, axis=1)

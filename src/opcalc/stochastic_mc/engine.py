@@ -4,7 +4,11 @@ Per-path randomness comes from counter-based Philox streams keyed by
 (seed, chunk index) with a fixed chunk size, so any path's stream is a
 deterministic function of (seed, path index) alone.  Worker threads only
 map chunks; per-chunk means and centred second moments are merged in chunk
-order, making every estimate bitwise independent of the worker count.
+order, making every estimate bitwise independent of the worker count.  The
+chunk schedule (``_chunks``) and the moment merge (``_merge_moments``) are
+the ones every Monte Carlo estimator here uses: the FK estimator, the
+moment probe and the Levy area.  Bridge increments come step by step from
+``bridge._bridge_steps``.
 
 Path functionals, per step k with left-endpoint (Ito) evaluation:
     M_k       = expm(sum_j A_j dB^j_k)              (transport step)
@@ -43,10 +47,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .bridge import sample_winding
+from .bridge import _bridge_steps, sample_winding
 from .model import TWO_PI, TorusModel, heat_kernel
 
 CHUNK_SIZE = 16384
+# moment_scaling_probe keys chunk idx of grid time ti as stride * ti + idx
+_PROBE_KEY_STRIDE = 10_000
 
 
 def _plane_mul(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
@@ -160,6 +166,42 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
+def _chunks(paths: int) -> list:
+    """The chunk schedule [(chunk_index, path_count), ...] of ``paths`` paths:
+    full chunks of ``CHUNK_SIZE`` and one partial chunk last."""
+    return [
+        (idx, min(CHUNK_SIZE, paths - start))
+        for idx, start in enumerate(range(0, paths, CHUNK_SIZE))
+    ]
+
+
+def _chunk_moments(samples: np.ndarray):
+    """(count, mean, centred second moment) over the last axis.
+
+    The second moment sums |x - mean|^2, real and imaginary parts combined.
+    """
+    mean = samples.mean(axis=-1)
+    dev = samples - mean[..., None]
+    return samples.shape[-1], mean, (dev.real**2 + dev.imag**2).sum(axis=-1)
+
+
+def _merge_moments(parts):
+    """Merge per-chunk (count, mean, centred second moment) triples in the
+    given order (Chan, Golub & LeVeque); returns the triple of the union.
+
+    Merging in fixed chunk order keeps the result bitwise independent of
+    how chunks were scheduled, and no E[x^2] - mean^2 cancellation occurs.
+    """
+    count, mean, m2 = 0, 0.0, 0.0
+    for n_b, mean_b, m2_b in parts:
+        total = count + n_b
+        delta = mean_b - mean
+        mean = mean + delta * (n_b / total)
+        m2 = m2 + m2_b + (delta.real**2 + delta.imag**2) * (count * n_b / total)
+        count = total
+    return count, mean, m2
+
+
 def _planes(matrices) -> np.ndarray:
     """(k, r, r) matrices as a contiguous (r, r, k) plane stack."""
     return np.ascontiguousarray(np.moveaxis(np.asarray(matrices, dtype=complex), 0, -1))
@@ -220,18 +262,7 @@ def simulate_functionals(
         np.empty(shape, dtype=complex) for _ in range(9)
     )
 
-    cur = np.broadcast_to(x[:, None], (d, n_paths)).copy()
-    for k in range(steps):
-        tau = t - k * h
-        if k < steps - 1:
-            mean = cur + (z - cur) * (h / tau)
-            std = np.sqrt(h * (tau - h) / tau)
-            nxt = mean + std * rng.standard_normal((n_paths, d)).T
-        else:
-            nxt = z
-        db = nxt - cur
-        cur = nxt
-
+    for _, db in _bridge_steps(rng, x, z, t, steps):
         if max_order:
             if has_connection and not has_potential:
                 g_inv = _adjoint(v_inv, adj)  # G = V is unitary
@@ -286,19 +317,13 @@ class FkResult:
 
 
 def _fk_chunk(model, x, y, t, steps, seed, chunk_index, chunk_paths):
-    """(paths, mean, centred second moment) of I_n(t) G(t) over one chunk.
-
-    The second moment sums |f - mean|^2 over the chunk, real and imaginary
-    parts combined.
-    """
+    """``_chunk_moments`` of I_n(t) G(t) over one chunk."""
     rng = _chunk_rng(seed, chunk_index)
     state = simulate_functionals(model, x, y, t, steps, rng, chunk_paths)
     f = np.moveaxis(state.full_transport, 0, -1)  # (r, r, P) planes
     if model.n:
         f = _plane_mul(np.moveaxis(state.iterated[model.n], 0, -1), f)
-    mean = f.mean(axis=-1)
-    dev = f - mean[..., None]
-    return chunk_paths, mean, (dev.real**2 + dev.imag**2).sum(axis=-1)
+    return _chunk_moments(f)
 
 
 def fk_estimate(
@@ -322,32 +347,17 @@ def fk_estimate(
     """
     if paths < 1:
         raise ValueError("need at least one path")
-    chunks = []
-    start = 0
-    idx = 0
-    while start < paths:
-        chunks.append((idx, min(CHUNK_SIZE, paths - start)))
-        start += CHUNK_SIZE
-        idx += 1
 
-    def run(spec):
-        return _fk_chunk(model, x, y, t, steps, seed, spec[0], spec[1])
+    def run(chunk):
+        return _fk_chunk(model, x, y, t, steps, seed, *chunk)
 
+    chunks = _chunks(paths)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
+            parts = list(pool.map(run, chunks))
     else:
-        results = [run(spec) for spec in chunks]
-
-    count = 0
-    mean = np.zeros((model.r, model.r), dtype=complex)
-    m2 = np.zeros((model.r, model.r))
-    for n_b, mean_b, m2_b in results:  # fixed chunk order
-        total = count + n_b
-        delta = mean_b - mean
-        mean = mean + delta * (n_b / total)
-        m2 = m2 + m2_b + (delta.real**2 + delta.imag**2) * (count * n_b / total)
-        count = total
+        parts = [run(chunk) for chunk in chunks]
+    _, mean, m2 = _merge_moments(parts)
     var = m2 / paths
     p = heat_kernel(model.d, t, x, y)
     return FkResult(
@@ -406,14 +416,17 @@ def moment_scaling_probe(
     m = len(tuple(nu))
     probe_model = apply_moment_pattern(model, nu)
     x = np.zeros(model.d) if x is None else np.asarray(x, dtype=float)
+    chunks = _chunks(paths)
+    if len(chunks) > _PROBE_KEY_STRIDE:
+        raise ValueError(
+            f"{len(chunks)} chunks per grid time exceed the {_PROBE_KEY_STRIDE} "
+            "distinct stream keys of one time"
+        )
     means = []
     for ti, t in enumerate(t_grid):
         total = 0.0
-        done = 0
-        idx = 0
-        while done < paths:
-            take = min(CHUNK_SIZE, paths - done)
-            rng = _chunk_rng(seed, 10_000 * ti + idx)
+        for idx, take in chunks:
+            rng = _chunk_rng(seed, _PROBE_KEY_STRIDE * ti + idx)
             state = simulate_functionals(
                 probe_model, x, x, float(t), steps, rng, take, orders=(m,)
             )
@@ -421,8 +434,6 @@ def moment_scaling_probe(
             total += float(
                 np.sum(np.linalg.norm(mats, axis=(1, 2)) ** b)
             )
-            done += take
-            idx += 1
         means.append(total / paths)
     logs_t = np.log(np.asarray(t_grid, dtype=float))
     logs_m = np.log(np.asarray(means))

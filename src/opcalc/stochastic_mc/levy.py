@@ -9,6 +9,12 @@ law gives E[exp(c J)] = det^{1/2}((c Omega)/sinh(c Omega)); with the unit
 weight used here the mean therefore matches the characteristic power
 series evaluated at 2 Omega, and the halved accumulator matches it at
 Omega.  Over d = 2 both reduce to 1 plus a mean-zero top term.
+
+The bridges stream from ``bridge._bridge_steps`` in the engine's chunk
+schedule and Philox streams; the pair areas accumulate step by step into
+one (n_pairs, P) array, so no path is stored.  The mean and the top
+coefficient's error bar come from per-chunk centred moments merged in
+chunk order (``engine._merge_moments``).
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from ..grassmann import MultiVector, _merge_sign
-from .bridge import standard_bridge_increments
-from .engine import CHUNK_SIZE, _chunk_rng
+from .bridge import _bridge_steps
+from .engine import _chunk_moments, _chunk_rng, _chunks, _merge_moments
 
 
 @lru_cache(maxsize=None)
@@ -101,40 +107,22 @@ def levy_area_estimate(
         one = MultiVector.one(d)
         return LevyAreaResult(one, one.coefficient(top_mask), 0.0, {"paths": paths})
 
-    dim = 1 << d
-    total = np.zeros(dim, dtype=complex)
-    total_top_re2 = 0.0
-    total_top_im2 = 0.0
-    done = 0
-    idx = 0
-    while done < paths:
-        take = min(CHUNK_SIZE, paths - done)
+    rows, cols, forms = (np.array(v) for v in zip(*pair_forms))
+    parts = []
+    for idx, take in _chunks(paths):
         rng = _chunk_rng(seed, idx)
-        pos, inc = standard_bridge_increments(rng, d, steps, take)
-        # area integrals int Y_j dY_i with left endpoints, for each pair
-        j_dense = np.zeros((take, dim), dtype=complex)
-        for i, j, form in pair_forms:
-            # J contribution: -Omega_ij (int Y_j dY_i - int Y_i dY_j)
-            anti = np.einsum("pk,pk->p", pos[:, :, j], inc[:, :, i]) - np.einsum(
-                "pk,pk->p", pos[:, :, i], inc[:, :, j]
-            )
-            j_dense += (weight * anti)[:, None] * form[None, :]
-        e_j = exp_dense_batch(j_dense, d)
-        total += e_j.sum(axis=0)
-        top = e_j[:, top_mask]
-        total_top_re2 += float(np.sum(top.real**2))
-        total_top_im2 += float(np.sum(top.imag**2))
-        done += take
-        idx += 1
-
-    mean = total / paths
+        # pair areas int Y_j dY_i - int Y_i dY_j with left endpoints
+        area = np.zeros((len(forms), take))
+        for pos, inc in _bridge_steps(rng, np.zeros(d), np.zeros((d, take)), 1.0, steps):
+            area += pos[cols] * inc[rows] - pos[rows] * inc[cols]
+        # J = -sum_{i<j} Omega_ij (int Y_j dY_i - int Y_i dY_j)
+        e_j = exp_dense_batch((weight * area).T @ forms, d)
+        parts.append(_chunk_moments(e_j.T))
+    _, mean, m2 = _merge_moments(parts)
     top_mean = mean[top_mask]
-    var = max(total_top_re2 / paths - top_mean.real**2, 0.0) + max(
-        total_top_im2 / paths - top_mean.imag**2, 0.0
-    )
     return LevyAreaResult(
         MultiVector.from_dense(d, mean),
         complex(top_mean),
-        float(np.sqrt(var / paths)),
+        float(np.sqrt(m2[top_mask] / paths / paths)),
         {"paths": paths, "steps": steps, "seed": seed, "weight": weight},
     )

@@ -70,33 +70,39 @@ def _prefactor(chain, t: float) -> float:
     return (t / 2.0) ** (-n / 2.0 + sum(degs) / 2.0)
 
 
-def _partition_models(rep, chain):
-    """Yield ((-2)^m, spin-torus model) over the chain's ordered partitions.
+def _partition_models(chain) -> list:
+    """[((-2)^m, spin-torus model), ...] over the chain's ordered partitions.
 
     A partition's model carries one perturbation per block, in order; a
-    chain with n = 0 yields the unperturbed model with coefficient 1.
+    chain with n = 0 gives the unperturbed model with coefficient 1.  The
+    models do not depend on t, so each public entry point builds them once.
     """
-    d = rep.d
+    d = chain[0].d
+    rep = build_spinor_rep(d)
     n = len(chain) - 1
     if n == 0:
-        yield 1.0, spin_torus_model(d)
-        return
-    for m in range(1, n + 1):
-        for partition in ordered_partitions(m, n):
-            blocks = tuple(
-                chain_block_perturbation(rep, chain, block) for block in partition
-            )
-            yield (-2.0) ** m, spin_torus_model(d, blocks)
+        return [(1.0, spin_torus_model(d))]
+    return [
+        ((-2.0) ** m, spin_torus_model(d, tuple(
+            chain_block_perturbation(rep, chain, block) for block in partition
+        )))
+        for m in range(1, n + 1)
+        for partition in ordered_partitions(m, n)
+    ]
 
 
-def _functional(chain, t: float, kernel) -> complex:
-    """F(t), with ``kernel(model)`` the diagonal kernel of a partition's model."""
+def _functionals(chain, models, t_sequence, kernel) -> list:
+    """F(t) for every t, with ``models`` the chain's ``_partition_models``
+    and ``kernel(model, t)`` the diagonal kernel of a partition's model."""
     rep = build_spinor_rep(chain[0].d)
     c0 = clifford_quantize(rep, chain[0].prime)
-    acc = 0.0 + 0.0j
-    for coeff, model in _partition_models(rep, chain):
-        acc += coeff * supertrace(rep, c0 @ kernel(model))
-    return _prefactor(chain, t) * acc
+    values = []
+    for t in t_sequence:
+        acc = 0.0 + 0.0j
+        for coeff, model in models:
+            acc += coeff * supertrace(rep, c0 @ kernel(model, t))
+        values.append(_prefactor(chain, t) * acc)
+    return values
 
 
 def localization_value(chain, t: float, truncation: int, x=None) -> complex:
@@ -107,9 +113,10 @@ def localization_value(chain, t: float, truncation: int, x=None) -> complex:
     """
     chain = tuple(chain)
     x = np.zeros(chain[0].d) if x is None else np.asarray(x, dtype=float)
-    return _functional(
-        chain, t, lambda model: spectral_phi_kernel(model, t, x, x, truncation)
-    )
+    return _functionals(
+        chain, _partition_models(chain), (t,),
+        lambda model, t: spectral_phi_kernel(model, t, x, x, truncation),
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -146,7 +153,12 @@ def localization_check(
     for w in chain:
         if w.prime.n != d or w.doubleprime.n != d:
             raise ValueError("chain forms must share the model dimension")
-    values = [localization_value(chain, t, truncation) for t in t_sequence]
+    x = np.zeros(d)
+    models = _partition_models(chain)
+    values = _functionals(
+        chain, models, t_sequence,
+        lambda model, t: spectral_phi_kernel(model, t, x, x, truncation),
+    )
     extrapolated = richardson(values, richardson_order)
     target = localization_target(chain, d, volume=1.0)
 
@@ -154,7 +166,7 @@ def localization_check(
     if mc_paths > 0:
         t_mc = float(t_sequence[0])
         mc_value, mc_err, det_value, det_tail = _mc_localization(
-            chain, t_mc, mc_paths, mc_steps, seed, truncation
+            chain, models, t_mc, mc_paths, mc_steps, seed, truncation
         )
         z = float(_oracle_z(abs(mc_value - det_value), mc_err, det_tail, abs(det_value)))
         mc_check = {
@@ -189,19 +201,17 @@ def small_time_limit(
         raise ValueError("t must be positive")
     x = np.zeros(d)
     volume = TWO_PI**d
-    values = [
-        volume
-        * _functional(
-            chain, t, lambda model: _truncated_kernel(model, t, x, x, truncation)
-        )
-        for t in t_sequence
-    ]
+    values = _functionals(
+        chain, _partition_models(chain), t_sequence,
+        lambda model, t: _truncated_kernel(model, t, x, x, truncation),
+    )
+    values = [volume * value for value in values]
     extrapolated = richardson(values, richardson_order)
     target = localization_target(chain, d, volume)
     return LocalizationResult(extrapolated, target, tuple(zip(t_sequence, values)), None)
 
 
-def _mc_localization(chain, t, paths, steps, seed, truncation):
+def _mc_localization(chain, models, t, paths, steps, seed, truncation):
     """Monte Carlo version of the localization functional at one time, with
     its deterministic value at the same truncation."""
     d = chain[0].d
@@ -215,7 +225,7 @@ def _mc_localization(chain, t, paths, steps, seed, truncation):
     acc_det = 0.0 + 0.0j
     err_sq = 0.0
     det_tail = 0.0
-    for i, (sign, model) in enumerate(_partition_models(rep, chain)):
+    for i, (sign, model) in enumerate(models):
         res = fk_estimate(model, t, x, x, paths, steps, seed=seed + i)
         det_kernel = spectral_phi_kernel(model, t, x, x, truncation)
         coeff = prefactor * sign

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opcalc import cli
+from opcalc import acceptance, cli
 from opcalc.jsonio import matrix_to_json
 
 
@@ -270,6 +270,17 @@ def test_bridge_test_subcommand(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["verdicts"]["endpoints_exact"] is True
+
+
+def test_bridge_test_defaults_report_criterion_12(tmp_path):
+    out = tmp_path / "bridge.json"
+    assert run_cli(["bridge-test", "--seed", "0", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["results"]["chi2"] == acceptance.criterion_12(seed=0).details["chi2"]
+
+
+def test_selftest_has_no_workers_option():
+    assert run_cli(["selftest", "--criteria", "2", "--workers", "2"]) == 2
 
 
 def test_selftest_subset_and_determinism(tmp_path, capsys):

@@ -21,6 +21,9 @@ from opcalc.stochastic_mc import (
     spectral_phi_kernel,
     spin_torus_model,
 )
+from opcalc.acceptance import bridge_midpoint_chi2
+from opcalc.stochastic_mc import engine
+from opcalc.stochastic_mc.bridge import _bridge_steps
 from opcalc.stochastic_mc.engine import CHUNK_SIZE, _chunk_rng
 from opcalc.stochastic_mc.model import TWO_PI
 
@@ -148,26 +151,26 @@ def test_bridge_short_time_concentration():
 
 
 def test_bridge_midpoint_cylinder_law_chi2():
-    d, t, samples, bins = 1, 0.7, 60000, 32
-    x, y = np.array([0.8]), np.array([2.9])
-    rng = _chunk_rng(9, 0)
-    _, pos = sample_bridge_batch(rng, d, x, y, t, 2, samples)
-    mid = np.mod(pos[:, 1, 0], TWO_PI)
-    edges = np.linspace(0, TWO_PI, bins + 1)
-    counts, _ = np.histogram(mid, bins=edges)
-    s = t / 2
-    probs = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        grid = np.linspace(lo, hi, 9)
-        dens = [
-            heat_kernel(d, s, x, np.array([z])) * heat_kernel(d, t - s, np.array([z]), y)
-            for z in grid
-        ]
-        probs.append(np.trapezoid(dens, grid))
-    probs = np.asarray(probs)
-    probs /= probs.sum()
-    chi2 = float(np.sum((counts - probs * samples) ** 2 / (probs * samples)))
-    assert chi2 <= scipy.stats.chi2.ppf(0.99, bins - 1)
+    chi2, critical, endpoints_exact = bridge_midpoint_chi2(1, 0.7, 60000, 32, seed=9)
+    assert endpoints_exact
+    assert chi2 <= critical
+
+
+def test_bridge_steps_chain_to_the_endpoints_with_one_draw_block_per_inner_step():
+    x = np.array([0.3, -1.2])
+    z = np.array([[0.5, 2.0, -4.0], [1.0, 0.0, 7.5]])  # (d, P)
+    steps = 5
+    rng = _chunk_rng(12, 0)
+    out = [(pos.copy(), inc.copy()) for pos, inc in _bridge_steps(rng, x, z, 1.3, steps)]
+    assert len(out) == steps
+    assert np.all(out[0][0] == x[:, None])
+    assert np.allclose(out[-1][0] + out[-1][1], z, rtol=0.0, atol=1e-14)
+    for (pos, inc), (nxt, _) in zip(out, out[1:]):
+        assert np.allclose(pos + inc, nxt, rtol=0.0, atol=1e-14)
+    twin = _chunk_rng(12, 0)
+    for _ in range(steps - 1):
+        twin.standard_normal((3, 2))
+    assert rng.random() == twin.random()
 
 
 def test_winding_distribution_matches_weights():
@@ -481,6 +484,58 @@ def test_moment_probe_single_first_order():
     assert abs(slope - 1.0) < 0.15
 
 
+def test_moment_probe_rejects_colliding_chunk_keys(monkeypatch):
+    """Chunk idx of grid time ti is keyed 10_000 ti + idx, so more than
+    10_000 chunks per time would share streams across times."""
+    model = TorusModel(
+        1, 1, perturbations=(PerturbationSpec((np.array([[1.0]], dtype=complex),), np.zeros((1, 1))),)
+    )
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths were simulated")
+
+    monkeypatch.setattr(engine, "CHUNK_SIZE", 1)
+    monkeypatch.setattr(engine, "simulate_functionals", no_draws)
+    with pytest.raises(ValueError, match="10000 distinct stream keys"):
+        moment_scaling_probe(model, (0,), 2.0, (0.1, 0.2), paths=10_001, steps=4)
+    with pytest.raises(AssertionError, match="simulated"):  # 10_000 keys fit
+        moment_scaling_probe(model, (0,), 2.0, (0.1, 0.2), paths=10_000, steps=4)
+
+
+def test_levy_streamed_areas_match_stored_paths(monkeypatch):
+    """Two full chunks plus a partial one: the step-by-step pair areas equal
+    the ones rebuilt from stored positions of the same draws, and the merged
+    error bar equals the two-pass standard deviation of the top term."""
+    chunk, paths, steps, seed, theta = 300, 750, 16, 6, 0.9
+    monkeypatch.setattr(engine, "CHUNK_SIZE", chunk)
+    d = 2
+    e12 = MultiVector(d, {0b11: theta})
+    zero = MultiVector.zero(d)
+    res = levy_area_estimate([[zero, e12], [-1.0 * e12, zero]], d, paths, steps, seed=seed)
+
+    h = 1.0 / steps
+    tops = []
+    for idx, start in enumerate(range(0, paths, chunk)):
+        take = min(chunk, paths - start)
+        rng = _chunk_rng(seed, idx)
+        pos = np.zeros((take, steps + 1, d))  # the bridge 0 -> 0 on [0, 1]
+        for k in range(steps - 1):
+            tau = 1.0 - k * h
+            pos[:, k + 1] = pos[:, k] * (1.0 - h / tau) + np.sqrt(
+                h * (tau - h) / tau
+            ) * rng.standard_normal((take, d))
+        inc = np.diff(pos, axis=1)
+        left = pos[:, :-1]
+        area = np.einsum("pk,pk->p", left[..., 1], inc[..., 0]) - np.einsum(
+            "pk,pk->p", left[..., 0], inc[..., 1]
+        )
+        tops.append(-theta * area)  # exp(J) = 1 + J at d = 2
+    top = np.concatenate(tops)
+    assert res.mean_form.coefficient(0) == 1.0
+    assert abs(res.top_mean - top.mean()) <= 1e-13
+    assert res.top_stderr == pytest.approx(np.std(top) / np.sqrt(paths), rel=1e-10, abs=0.0)
+
+
 def test_levy_zero_curvature_exact_one():
     d = 2
     zero = MultiVector.zero(d)
@@ -569,6 +624,25 @@ def test_localization_mc_cross_check():
     )
     assert res.mc_check is not None
     assert res.mc_check["z"] < 4.0
+
+
+def test_localization_check_builds_each_partition_model_once(monkeypatch):
+    """The partition models do not depend on t: a two-time check with the
+    Monte Carlo cross-check builds each of its two models once."""
+    d = 2
+    e1, e2 = MultiVector.generator(d, 1), MultiVector.generator(d, 2)
+    zero = MultiVector.zero(d)
+    chain = (DGAElement(e1.wedge(e2), zero), DGAElement(e1, zero), DGAElement(zero, e2))
+    built = []
+    init = TorusModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TorusModel, "__init__", counting_init)
+    localization_check(chain, t_sequence=(0.8, 0.4), truncation=14, mc_paths=64, mc_steps=8)
+    assert len(built) == 2  # ordered partitions of {1, 2}: (12) and (1)(2)
 
 
 def test_spin_torus_model_is_flat_laplacian():
