@@ -9,7 +9,6 @@ produced only for left-multiplication operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
 
 import numpy as np
 
@@ -159,12 +158,6 @@ class MultiVector:
     def coefficient(self, mask: int) -> complex:
         return self.coeffs.get(mask, 0.0 + 0.0j)
 
-    def grade(self, k: int) -> "MultiVector":
-        return MultiVector(
-            self.n,
-            {m: c for m, c in self.coeffs.items() if bin(m).count("1") == k},
-        )
-
     def degrees(self) -> set:
         return {bin(m).count("1") for m in self.coeffs}
 
@@ -248,8 +241,3 @@ def left_mul_matrix(a: MultiVector) -> LeftMulMatrix:
                 continue
             out[ma | mb, mb] += ca * _merge_sign(ma, mb)
     return LeftMulMatrix(a.n, out)
-
-
-def simplex_volume(n: int) -> float:
-    """Volume of the ordered simplex 0 <= s_1 <= ... <= s_n <= 1."""
-    return 1.0 / factorial(n)

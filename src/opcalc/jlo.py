@@ -8,7 +8,7 @@ evaluates the functional
     F(t) = (t/2)^(-n/2 + sum_j deg(w_j')/2)
            * Str( sum_m (-2)^m sum_I c(w_0') Phi^{D^2/2}_t(P(w_{I_1}), ...) )
 
-exactly for the K-truncated flat-torus spin model, computed per mode with
+exactly for the K-truncated flat-torus spin model, a batched mode sum with
 the supertrace over the whole torus: (2 pi)^d times ``opcalc localize`` up
 to truncation.  Only ``localize`` enforces the 1e-10 torus-tail guard.  The
 t -> 0 limit is the localization target

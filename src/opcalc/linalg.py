@@ -22,9 +22,9 @@ EXPM_NORM_LIMIT = 1e4
 DIMENSION_BUDGET = 4096
 
 
-def _as_square(m: np.ndarray) -> np.ndarray:
+def _as_square(m: np.ndarray, *, stack: bool = False) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix has non-finite entries")
@@ -32,9 +32,11 @@ def _as_square(m: np.ndarray) -> np.ndarray:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring, diagonal Pade approximant)."""
-    m = _as_square(m)
-    norm = np.linalg.norm(m, 2) if m.shape[0] <= 512 else np.linalg.norm(m)
+    """Matrix exponential (scaling-and-squaring, diagonal Pade approximant)
+    of one matrix or of each matrix of an (N, s, s) stack."""
+    m = _as_square(m, stack=True)
+    ord_ = 2 if m.shape[-1] <= 512 else None  # None: Frobenius, an upper bound
+    norm = np.max(np.linalg.norm(m, ord_, axis=(-2, -1)), initial=0.0)
     if norm > EXPM_NORM_LIMIT:
         raise ValueError(f"matrix norm {norm:.3e} exceeds expm limit {EXPM_NORM_LIMIT:.0e}")
     return scipy.linalg.expm(m)
@@ -143,7 +145,8 @@ def relative_bound_probe(
 
 
 def op_norm(m: np.ndarray) -> float:
-    """Largest singular value."""
+    """Largest singular value; RuntimeError if the power iteration used
+    above dimension 1024 has not converged in 500 iterations."""
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0.0
@@ -158,7 +161,9 @@ def op_norm(m: np.ndarray) -> float:
         if cur == 0.0:
             return 0.0
         v = w / cur
-        if abs(cur - prev) <= 1e-12 * cur:
-            break
+        change = abs(cur - prev) / cur
+        if change <= 1e-12:
+            return float(np.sqrt(cur))
         prev = cur
-    return float(np.sqrt(cur))
+    raise RuntimeError(f"op_norm power iteration did not converge in 500 iterations "
+                       f"(relative change {change:.1e} > 1e-12)")

@@ -1,4 +1,4 @@
-"""Flat-model localization functional through the exact per-mode route.
+"""Flat-model localization functional through the exact spectral mode sum.
 
 Evaluates, deterministically and per point (homogeneity makes the point
 irrelevant),
@@ -7,7 +7,8 @@ irrelevant),
            * Str( sum_m (-2)^m sum_I c(w_0')
                   Phi^{D^2/2}_t(P(w_{I_1}), ..., P(w_{I_m}))(x, x) )
 
-with the per-mode kernels of the flat-torus spin model, extrapolates t -> 0,
+with the kernels of the flat-torus spin model, each a batched block-triangular
+exponential over its stack of mode matrices, extrapolates t -> 0,
 and compares against the localization target with unit characteristic
 class.  ``localization_check`` (``opcalc localize``) uses the spectral
 oracle, which rejects truncations whose torus-tail estimate exceeds 1e-10,

@@ -31,6 +31,26 @@ def test_expm_rejects_bad_inputs():
         linalg.expm(2e4 * np.eye(2))
 
 
+def test_expm_stack_matches_each_matrix_and_keeps_the_guards():
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    got = linalg.expm(stack)
+    for m, e in zip(stack, got):
+        assert np.linalg.norm(e - linalg.expm(m), 2) <= 1e-13 * np.linalg.norm(e, 2)
+    # the guards hold per matrix: one bad matrix rejects the stack
+    bad = stack.copy()
+    bad[3, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.expm(bad)
+    big = stack.copy()
+    big[5] = 2e4 * np.eye(4)
+    with pytest.raises(ValueError, match="exceeds expm limit"):
+        linalg.expm(big)
+    for shape in ((2, 3, 4), (2, 2, 3, 3)):
+        with pytest.raises(ValueError):
+            linalg.expm(np.zeros(shape))
+
+
 def test_hermitian_validation():
     with pytest.raises(ValueError):
         linalg.hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -116,3 +136,12 @@ def test_op_norm_large_power_iteration_path():
     diag[:5] = [7.0, 3.0, 2.0, 1.0, 0.5]
     m = np.diag(diag)
     assert linalg.op_norm(m) == pytest.approx(7.0, rel=1e-9)
+
+
+def test_op_norm_power_iteration_reports_non_convergence():
+    """Top singular values 1 and 1 - 1e-3: the power iteration still moves
+    by more than 1e-12 after 500 iterations, 1.2e-4 below the norm."""
+    diag = np.full(1100, 0.5)
+    diag[:2] = [1.0, 1.0 - 1e-3]
+    with pytest.raises(RuntimeError, match="did not converge in 500 iterations"):
+        linalg.op_norm(np.diag(diag))

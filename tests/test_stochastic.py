@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from opcalc import clifford
+from opcalc import clifford, linalg
 from opcalc.grassmann import MultiVector
 from opcalc.jlo import DGAElement
 from opcalc.stochastic_mc import (
@@ -21,11 +23,13 @@ from opcalc.stochastic_mc import (
     spectral_phi_kernel,
     spin_torus_model,
 )
-from opcalc.acceptance import bridge_midpoint_chi2
-from opcalc.stochastic_mc import engine
+from opcalc.acceptance import _spec_chains, acceptance_fk_model, bridge_midpoint_chi2
+from opcalc.phi_core import OperatorFamily, phi_fermionic
+from opcalc.stochastic_mc import engine, model as model_module
 from opcalc.stochastic_mc.bridge import _bridge_steps
 from opcalc.stochastic_mc.engine import CHUNK_SIZE, _chunk_rng
-from opcalc.stochastic_mc.model import TWO_PI
+from opcalc.stochastic_mc.localize import _partition_models
+from opcalc.stochastic_mc.model import TWO_PI, _truncated_kernel
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -57,11 +61,11 @@ def test_mode_hamiltonian_structure():
     a = skew(rng, 2)
     w = herm(rng, 2, shift=2.0)
     model = TorusModel(1, 2, (a,), w)
-    k = (3,)
+    h = model.mode_blocks([(3,)])[0][0]
     m = 1j * 3 * np.eye(2) + a
     expect = 0.5 * m.conj().T @ m + w
-    assert np.allclose(model.mode_hamiltonian(k), expect)
-    vals = np.linalg.eigvalsh(model.mode_hamiltonian(k))
+    assert np.allclose(h, expect)
+    vals = np.linalg.eigvalsh(h)
     assert vals[0] > -1e-12
 
 
@@ -121,6 +125,93 @@ def test_spectral_kernel_truncation_guard():
     model = TorusModel(2, 2, perturbations=(pert,))
     with pytest.raises(ValueError):
         spectral_phi_kernel(model, 0.5, np.zeros(2), np.zeros(2), 3)
+
+
+def per_mode_kernel(model, t, x, y, truncation):
+    """Independent oracle for the stacked mode sum: (2 pi)^-d sum over
+    |k|_inf <= K of e^{ik(x-y)} Phi^{H_k}_t(P_{1,k}, ...), one Fermionic-lift
+    evaluation per mode, with H_k and P_{j,k} written out here."""
+    eye = np.eye(model.r)
+    out = np.zeros((model.r, model.r), dtype=complex)
+    for k in itertools.product(range(-truncation, truncation + 1), repeat=model.d):
+        factors = [1j * km * eye + a for km, a in zip(k, model.connection)]
+        h = sum(0.5 * f.conj().T @ f for f in factors) + model.potential
+        perts = tuple(
+            spec.zeroth_order + sum(s @ f for s, f in zip(spec.first_order, factors))
+            for spec in model.perturbations
+        )
+        family = OperatorFamily(linalg.hermitian(h, require_nonneg=True), perts)
+        out += np.exp(1j * np.dot(k, np.subtract(x, y))) * phi_fermionic(family, t).value
+    return out / TWO_PI**model.d
+
+
+def _d4_chain():
+    d = 4
+    e = [MultiVector.generator(d, j) for j in range(1, d + 1)]
+    w0 = e[0].wedge(e[1]) + 0.5 * e[2].wedge(e[3])
+    return (DGAElement(w0, MultiVector.zero(d)), DGAElement(e[0] - 0.3 * e[3], e[1].wedge(e[2])))
+
+
+def _oracle_cases():
+    fk = acceptance_fk_model()
+    yield "c9.n0", fk.with_perturbations(()), 0.5, 12
+    yield "c9.n1", fk, 0.5, 12
+    for c, chain in enumerate(_spec_chains()):
+        for i, (_, m) in enumerate(_partition_models(chain)):
+            yield f"chain{c}.partition{i}", m, 0.8, 6
+    ((_, m),) = _partition_models(_d4_chain())
+    yield "d4.n1", m, 1.0, 2
+    # two noncommuting perturbations: the superdiagonal order matters
+    rng = np.random.default_rng(3)
+    perts = tuple(
+        PerturbationSpec((0.4 * skew(rng, 2), 0.4 * skew(rng, 2)), herm(rng, 2))
+        for _ in range(2)
+    )
+    yield "n2", TorusModel(2, 2, (skew(rng, 2), skew(rng, 2)), herm(rng, 2, shift=2.0), perts), 0.5, 8
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda case: case[0])
+def test_stacked_mode_sum_matches_per_mode_fermionic_oracle(case):
+    _, model, t, truncation = case
+    x = np.linspace(0.4, 2.1, model.d)
+    y = np.linspace(5.6, 1.3, model.d)
+    got = _truncated_kernel(model, t, x, y, truncation)
+    expect = per_mode_kernel(model, t, x, y, truncation)
+    assert np.abs(got - expect).max() <= 1e-11 * np.abs(expect).max()
+
+
+def test_stacked_mode_sum_does_not_depend_on_the_chunk_size(monkeypatch):
+    """Chunking only regroups the sum.  Off the diagonal the phases cancel
+    the kernel to ~1e-3 of its summands, so rounding is measured against
+    the diagonal kernel, where every phase is 1."""
+    model = acceptance_fk_model()
+    x, y = np.array([0.4, 2.1]), np.array([1.3, 5.6])
+    scale = np.abs(spectral_phi_kernel(model, 0.5, x, x, 16)).max()
+    whole = spectral_phi_kernel(model, 0.5, x, y, 16)
+    monkeypatch.setattr(model_module, "MODE_CHUNK", 7)  # 33^2 = 1089 = 155 * 7 + 4 modes
+    chunked = spectral_phi_kernel(model, 0.5, x, y, 16)
+    assert np.abs(chunked - whole).max() <= 1e-14 * scale
+
+
+def test_negative_potential_checks_every_mode_hamiltonian():
+    """W < 0 does not prove H_k >= 0, so construction scans the window
+    |k| <= 8 and the kernel checks every mode of its truncation."""
+    conn = (np.array([[0.5j]]),)
+    # H_k = (k + 1/2)^2 / 2 - 0.1 >= 0.025
+    model = TorusModel(1, 1, conn, np.array([[-0.1]]))
+    x, y, t = np.array([0.3]), np.array([1.9]), 1.0
+    ks = np.arange(-14, 15)
+    expect = np.sum(np.exp(1j * ks * (x - y)) * np.exp(-t * ((ks + 0.5) ** 2 / 2 - 0.1)))
+    assert spectral_phi_kernel(model, t, x, y, 14)[0, 0] == pytest.approx(
+        expect / TWO_PI, rel=1e-13
+    )
+    # H_0 = 1/8 - 0.2 < 0
+    with pytest.raises(ValueError, match="mode Hamiltonians are not nonnegative: min eig -7.500e-02"):
+        TorusModel(1, 1, conn, np.array([[-0.2]]))
+    # H_k = (k + 20.5)^2 / 2 - 0.2 is positive on the window but negative at k = -20, -21
+    far = TorusModel(1, 1, (np.array([[20.5j]]),), np.array([[-0.2]]))
+    with pytest.raises(ValueError, match="operator is not nonnegative: min eigenvalue -7.500e-02"):
+        spectral_phi_kernel(far, 30.0, x, y, 21)
 
 
 # --- bridge sampling -----------------------------------------------------------
@@ -648,5 +739,5 @@ def test_localization_check_builds_each_partition_model_once(monkeypatch):
 def test_spin_torus_model_is_flat_laplacian():
     model = spin_torus_model(2)
     assert model.r == 2
-    h = model.mode_hamiltonian((2, -1))
+    h = model.mode_blocks([(2, -1)])[0][0]
     assert np.allclose(h, 2.5 * np.eye(2))
