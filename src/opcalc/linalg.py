@@ -161,9 +161,7 @@ def op_norm(m: np.ndarray) -> float:
         if cur == 0.0:
             return 0.0
         v = w / cur
-        change = abs(cur - prev) / cur
-        if change <= 1e-12:
+        if abs(cur - prev) <= 1e-12 * cur:
             return float(np.sqrt(cur))
         prev = cur
-    raise RuntimeError(f"op_norm power iteration did not converge in 500 iterations "
-                       f"(relative change {change:.1e} > 1e-12)")
+    raise RuntimeError("op_norm power iteration did not converge in 500 iterations")

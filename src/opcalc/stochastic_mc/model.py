@@ -11,7 +11,8 @@ coefficients make every operator a Fourier multiplier, so the mode blocks
 yield an exact spectral oracle for the semigroup integrals.  It evaluates
 a chunk of modes at once: Phi^{H_k}_t(P_{1,k}, ..., P_{n,k}) is the top-right
 block of the exponential of the (n+1) r block-bidiagonal matrix with -t H_k
-on the diagonal and t P_{j,k} on the superdiagonal (Van Loan 1978).
+on the diagonal and t P_{j,k} on the superdiagonal (Van Loan 1978); for
+n = 0 it is e^{-t H_k}, from the batched eigh that checks H_k >= 0.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class TorusModel:
     def _assert_nonnegative(self):
         """min eigenvalue of H_k over the check window must be >= -1e-10;
         H_k - W >= 0 for every k, so W >= 0 proves it for all modes."""
-        if self._potential_floor() >= 0.0:
+        if not self.r or np.linalg.eigvalsh(self.potential)[0] >= 0.0:
             return
         worst = min(
             np.linalg.eigvalsh(self.mode_blocks(ks)[0])[:, 0].min()
@@ -97,9 +98,6 @@ class TorusModel:
         )
         if worst < -1e-10:
             raise ValueError(f"mode Hamiltonians are not nonnegative: min eig {worst:.3e}")
-
-    def _potential_floor(self) -> float:  # smallest eigenvalue of W
-        return float(np.linalg.eigvalsh(self.potential)[0]) if self.r else 0.0
 
     @property
     def n(self) -> int:
@@ -171,34 +169,38 @@ def spectral_phi_kernel(model: TorusModel, t: float, x, y, truncation: int):
 def _truncated_kernel(model: TorusModel, t: float, x, y, truncation: int):
     """The mode sum of ``spectral_phi_kernel`` without its tail check: the
     exact kernel of the model truncated to the modes |k|_inf <= K, one
-    stacked exponential per chunk of modes.  H_k >= 0 is proved by W >= 0
-    and checked otherwise."""
+    batched eigh and, for n >= 1, one stacked exponential per chunk of
+    modes.  Every H_k is checked to be nonnegative."""
     delta = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     r, n = model.r, model.n
-    proved = model._potential_floor() >= 0.0
     out = np.zeros((r, r), dtype=complex)
     for ks in _mode_chunks(model.d, truncation):
         h, perts = model.mode_blocks(ks)
-        if not proved:  # the tolerance of linalg.hermitian, -1e-12 ||H_k||
-            vals = np.linalg.eigvalsh(h)
-            if np.any(vals[:, 0] < -linalg.HERM_CONSTRUCTION_RTOL * np.abs(vals).max(axis=1)):
-                raise ValueError(f"operator is not nonnegative: min eigenvalue {vals.min():.3e}")
-        # e^{-t mu}, mu = tr(H_k)/r, factors out exactly and shrinks expm's norm
-        mu = np.trace(h, axis1=1, axis2=2).real / r
-        gen = np.zeros((len(ks), n + 1, r, n + 1, r), dtype=complex)
-        for j in range(n + 1):
-            gen[:, j, :, j] = -t * (h - mu[:, None, None] * np.eye(r))
-        for j, p in enumerate(perts):
-            gen[:, j, :, j + 1] = t * p
-        blocks = linalg.expm(gen.reshape(len(ks), (n + 1) * r, -1))[:, :r, n * r :]
-        out += np.einsum("m,mab->ab", np.exp(1j * (ks @ delta) - t * mu), blocks)
+        vals, vecs = np.linalg.eigh(h)
+        # the tolerance of linalg.hermitian, -1e-12 ||H_k||
+        if np.any(vals[:, 0] < -linalg.HERM_CONSTRUCTION_RTOL * np.abs(vals).max(axis=1)):
+            raise ValueError(f"operator is not nonnegative: min eigenvalue {vals.min():.3e}")
+        weights = np.exp(1j * (ks @ delta))
+        if n == 0:  # e^{-t H_k} by spectral calculus, as linalg.herm_exp
+            blocks = (vecs * np.exp(-t * vals)[:, None, :]) @ np.conj(np.swapaxes(vecs, 1, 2))
+        else:
+            # e^{-t lo}, lo = lambda_min(H_k), factors out: |e^{-t(H_k - lo)}| <= 1
+            lo = vals[:, 0]
+            gen = np.zeros((len(ks), n + 1, r, n + 1, r), dtype=complex)
+            for j in range(n + 1):
+                gen[:, j, :, j] = -t * (h - lo[:, None, None] * np.eye(r))
+            for j, p in enumerate(perts):
+                gen[:, j, :, j + 1] = t * p
+            blocks = linalg.expm(gen.reshape(len(ks), (n + 1) * r, -1))[:, :r, n * r :]
+            weights = weights * np.exp(-t * lo)
+        out += np.einsum("m,mab->ab", weights, blocks)
     return out / TWO_PI**model.d
 
 
 def _truncation_tail(model: TorusModel, t: float, truncation: int) -> float:
     """Crude rigorous bound on the discarded mode sum, per kernel entry."""
     amax = max((np.linalg.norm(a, 2) for a in model.connection), default=0.0)
-    wmin = model._potential_floor()
+    wmin = float(np.linalg.eigvalsh(model.potential)[0]) if model.r else 0.0
     p_consts = []
     for spec in model.perturbations:
         s_norm = sum(np.linalg.norm(s, 2) for s in spec.first_order)

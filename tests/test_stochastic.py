@@ -168,6 +168,13 @@ def _oracle_cases():
         for _ in range(2)
     )
     yield "n2", TorusModel(2, 2, (skew(rng, 2), skew(rng, 2)), herm(rng, 2, shift=2.0), perts), 0.5, 8
+    # t * spread(H_k) = 1500: e^{+750} overflows if the shift is not lambda_min
+    wide = TorusModel(1, 2, (), np.diag([0.0, 1500.0]))
+    yield "spread.n0", wide, 1.0, 8
+    spec = PerturbationSpec((np.array([[0.2, 0.5], [-0.4, 0.1j]]),), np.array([[0.3, 1.0], [1.0, -0.2]]))
+    yield "spread.n1", wide.with_perturbations((spec,)), 1.0, 8
+    # n = 0 has no expm norm limit, as with linalg.herm_exp per mode
+    yield "spread.n0.beyond_expm_limit", TorusModel(1, 2, (), np.diag([0.0, 3e4])), 1.0, 8
 
 
 @pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda case: case[0])
