@@ -8,6 +8,13 @@ exponential encodes Phi_t, the simplex norm-bound machinery, and structural
 checks (nilpotency of the lifted perturbation, the suffix derivative
 recursion, alternating partial sums of the perturbed semigroup).
 
+The nested quadrature and the midpoint ODE are built from the semigroup
+alone, so both run in H's eigenbasis: each P_j is transformed once to
+U* P_j U, every e^{-sH} is a row or column scaling by e^{-s lambda}, and the
+result returns to the original basis once.  The lift uses one dense matrix
+exponential and no eigendecomposition, so it cross-checks the other two
+through an independent route.
+
 Conventions fixed here:
   * lift layout is slot-major: row index ((j-1) * 2^n + S) * dim_H + h for
     slot j in 1..n, exterior-algebra bitmask S, and H-coordinate h;
@@ -143,11 +150,10 @@ def phi_fermionic(family: OperatorFamily, t: float) -> PhiResult:
     return PhiResult(value, "fermionic", t, {"lift_dim": lift.dim})
 
 
-def _batch_herm_exp(h: HermitianOperator, taus: np.ndarray) -> np.ndarray:
-    """Stack of exp(-tau H) for an array of nonnegative times."""
-    u = h.eigvecs
-    weights = np.exp(-np.multiply.outer(taus, h.eigvals))  # (N, dim)
-    return np.einsum("ab,nb,cb->nac", u, weights, u.conj())
+def _to_eigenbasis(family: OperatorFamily):
+    """(eigvals, eigvecs, [U* P_j U]) so that e^{-sH} acts as a diagonal."""
+    u = family.h.eigvecs
+    return family.h.eigvals, u, [u.conj().T @ p @ u for p in family.perturbations]
 
 
 def phi_quadrature(family: OperatorFamily, t: float, nodes_per_dim: int = 32) -> PhiResult:
@@ -155,9 +161,14 @@ def phi_quadrature(family: OperatorFamily, t: float, nodes_per_dim: int = 32) ->
 
     Integration order is int_0^t ds_n int_0^{s_n} ds_{n-1} ... via the
     recursion K_j(u) = int_0^u K_{j-1}(s) P_j e^{-(u-s) H} ds with
-    K_0(u) = e^{-u H}; node sums run in lexicographic order, each level
-    reduced with numpy's pairwise summation.  The integrand is smooth in
-    finite dimension, so no endpoint singularities arise.
+    K_0(u) = e^{-u H}.  The recursion runs in H's eigenbasis, where each
+    e^{-sH} is the vector e^{-s lambda}: K_0(s) P_1 is a row scaling of
+    U* P_1 U, every later K_{j-1}(s) P_j one batched product with U* P_j U,
+    and e^{-(u-s)H} a column scaling.  Each level's weighted node sum is one
+    ``np.einsum`` contraction over the node axis, whose accumulation order
+    is numpy's (not pairwise summation).  The result returns to the original
+    basis once, as U K_n(t) U*.  The integrand is smooth in finite
+    dimension, so no endpoint singularities arise.
     """
     if t <= 0:
         raise ValueError("quadrature requires t > 0")
@@ -166,26 +177,25 @@ def phi_quadrature(family: OperatorFamily, t: float, nodes_per_dim: int = 32) ->
     if nodes_per_dim < 4:
         raise ValueError("need at least 4 nodes per dimension")
     n, dim = family.n, family.dim
+    lam, u, ps = _to_eigenbasis(family)
     x0, w0 = np.polynomial.legendre.leggauss(nodes_per_dim)
 
     def level_values(j: int, uppers: np.ndarray) -> np.ndarray:
-        """K_j evaluated at each upper limit, shape (len(uppers), dim, dim)."""
-        if j == 0:
-            return _batch_herm_exp(family.h, uppers)
+        """U* K_j U at each upper limit, shape (len(uppers), dim, dim); j >= 1."""
         # children: Gauss-Legendre nodes of [0, u] for every parent u
         half = uppers[:, None] / 2.0
         nodes = half * (x0[None, :] + 1.0)          # (N, q)
         weights = half * w0[None, :]                # (N, q)
-        child_vals = level_values(j - 1, nodes.reshape(-1))
-        child_vals = child_vals.reshape(len(uppers), nodes_per_dim, dim, dim)
-        gaps = uppers[:, None] - nodes               # u - s >= 0
-        decay = _batch_herm_exp(family.h, gaps.reshape(-1))
-        decay = decay.reshape(len(uppers), nodes_per_dim, dim, dim)
-        p = family.perturbations[j - 1]
-        integrand = np.einsum("nqab,bc,nqcd->nqad", child_vals, p, decay)
-        return np.einsum("nq,nqad->nad", weights, integrand)
+        if j == 1:
+            left = np.exp(-nodes[..., None] * lam)[..., :, None] * ps[0]
+        else:
+            left = level_values(j - 1, nodes.reshape(-1)) @ ps[j - 1]
+            left = left.reshape(len(uppers), nodes_per_dim, dim, dim)
+        decay = np.exp(-(uppers[:, None] - nodes)[..., None] * lam)  # u - s >= 0
+        left *= decay[..., None, :]
+        return np.einsum("nq,nqad->nad", weights, left)
 
-    value = level_values(n, np.array([t]))[0]
+    value = u @ level_values(n, np.array([t]))[0] @ u.conj().T
     return PhiResult(
         value,
         "quadrature",
@@ -203,6 +213,16 @@ def phi_ode(family: OperatorFamily, t: float, steps: int = 4096) -> PhiResult:
     Level k runs on step h / 2^(k-1) so every midpoint suffix value is a
     grid point of the next level; the empty suffix is e^{-sH} exactly.
     Second-order accurate in the step size.
+
+    The system is integrated in H's eigenbasis: with P~_k = U* P_k U each
+    propagator is the vector e^{-h lambda}, so a step is a row scaling plus
+    the level's forcing term.  At the top level (empty suffix) the midpoint
+    values are the vectors e^{-(i+1/2) h lambda} and each forcing term is a
+    column scaling of h e^{-(h/2) lambda} P~_n; below it, all of a level's
+    forcing terms come from one batched product with the kept suffix values.
+    A level k > 1 keeps only its odd-index grid values, the midpoints the
+    level below reads; level 1 keeps only its end point, which returns to
+    the original basis as U Phi~ U*.
     """
     if t <= 0:
         raise ValueError("ode evaluation requires t > 0")
@@ -213,26 +233,30 @@ def phi_ode(family: OperatorFamily, t: float, steps: int = 4096) -> PhiResult:
         return PhiResult(herm_exp(family.h, t), "ode", t, {"steps": steps})
     if t / (steps * 2 ** (n - 1)) < 1e-15 * t:
         raise ValueError("step underflow")
+    lam, u, ps = _to_eigenbasis(family)
 
-    suffix_vals = None  # level k+1 trajectory on its grid
+    suffix = None  # odd-index values of level k+1, the midpoints of level k
     for k in range(n, 0, -1):
         nsteps = steps * 2 ** (k - 1)
         h = t / nsteps
-        e_full = herm_exp(family.h, h)
-        e_half = herm_exp(family.h, h / 2.0)
-        p = family.perturbations[k - 1]
-        vals = np.zeros((nsteps + 1, dim, dim), dtype=complex)
+        decay = np.exp(-h * lam)[:, None]
+        p = (h * np.exp(-h / 2.0 * lam))[:, None] * ps[k - 1]
         if k == n:
-            # suffix is empty: midpoint values are exact semigroup elements
-            mids = _batch_herm_exp(family.h, (np.arange(nsteps) + 0.5) * h)
+            mids = np.exp(-np.multiply.outer((np.arange(nsteps) + 0.5) * h, lam))
+            forcing = (p * mid for mid in mids)
+        else:
+            forcing = p @ suffix
+            suffix = None  # read once; release before the next level's values
+        kept = np.empty((nsteps // 2, dim, dim), dtype=complex) if k > 1 else None
         cur = np.zeros((dim, dim), dtype=complex)  # Phi_0 = 0 for n >= 1
-        for i in range(nsteps):
-            mid = mids[i] if k == n else suffix_vals[2 * i + 1]
-            cur = e_full @ cur + h * (e_half @ (p @ mid))
-            vals[i + 1] = cur
-        suffix_vals = vals
+        for i, term in enumerate(forcing):
+            cur *= decay
+            cur += term
+            if kept is not None and i % 2 == 0:
+                kept[i // 2] = cur
+        suffix, kept = kept, None  # suffix holds the only reference
     return PhiResult(
-        suffix_vals[-1], "ode", t, {"steps": steps, "step_size": t / steps}
+        u @ cur @ u.conj().T, "ode", t, {"steps": steps, "step_size": t / steps}
     )
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -135,6 +136,117 @@ def test_cross_method_agreement_random():
         scale = np.linalg.norm(f)
         assert np.linalg.norm(f - q) / scale < 1e-8
         assert np.linalg.norm(f - o) / scale < 1e-6
+
+
+# --- eigenbasis evaluators against the dense propagator loops ---------------
+
+
+def dense_ode_reference(family, t, steps):
+    """Reference for phi_ode: the same midpoint rule with dense propagator
+    matrices, multiplying e^{-hH}, e^{-hH/2} and P_k at every step."""
+    n, dim = family.n, family.dim
+    suffix_vals = None
+    for k in range(n, 0, -1):
+        nsteps = steps * 2 ** (k - 1)
+        h = t / nsteps
+        e_full = linalg.herm_exp(family.h, h)
+        e_half = linalg.herm_exp(family.h, h / 2.0)
+        p = family.perturbations[k - 1]
+        vals = np.zeros((nsteps + 1, dim, dim), dtype=complex)
+        if k == n:
+            mids = dense_semigroup_stack(family.h, (np.arange(nsteps) + 0.5) * h)
+        cur = np.zeros((dim, dim), dtype=complex)
+        for i in range(nsteps):
+            mid = mids[i] if k == n else suffix_vals[2 * i + 1]
+            cur = e_full @ cur + h * (e_half @ (p @ mid))
+            vals[i + 1] = cur
+        suffix_vals = vals
+    return suffix_vals[-1]
+
+
+def dense_semigroup_stack(h, taus):
+    """Stack of dense exp(-tau H)."""
+    u = h.eigvecs
+    weights = np.exp(-np.multiply.outer(taus, h.eigvals))
+    return np.einsum("ab,nb,cb->nac", u, weights, u.conj())
+
+
+def dense_quadrature_reference(family, t, nodes_per_dim):
+    """Reference for phi_quadrature: the same nested Gauss-Legendre
+    recursion on dense semigroup stacks."""
+    n, dim = family.n, family.dim
+    x0, w0 = np.polynomial.legendre.leggauss(nodes_per_dim)
+
+    def level_values(j, uppers):
+        if j == 0:
+            return dense_semigroup_stack(family.h, uppers)
+        half = uppers[:, None] / 2.0
+        nodes = half * (x0[None, :] + 1.0)
+        weights = half * w0[None, :]
+        child_vals = level_values(j - 1, nodes.reshape(-1))
+        child_vals = child_vals.reshape(len(uppers), nodes_per_dim, dim, dim)
+        gaps = uppers[:, None] - nodes
+        decay = dense_semigroup_stack(family.h, gaps.reshape(-1))
+        decay = decay.reshape(len(uppers), nodes_per_dim, dim, dim)
+        p = family.perturbations[j - 1]
+        integrand = np.einsum("nqab,bc,nqcd->nqad", child_vals, p, decay)
+        return np.einsum("nq,nqad->nad", weights, integrand)
+
+    return level_values(n, np.array([t]))[0]
+
+
+def rotated_family(rng, eigvals, n):
+    """H with the given spectrum in a random eigenbasis, and n random
+    non-Hermitian perturbations."""
+    dim = len(eigvals)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    h = linalg.hermitian((q * np.asarray(eigvals, dtype=float)) @ q.conj().T, require_nonneg=True)
+    return OperatorFamily(h, random_family(rng, dim, n).perturbations)
+
+
+def eigenbasis_cases():
+    rng = np.random.default_rng(16)
+    cases = [pytest.param(random_family(rng, 4, n), 0.7, id=f"random_n{n}") for n in (1, 2, 3, 4)]
+    cases += [
+        pytest.param(rotated_family(rng, [0.0] * 4, 3), 0.9, id="h_zero"),
+        pytest.param(rotated_family(rng, [0.3, 1.1, 1.1, 2.0], 2), 0.8, id="repeated_eigenvalue"),
+        # at lambda = 1e3 the late midpoints e^{-(i+1/2) h lambda} underflow to 0
+        pytest.param(rotated_family(rng, [0.0, 0.5, 300.0, 1e3], 2), 1.0, id="stiff"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("family,t", eigenbasis_cases())
+def test_eigenbasis_evaluators_match_dense_loops(family, t):
+    first, last = family.perturbations[0], family.perturbations[-1]
+    if family.n > 1:
+        assert not np.allclose(first @ last, last @ first)
+    assert not np.allclose(first, first.conj().T)
+    for steps in (64, 128):
+        got = phi_core.phi_ode(family, t, steps).value
+        ref = dense_ode_reference(family, t, steps)
+        assert np.all(np.isfinite(got))
+        assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
+    got = phi_core.phi_quadrature(family, t, 8).value
+    ref = dense_quadrature_reference(family, t, 8)
+    assert np.all(np.isfinite(got))
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n,steps", [(2, 2048), (3, 1024)])
+def test_ode_peak_memory_below_one_and_a_half_trajectories(n, steps):
+    """phi_ode keeps only the midpoints the next level reads, so its peak
+    allocation stays near one top-level trajectory of dense matrices."""
+    dim = 16
+    family = random_family(np.random.default_rng(17), dim, n)
+    trajectory_bytes = steps * 2 ** (n - 1) * dim * dim * 16
+    tracemalloc.start()
+    try:
+        phi_core.phi_ode(family, 0.5, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * trajectory_bytes
 
 
 def test_ode_second_order_convergence():
