@@ -69,8 +69,20 @@ def _random_family(rng, dim, n) -> phi_core.OperatorFamily:
 # --- criterion 1 -----------------------------------------------------------
 
 
+def pairwise_relative_deviation(values: dict) -> dict:
+    """Frobenius distance of every pair of named matrices, relative to the
+    largest norm among them, keyed "a-b" in the order of ``values``."""
+    names = list(values)
+    scale = max(max(np.linalg.norm(v) for v in values.values()), 1e-300)
+    return {
+        f"{a}-{b}": float(np.linalg.norm(values[a] - values[b]) / scale)
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    }
+
+
 def criterion_1(seed: int = 0) -> CriterionResult:
-    """Cross-evaluator agreement over 20 seeded random families."""
+    """Four-way agreement of phi_block and its three oracles on 20 seeded families."""
     start = time.time()
     rng = np.random.default_rng(seed)
     t_cycle = (0.1, 0.5, 1.0)
@@ -80,15 +92,13 @@ def criterion_1(seed: int = 0) -> CriterionResult:
         n = int(rng.integers(1, 4))
         fam = _random_family(rng, dim, n)
         t = t_cycle[i % 3]
-        vals = [
-            phi_core.phi_fermionic(fam, t).value,
-            phi_core.phi_quadrature(fam, t, 32).value,
-            phi_core.phi_ode(fam, t, 4096).value,
-        ]
-        scale = max(np.linalg.norm(v) for v in vals)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                worst = max(worst, np.linalg.norm(vals[a] - vals[b]) / scale)
+        devs = pairwise_relative_deviation({
+            "block": phi_core.phi_block(fam.h.matrix, fam.perturbations, t),
+            "fermionic": phi_core.phi_fermionic(fam, t).value,
+            "quadrature": phi_core.phi_quadrature(fam, t, 32).value,
+            "ode": phi_core.phi_ode(fam, t, 4096).value,
+        })
+        worst = max(worst, *devs.values())
     elapsed = time.time() - start
     passed = worst <= 1e-6 and elapsed <= 60.0
     return CriterionResult(
@@ -240,27 +250,42 @@ def criterion_5(seed: int = 0) -> CriterionResult:
 # --- criterion 6 -----------------------------------------------------------
 
 
+def _random_antisym(rng, d):
+    m = rng.standard_normal((d, d))
+    return m - m.T
+
+
+def patodi_residuals(rep, rng, words: int):
+    """Worst filtration-vanishing supertrace and worst top-identity residual
+    over ``words`` random words of antisymmetric matrices each; all the
+    vanishing words are drawn from ``rng`` before the top-identity factors.
+    Returns (worst_vanishing, worst_top_residual)."""
+    d, l = rep.d, rep.l
+    worst_vanish = 0.0
+    for _ in range(words):
+        if l >= 2:
+            order = int(rng.integers(1, l))
+            word = clifford.PatodiWord(tuple(_random_antisym(rng, d) for _ in range(order)))
+        else:
+            word = clifford.PatodiWord(())
+        worst_vanish = max(worst_vanish, clifford.patodi_vanishing(rep, word))
+    worst_top = 0.0
+    for _ in range(words):
+        factors = tuple(_random_antisym(rng, d) for _ in range(l))
+        _, _, res = clifford.patodi_top_identity(rep, factors)
+        worst_top = max(worst_top, res)
+    return worst_vanish, worst_top
+
+
 def criterion_6(seed: int = 0) -> CriterionResult:
     start = time.time()
     rng = np.random.default_rng(seed)
     worst_vanish = 0.0
     worst_top = 0.0
     for d in (2, 4, 6):
-        rep = clifford.build_spinor_rep(d)
-        l = rep.l
-        for _ in range(50):
-            if l >= 2:
-                order = int(rng.integers(1, l))
-                word = clifford.PatodiWord(
-                    tuple(_random_antisym(rng, d) for _ in range(order))
-                )
-            else:
-                word = clifford.PatodiWord(())
-            worst_vanish = max(worst_vanish, clifford.patodi_vanishing(rep, word))
-        for _ in range(50):
-            factors = tuple(_random_antisym(rng, d) for _ in range(l))
-            _, _, res = clifford.patodi_top_identity(rep, factors)
-            worst_top = max(worst_top, res)
+        vanish, top = patodi_residuals(clifford.build_spinor_rep(d), rng, 50)
+        worst_vanish = max(worst_vanish, vanish)
+        worst_top = max(worst_top, top)
     passed = worst_vanish <= 1e-10 and worst_top <= 1e-10
     return CriterionResult(
         6,
@@ -269,11 +294,6 @@ def criterion_6(seed: int = 0) -> CriterionResult:
         {"worst_vanishing": worst_vanish, "worst_top_residual": worst_top},
         time.time() - start,
     )
-
-
-def _random_antisym(rng, d):
-    m = rng.standard_normal((d, d))
-    return m - m.T
 
 
 # --- criterion 7 -----------------------------------------------------------

@@ -19,9 +19,9 @@ from . import __version__, acceptance, clifford, phi_core
 from .jsonio import (
     ConfigError,
     chain_from_json,
+    curvature_from_json,
     dump_json,
     family_from_json,
-    form_from_json,
     load_config,
     matrix_to_json,
     point_from_json,
@@ -135,16 +135,9 @@ def cmd_phi(args) -> int:
         }
     verdicts = {}
     if len(methods) > 1:
-        scale = max(np.linalg.norm(v) for v in vals.values())
-        devs = {}
-        worst = 0.0
-        for i, a in enumerate(methods):
-            for b in methods[i + 1:]:
-                dev = float(np.linalg.norm(vals[a] - vals[b]) / max(scale, 1e-300))
-                devs[f"{a}-{b}"] = dev
-                worst = max(worst, dev)
+        devs = acceptance.pairwise_relative_deviation(vals)
         results["pairwise_relative_deviation"] = devs
-        verdicts["cross_method_1e-6"] = worst <= 1e-6
+        verdicts["cross_method_1e-6"] = max(devs.values()) <= 1e-6
     report = _report("phi", cfg, results, verdicts, started)
     return _emit(report, args.out, verdicts)
 
@@ -181,21 +174,9 @@ def cmd_patodi(args) -> int:
     if args.d % 2 or args.d < 2:
         raise ConfigError("--d", "d must be a positive even integer")
     rep = clifford.build_spinor_rep(args.d)
-    rng = np.random.default_rng(args.seed)
-    worst_vanish = 0.0
-    worst_top = 0.0
-    for _ in range(args.words):
-        if rep.l >= 2:
-            order = int(rng.integers(1, rep.l))
-            word = clifford.PatodiWord(
-                tuple(_rand_antisym(rng, args.d) for _ in range(order))
-            )
-        else:
-            word = clifford.PatodiWord(())
-        worst_vanish = max(worst_vanish, clifford.patodi_vanishing(rep, word))
-        factors = tuple(_rand_antisym(rng, args.d) for _ in range(rep.l))
-        _, _, resid = clifford.patodi_top_identity(rep, factors)
-        worst_top = max(worst_top, resid)
+    worst_vanish, worst_top = acceptance.patodi_residuals(
+        rep, np.random.default_rng(args.seed), args.words
+    )
     results = {
         "d": args.d,
         "chirality_sign": rep.sigma,
@@ -211,23 +192,10 @@ def cmd_patodi(args) -> int:
     return _emit(report, args.out, verdicts)
 
 
-def _rand_antisym(rng, d):
-    m = rng.standard_normal((d, d))
-    return m - m.T
-
-
 def cmd_ahat(args) -> int:
     started = time.time()
     cfg = load_config(args.config)
-    if not isinstance(cfg, dict) or "d" not in cfg or "omega" not in cfg:
-        raise ConfigError("config", "expected an object with 'd' and 'omega'")
-    d = cfg["d"]
-    if not isinstance(d, int) or d % 2 or d < 2:
-        raise ConfigError("config.d", "d must be a positive even integer")
-    omega = [
-        [form_from_json(e, d, f"omega[{i}][{j}]") for j, e in enumerate(row)]
-        for i, row in enumerate(cfg["omega"])
-    ]
+    d, omega = curvature_from_json(cfg)
     series = clifford.a_hat_series(omega, d)
     results = {
         "coefficients": {
@@ -276,13 +244,9 @@ def cmd_fk(args) -> int:
 def cmd_levy_area(args) -> int:
     started = time.time()
     cfg = load_config(args.config)
-    if not isinstance(cfg, dict) or "d" not in cfg or "omega" not in cfg:
-        raise ConfigError("config", "expected an object with 'd' and 'omega'")
-    d = cfg["d"]
-    omega = [
-        [form_from_json(e, d, f"omega[{i}][{j}]") for j, e in enumerate(row)]
-        for i, row in enumerate(cfg["omega"])
-    ]
+    d, omega = curvature_from_json(cfg)
+    if len(omega) != d:
+        raise ConfigError("config.omega", f"levy-area needs a {d} x {d} matrix")
     paths = args.paths or cfg.get("paths", 10**5)
     steps = args.steps or cfg.get("steps", 512)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)

@@ -10,7 +10,9 @@ evaluates the functional
 
 exactly for the K-truncated flat-torus spin model, a batched mode sum with
 the supertrace over the whole torus: (2 pi)^d times ``opcalc localize`` up
-to truncation.  Only ``localize`` enforces the 1e-10 torus-tail guard.  The
+to truncation.  Only ``localize`` enforces the 1e-10 torus-tail guard.  Every
+Phi here, in that sum and in ``chern_eval``, comes from
+``phi_core.phi_block``, the one block-bidiagonal (Van Loan) route.  The
 t -> 0 limit is the localization target
     ((-1)^n 2^(2n) / (n! (2 pi sqrt(-1))^(d/2))) * vol * top(w_0'^w_1''^...^w_n'').
 Plain cocycle evaluation (chern_eval, unit coefficients at t = 1 with the
@@ -27,8 +29,7 @@ import numpy as np
 
 from .clifford import SpinorRep, clifford_quantize
 from .grassmann import MultiVector, berezin
-from .linalg import herm_exp, hermitian
-from .phi_core import OperatorFamily, phi_fermionic
+from .phi_core import phi_block
 
 TWO_PI = 2.0 * np.pi
 
@@ -177,7 +178,8 @@ def chern_eval(module: FredholmModule, chain, t: float) -> complex:
     The rescaling carries sqrt(t) on D and t^(deg/2) on the Clifford map, so
     every block P picks up the t-power of its arguments and the semigroup
     becomes exp(-t D^2); partition sums carry (-1)^m and run in partition
-    order.  n = 0 yields Str(c_t(w_0') exp(-t D^2)).
+    order.  n = 0 yields Str(c_t(w_0') exp(-t D^2)).  Every Phi is one
+    ``phi_block`` call; ``phi_block`` checks t D^2 >= 0.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -191,9 +193,9 @@ def chern_eval(module: FredholmModule, chain, t: float) -> complex:
     )
     n = len(chain) - 1
     c0 = module.quantize(chain[0].prime)
-    h_t = hermitian(t * (module.dirac @ module.dirac), require_nonneg=True)
+    h_t = t * (module.dirac @ module.dirac)
     if n == 0:
-        return module.supertrace(c0 @ herm_exp(h_t, 1.0))
+        return module.supertrace(c0 @ phi_block(h_t, (), 1.0))
 
     module_t = replace(module, dirac=np.sqrt(t) * module.dirac)
     acc = np.zeros((module.dim, module.dim), dtype=complex)
@@ -204,8 +206,7 @@ def chern_eval(module: FredholmModule, chain, t: float) -> complex:
             )
             if all(np.all(b == 0) for b in blocks):
                 continue
-            fam = OperatorFamily(h_t, blocks)
-            acc = acc + (-1.0) ** m * phi_fermionic(fam, 1.0).value
+            acc = acc + (-1.0) ** m * phi_block(h_t, blocks, 1.0)
     return module.supertrace(c0 @ acc)
 
 

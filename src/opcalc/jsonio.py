@@ -100,6 +100,24 @@ def form_from_json(obj, d: int, location: str = "form") -> MultiVector:
     return acc
 
 
+def curvature_from_json(obj, location: str = "config"):
+    """(d, omega) from {"d": positive even int, "omega": square list of
+    lists of forms-or-null}."""
+    if not isinstance(obj, dict) or "d" not in obj or "omega" not in obj:
+        raise ConfigError(location, "expected an object with 'd' and 'omega'")
+    d, rows = obj["d"], obj["omega"]
+    if not isinstance(d, int) or d % 2 or d < 2:
+        raise ConfigError(f"{location}.d", "d must be a positive even integer")
+    if not isinstance(rows, list) or any(
+        not isinstance(row, list) or len(row) != len(rows) for row in rows
+    ):
+        raise ConfigError(f"{location}.omega", "expected a square list of lists")
+    return d, [
+        [form_from_json(e, d, f"{location}.omega[{i}][{j}]") for j, e in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
 def chain_from_json(obj, location: str = "chain"):
     if not isinstance(obj, dict) or "d" not in obj or "chain" not in obj:
         raise ConfigError(location, "expected an object with 'd' and 'chain'")

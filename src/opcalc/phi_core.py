@@ -1,12 +1,16 @@
-"""Three independent evaluators of the iterated semigroup integral
+"""The iterated semigroup integral
 
     Phi_t(P_1, ..., P_n) = int_{0<=s_1<=...<=s_n<=t}
-        e^{-s_1 H} P_1 e^{-(s_2-s_1) H} P_2 ... P_n e^{-(t-s_n) H} ds,
+        e^{-s_1 H} P_1 e^{-(s_2-s_1) H} P_2 ... P_n e^{-(t-s_n) H} ds
 
-together with the enlarged-space (Fermionic) lift whose single matrix
-exponential encodes Phi_t, the simplex norm-bound machinery, and structural
-checks (nilpotency of the lifted perturbation, the suffix derivative
-recursion, alternating partial sums of the perturbed semigroup).
+through :func:`phi_block`, the one route every consumer calls (one exponential
+of the (n+1) dim block-bidiagonal generator, Van Loan 1978), and through the
+paper's three independent evaluators, kept as its oracles: the
+enlarged-space (Fermionic) lift whose single matrix exponential encodes
+Phi_t, a nested quadrature and a midpoint ODE.  Also here: the simplex
+norm-bound machinery and structural checks (nilpotency of the lifted
+perturbation, the suffix derivative recursion, alternating partial sums of
+the perturbed semigroup).
 
 The nested quadrature and the midpoint ODE are built from the semigroup
 alone, so both run in H's eigenbasis: each P_j is transformed once to
@@ -72,10 +76,6 @@ class OperatorFamily:
     def dim(self) -> int:
         return self.h.dim
 
-    def suffix(self, k: int) -> "OperatorFamily":
-        """Family (H, P_{k+1}, ..., P_n) of the last n-k perturbations."""
-        return OperatorFamily(self.h, self.perturbations[k:], self.exponents[k:])
-
 
 @dataclass(frozen=True)
 class FermionicLift:
@@ -105,6 +105,34 @@ class PhiResult:
     method: str
     t: float
     diagnostics: dict = field(default_factory=dict)
+
+
+def phi_block(h, perturbations, t: float) -> np.ndarray:
+    """Phi^H_t(P_1, ..., P_n), t >= 0, for H and each P_j given as (..., r, r)
+    arrays, one matrix or a stack; each P_j broadcasts to H's shape.
+
+    One batched eigh checks every H >= 0 (to -1e-12 ||H||, the tolerance of
+    ``linalg.hermitian``).  For n = 0 the result is e^{-tH} by spectral
+    calculus.  For n >= 1 it is the top-right block of one stacked
+    exponential of the (n+1) r block-bidiagonal matrix with -t (H - lo) on
+    the diagonal and t P_j on the superdiagonal (Van Loan 1978), times
+    e^{-t lo}, where lo = lambda_min(H) keeps |e^{-t(H - lo)}| <= 1.
+    """
+    h = np.asarray(h)
+    r, n = h.shape[-1], len(perturbations)
+    vals, vecs = np.linalg.eigh(h)
+    if np.any(vals[..., 0] < -linalg.HERM_CONSTRUCTION_RTOL * np.abs(vals).max(axis=-1)):
+        raise ValueError(f"operator is not nonnegative: min eigenvalue {vals.min():.3e}")
+    if n == 0:
+        return (vecs * np.exp(-t * vals)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    lo = vals[..., 0, None, None]
+    gen = np.zeros(h.shape[:-2] + (n + 1, r, n + 1, r), dtype=complex)
+    for j in range(n + 1):
+        gen[..., j, :, j, :] = -t * (h - lo * np.eye(r))
+    for j, p in enumerate(perturbations):
+        gen[..., j, :, j + 1, :] = t * p
+    big = linalg.expm(gen.reshape(-1, (n + 1) * r, (n + 1) * r))
+    return big[:, :r, n * r :].reshape(h.shape) * np.exp(-t * lo)
 
 
 def build_lift(family: OperatorFamily) -> FermionicLift:
@@ -341,7 +369,7 @@ def norm_bound_check(family: OperatorFamily, t: float):
     if t < 0:
         raise ValueError("t must be nonnegative")
     n = family.n
-    lhs = op_norm(phi_fermionic(family, t).value)
+    lhs = op_norm(phi_block(family.h.matrix, family.perturbations, t))
     power = n - sum(family.exponents)
     t_pow = 0.0 if (t == 0.0 and power > 0) else t**power
     rhs = (
@@ -383,12 +411,12 @@ def derivative_check(family: OperatorFamily, t: float, h: float) -> float:
     """
     if not t > h > 0:
         raise ValueError("need t > h > 0")
-    plus = phi_fermionic(family, t + h).value
-    minus = phi_fermionic(family, t - h).value
-    center = phi_fermionic(family, t).value
-    rhs = -family.h.matrix @ center
+    hmat, perts = family.h.matrix, family.perturbations
+    plus = phi_block(hmat, perts, t + h)
+    minus = phi_block(hmat, perts, t - h)
+    rhs = -hmat @ phi_block(hmat, perts, t)
     if family.n >= 1:
-        rhs = rhs + family.perturbations[0] @ phi_fermionic(family.suffix(1), t).value
+        rhs = rhs + perts[0] @ phi_block(hmat, perts[1:], t)
     return op_norm((plus - minus) / (2 * h) - rhs)
 
 
@@ -419,10 +447,7 @@ def dyson_partial_sum(
     if t <= 0:
         raise ValueError("t must be positive")
     p = np.asarray(p, dtype=complex)
-    approx = herm_exp(h, t)
-    for l in range(1, order + 1):
-        fam = OperatorFamily(h, (p,) * l, (a,) * l)
-        approx = approx + (-1.0) ** l * phi_fermionic(fam, t).value
+    approx = sum((-1.0) ** l * phi_block(h.matrix, (p,) * l, t) for l in range(order + 1))
     true_value = linalg.expm(-t * (h.matrix + p))
 
     c = op_norm(p @ linalg.frac_power_inv(h, a))

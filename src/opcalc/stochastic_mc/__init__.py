@@ -4,7 +4,6 @@ from .bridge import BridgePath, sample_bridge, sample_bridge_batch, sample_windi
 from .engine import (
     FkResult,
     apply_moment_pattern,
-    batch_expm,
     fk_estimate,
     moment_scaling_probe,
     simulate_functionals,
@@ -34,7 +33,6 @@ __all__ = [
     "PerturbationSpec",
     "TorusModel",
     "apply_moment_pattern",
-    "batch_expm",
     "chain_block_perturbation",
     "fk_estimate",
     "heat_kernel",

@@ -136,15 +136,6 @@ def _expm_planes(m: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def batch_expm(m: np.ndarray) -> np.ndarray:
-    """Exponential of a (P, r, r) stack of small matrices.
-
-    2x2 stacks use an exact closed form; larger blocks fall back to a
-    truncated series with one batchwide scaling exponent.
-    """
-    return np.moveaxis(_expm_planes(np.moveaxis(m, 0, -1)), -1, 0)
-
-
 @dataclass
 class FunctionalState:
     """Per-path accumulators after a simulated horizon.

@@ -7,10 +7,10 @@ irrelevant),
            * Str( sum_m (-2)^m sum_I c(w_0')
                   Phi^{D^2/2}_t(P(w_{I_1}), ..., P(w_{I_m}))(x, x) )
 
-with the kernels of the flat-torus spin model, each a batched block-triangular
-exponential over its stack of mode matrices, extrapolates t -> 0,
-and compares against the localization target with unit characteristic
-class.  ``localization_check`` (``opcalc localize``) uses the spectral
+with the kernels of the flat-torus spin model, extrapolates t -> 0, and
+compares against the localization target with unit characteristic class.
+Each kernel is a mode sum with one ``phi_core.phi_block`` call (the Van Loan
+block-bidiagonal route) per stack of mode matrices.  ``localization_check`` (``opcalc localize``) uses the spectral
 oracle, which rejects truncations whose torus-tail estimate exceeds 1e-10,
 and optionally cross-checks one grid time against the Monte Carlo path
 estimator.  ``small_time_limit`` (``opcalc jlo``) gives exact values for the

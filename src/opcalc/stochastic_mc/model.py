@@ -9,10 +9,9 @@ coefficients make every operator a Fourier multiplier, so the mode blocks
     P_{j,k} = sum_m S_j^m (i k_m I + A_m) + V_j
 
 yield an exact spectral oracle for the semigroup integrals.  It evaluates
-a chunk of modes at once: Phi^{H_k}_t(P_{1,k}, ..., P_{n,k}) is the top-right
-block of the exponential of the (n+1) r block-bidiagonal matrix with -t H_k
-on the diagonal and t P_{j,k} on the superdiagonal (Van Loan 1978); for
-n = 0 it is e^{-t H_k}, from the batched eigh that checks H_k >= 0.
+a chunk of modes at once: the (N, r, r) stacks of H_k and P_{j,k} go to
+``phi_core.phi_block``, the one Van Loan block-bidiagonal route for
+Phi^{H_k}_t(P_{1,k}, ..., P_{n,k}), which also checks every H_k >= 0.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from math import factorial
 
 import numpy as np
 
-from .. import linalg
-from ..phi_core import phi_fermionic  # noqa: F401  (perfbench's tracer test patches it here)
+from ..phi_core import phi_block, phi_fermionic  # noqa: F401  (perfbench's tracer test patches phi_fermionic here)
 
 TWO_PI = 2.0 * np.pi
 MODE_CHUNK = 128  # modes per stacked exponential, bounding its work arrays
@@ -169,31 +167,13 @@ def spectral_phi_kernel(model: TorusModel, t: float, x, y, truncation: int):
 def _truncated_kernel(model: TorusModel, t: float, x, y, truncation: int):
     """The mode sum of ``spectral_phi_kernel`` without its tail check: the
     exact kernel of the model truncated to the modes |k|_inf <= K, one
-    batched eigh and, for n >= 1, one stacked exponential per chunk of
-    modes.  Every H_k is checked to be nonnegative."""
+    ``phi_block`` call per chunk of modes.  Every H_k is checked to be
+    nonnegative."""
     delta = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    r, n = model.r, model.n
-    out = np.zeros((r, r), dtype=complex)
+    out = np.zeros((model.r, model.r), dtype=complex)
     for ks in _mode_chunks(model.d, truncation):
         h, perts = model.mode_blocks(ks)
-        vals, vecs = np.linalg.eigh(h)
-        # the tolerance of linalg.hermitian, -1e-12 ||H_k||
-        if np.any(vals[:, 0] < -linalg.HERM_CONSTRUCTION_RTOL * np.abs(vals).max(axis=1)):
-            raise ValueError(f"operator is not nonnegative: min eigenvalue {vals.min():.3e}")
-        weights = np.exp(1j * (ks @ delta))
-        if n == 0:  # e^{-t H_k} by spectral calculus, as linalg.herm_exp
-            blocks = (vecs * np.exp(-t * vals)[:, None, :]) @ np.conj(np.swapaxes(vecs, 1, 2))
-        else:
-            # e^{-t lo}, lo = lambda_min(H_k), factors out: |e^{-t(H_k - lo)}| <= 1
-            lo = vals[:, 0]
-            gen = np.zeros((len(ks), n + 1, r, n + 1, r), dtype=complex)
-            for j in range(n + 1):
-                gen[:, j, :, j] = -t * (h - lo[:, None, None] * np.eye(r))
-            for j, p in enumerate(perts):
-                gen[:, j, :, j + 1] = t * p
-            blocks = linalg.expm(gen.reshape(len(ks), (n + 1) * r, -1))[:, :r, n * r :]
-            weights = weights * np.exp(-t * lo)
-        out += np.einsum("m,mab->ab", weights, blocks)
+        out += np.einsum("m,mab->ab", np.exp(1j * (ks @ delta)), phi_block(h, perts, t))
     return out / TWO_PI**model.d
 
 

@@ -158,6 +158,21 @@ def test_levy_area_subcommand(tmp_path):
     assert report["verdicts"]["within_tolerance"] is True
 
 
+@pytest.mark.parametrize(
+    "command, cfg, location",
+    [
+        ("levy-area", {"d": 2, "omega": [[None]]}, "config.omega"),
+        ("levy-area", {"d": 0, "omega": []}, "config.d"),
+        ("ahat", {"d": 2, "omega": [[None], [None]]}, "config.omega"),
+    ],
+)
+def test_malformed_curvature_config_exits_2(tmp_path, capsys, command, cfg, location):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli([command, "--config", str(path)]) == 2
+    assert location in capsys.readouterr().err
+
+
 def test_levy_area_subcommand_d4_uses_doubled_series(tmp_path):
     """The unit-weight estimate is checked against the series at 2 Omega."""
     theta = [{"indices": [1, 2], "re": 0.4}, {"indices": [3, 4], "re": -0.55}]

@@ -79,14 +79,18 @@ def test_phi_fermionic_n0_is_semigroup():
     fam = random_family(rng, 4, 0)
     got = phi_core.phi_fermionic(fam, 0.8).value
     assert np.allclose(got, linalg.herm_exp(fam.h, 0.8), atol=1e-13)
+    got = phi_core.phi_block(fam.h.matrix, (), 0.8)
+    assert np.allclose(got, linalg.herm_exp(fam.h, 0.8), atol=1e-13)
 
 
 def test_phi_zero_time_conventions():
     rng = np.random.default_rng(4)
     fam = random_family(rng, 3, 2)
     assert np.allclose(phi_core.phi_fermionic(fam, 0.0).value, 0.0)
+    assert np.allclose(phi_core.phi_block(fam.h.matrix, fam.perturbations, 0.0), 0.0)
     fam0 = random_family(rng, 3, 0)
     assert np.allclose(phi_core.phi_fermionic(fam0, 0.0).value, np.eye(3))
+    assert np.allclose(phi_core.phi_block(fam0.h.matrix, (), 0.0), np.eye(3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -101,6 +105,7 @@ def test_scalar_commuting_closed_form(n):
     ):
         got = method(fam, t, **kwargs).value[0, 0]
         assert abs(got - exact) < 1e-10
+    assert abs(phi_core.phi_block(fam.h.matrix, fam.perturbations, t)[0, 0] - exact) < 1e-10
 
 
 def test_two_by_two_analytic_case():
@@ -110,6 +115,24 @@ def test_two_by_two_analytic_case():
     fam = OperatorFamily(h, (p,))
     expect = (1 - np.exp(-lam * t)) / lam * p
     assert np.abs(phi_core.phi_fermionic(fam, t).value - expect).max() < 1e-10
+    assert np.abs(phi_core.phi_block(h.matrix, (p,), t) - expect).max() < 1e-10
+
+
+def test_phi_block_stack_matches_single_calls():
+    """A stack of H's gives each member's Phi_t; a single P broadcasts over
+    the stack; an H with a negative eigenvalue anywhere in it is rejected."""
+    rng = np.random.default_rng(7)
+    fams = [random_family(rng, 3, 2) for _ in range(4)]
+    hs = np.stack([f.h.matrix for f in fams])
+    p1 = np.stack([f.perturbations[0] for f in fams])
+    p2 = fams[0].perturbations[1]
+    got = phi_core.phi_block(hs, (p1, p2), 0.6)
+    for i, f in enumerate(fams):
+        single = phi_core.phi_fermionic(OperatorFamily(f.h, (p1[i], p2)), 0.6).value
+        assert np.linalg.norm(got[i] - single) <= 1e-12 * np.linalg.norm(single)
+    hs[2] -= (np.linalg.eigvalsh(hs[2])[0] + 0.5) * np.eye(3)  # lambda_min = -0.5
+    with pytest.raises(ValueError, match="not nonnegative"):
+        phi_core.phi_block(hs, (p1, p2), 0.6)
 
 
 def test_quadrature_constant_integrand_product_order():

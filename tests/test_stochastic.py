@@ -10,7 +10,6 @@ from opcalc.jlo import DGAElement
 from opcalc.stochastic_mc import (
     PerturbationSpec,
     TorusModel,
-    batch_expm,
     fk_estimate,
     heat_kernel,
     levy_area_estimate,
@@ -290,15 +289,15 @@ def test_winding_distribution_matches_weights():
 # --- path functionals -----------------------------------------------------------
 
 
-def test_batch_expm_agrees_with_scipy():
+def test_expm_planes_agrees_with_scipy():
     import scipy.linalg
 
     rng = np.random.default_rng(3)
     for r in (2, 3):
         m = 0.3 * (rng.standard_normal((5, r, r)) + 1j * rng.standard_normal((5, r, r)))
-        got = batch_expm(m)
+        got = engine._expm_planes(np.moveaxis(m, 0, -1))
         for i in range(5):
-            assert np.allclose(got[i], scipy.linalg.expm(m[i]), atol=1e-12)
+            assert np.allclose(got[..., i], scipy.linalg.expm(m[i]), atol=1e-12)
 
 
 def test_transport_identity_without_connection():
