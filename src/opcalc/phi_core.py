@@ -15,9 +15,14 @@ the perturbed semigroup).
 The nested quadrature and the midpoint ODE are built from the semigroup
 alone, so both run in H's eigenbasis: each P_j is transformed once to
 U* P_j U, every e^{-sH} is a row or column scaling by e^{-s lambda}, and the
-result returns to the original basis once.  The lift uses one dense matrix
-exponential and no eigendecomposition, so it cross-checks the other two
-through an independent route.
+result returns to the original basis once.  The lift is exponentiated
+with no eigendecomposition, so it cross-checks the other two through an
+independent route.  Its perturbation only moves (slot q, mask S) to
+(slot q+1, S + {j}), so the generator is a permuted direct sum of n 2^(n-1)
+decoupled chains of at most n+1 blocks; ``linalg.expm`` finds them from the
+zero pattern alone and exponentiates each separately.  The lift stays the
+paper's assembled generator (``build_lift``, theta_hat signs, slot wiring)
+and its exponential still knows nothing of which block is read.
 
 Conventions fixed here:
   * lift layout is slot-major: row index ((j-1) * 2^n + S) * dim_H + h for
@@ -164,7 +169,8 @@ def build_lift(family: OperatorFamily) -> FermionicLift:
 
 
 def phi_fermionic(family: OperatorFamily, t: float) -> PhiResult:
-    """Phi_t via one exponential of the enlarged-space generator."""
+    """Phi_t via the exponential of the enlarged-space generator (one
+    ``linalg.expm`` call, which exponentiates each decoupled chain)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if family.n == 0:

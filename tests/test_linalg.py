@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from opcalc import linalg
 
@@ -49,6 +50,50 @@ def test_expm_stack_matches_each_matrix_and_keeps_the_guards():
     for shape in ((2, 3, 4), (2, 2, 3, 3)):
         with pytest.raises(ValueError):
             linalg.expm(np.zeros(shape))
+
+
+def test_expm_splits_a_permuted_direct_sum_into_its_blocks():
+    rng = np.random.default_rng(10)
+    blocks = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in (1, 3, 5)]
+    blocks[2][4] = 0.0  # an exact zero row keeps its block connected through its column
+    dense = scipy.linalg.block_diag(*blocks)
+    perm = rng.permutation(dense.shape[0])
+    got = linalg.expm(dense[np.ix_(perm, perm)])
+    want = scipy.linalg.block_diag(*(scipy.linalg.expm(b) for b in blocks))[np.ix_(perm, perm)]
+    inside = scipy.linalg.block_diag(*(np.ones((k, k)) for k in (1, 3, 5)))[np.ix_(perm, perm)] != 0
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.all(got[~inside] == 0)
+
+
+def test_expm_irreducible_matrices_and_stacks_are_scipy_bitwise():
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    m[2, :] = 0.0  # a zero row still connects through its column: one component
+    assert np.array_equal(linalg.expm(m), scipy.linalg.expm(m))
+    stack = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    stack[:, 0, 1:] = stack[:, 1:, 0] = 0.0  # reducible matrices stay whole in a stack
+    assert np.array_equal(linalg.expm(stack), scipy.linalg.expm(stack))
+
+
+def test_expm_norm_guard_decisions():
+    """c H_4 has spectral norm 2c and screen sqrt(||.||_1 ||.||_inf) = 4c:
+    at c = 4500 the screen exceeds the limit but the exact norm does not."""
+    h4 = scipy.linalg.hadamard(4).astype(complex)
+    stack = np.zeros((3, 4, 4), dtype=complex)
+    stack[1] = 4500.0 * h4
+    with np.errstate(over="ignore", invalid="ignore"):  # e^{9000} overflows
+        linalg.expm(4500.0 * h4)
+        linalg.expm(stack)
+    with pytest.raises(ValueError, match=r"matrix norm 1\.100e\+04 exceeds"):
+        linalg.expm(5500.0 * h4)
+    stack[2] = 5500.0 * h4
+    with pytest.raises(ValueError, match=r"matrix norm 1\.100e\+04 exceeds"):
+        linalg.expm(stack)
+    # above 512 rows the Frobenius norm decides: 600 diagonal entries of 450
+    # give 450 sqrt(600) = 1.102e4, although the spectral norm is 450
+    linalg.expm(-400.0 * np.eye(600))
+    with pytest.raises(ValueError, match=r"matrix norm 1\.102e\+04 exceeds"):
+        linalg.expm(-450.0 * np.eye(600))
 
 
 def test_hermitian_validation():

@@ -53,6 +53,28 @@ def test_build_lift_slot_pattern_one_block_per_row_and_column():
     assert occupancy[0, 2] == 1 and occupancy[2, 1] == 1
 
 
+@pytest.mark.parametrize("n, dim", [(4, 8), (3, 4)])
+def test_lift_exponential_runs_one_chain_at_a_time(monkeypatch, n, dim):
+    """P_lift only moves (slot q, mask S) to (slot q+1, S + {j}), so the
+    lift is a direct sum of n 2^(n-1) chains of at most n+1 blocks, and
+    ``linalg.expm`` exponentiates each chain on its own."""
+    sizes = []
+    scipy_expm = linalg.scipy.linalg.expm
+
+    def counting_expm(m):
+        sizes.append(m.shape[-1])
+        return scipy_expm(m)
+
+    monkeypatch.setattr(linalg.scipy.linalg, "expm", counting_expm)
+    fam = random_family(np.random.default_rng(20 + n), dim, n)
+    got = phi_core.phi_fermionic(fam, 0.7).value
+    assert len(sizes) == n * (1 << (n - 1))
+    assert max(sizes) <= (n + 1) * dim
+    assert sum(sizes) == n * (1 << n) * dim
+    want = phi_core.phi_block(fam.h.matrix, fam.perturbations, 0.7)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_lifted_perturbation_nilpotent_exactly():
     rng = np.random.default_rng(1)
     for n in (1, 2, 3):
