@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
-import scipy.stats
 
 from . import clifford, jlo, linalg, phi_core
 from .grassmann import MultiVector
@@ -497,6 +496,8 @@ def bridge_midpoint_chi2(d: int, t: float, samples: int, bins: int, seed: int = 
     Draws from ``_chunk_rng(seed, 0)``; returns (chi2, 1% critical value,
     endpoints_exact).
     """
+    import scipy.stats  # ~0.2 s to import; only this check needs it
+
     x = np.full(d, 0.8)
     y = np.full(d, 2.9)
     windings, positions = sample_bridge_batch(_chunk_rng(seed, 0), d, x, y, t, 2, samples)

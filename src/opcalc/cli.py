@@ -104,6 +104,17 @@ def _parse_t_grid(text: str):
     return vals
 
 
+def _count(value, cfg: dict, key: str, default: int, flag: str) -> int:
+    """A positive integer count: the command-line ``value`` if given, else the
+    config's ``key``, else ``default``."""
+    where = flag
+    if value is None:
+        value, where = cfg.get(key, default), f"config.{key}"
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(where, f"need a positive integer, got {value!r}")
+    return value
+
+
 # --- subcommand handlers ----------------------------------------------------
 
 
@@ -217,10 +228,10 @@ def cmd_fk(args) -> int:
     t = args.t if args.t is not None else cfg.get("t", 0.5)
     x = point_from_json(cfg.get("x", [0.0] * model.d), model.d, "config.x")
     y = point_from_json(cfg.get("y", [0.0] * model.d), model.d, "config.y")
-    paths = args.paths or cfg.get("paths", 20000)
-    steps = args.steps or cfg.get("steps", 256)
+    paths = _count(args.paths, cfg, "paths", 20000, "--paths")
+    steps = _count(args.steps, cfg, "steps", 256, "--steps")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    k = args.truncation or cfg.get("K", 14)
+    k = _count(args.truncation, cfg, "K", 14, "--truncation")
     oracle = spectral_phi_kernel(model, t, x, y, k)
     res = fk_estimate(model, t, x, y, paths, steps, seed=seed, workers=args.workers)
     z = _oracle_z(
@@ -247,8 +258,8 @@ def cmd_levy_area(args) -> int:
     d, omega = curvature_from_json(cfg)
     if len(omega) != d:
         raise ConfigError("config.omega", f"levy-area needs a {d} x {d} matrix")
-    paths = args.paths or cfg.get("paths", 10**5)
-    steps = args.steps or cfg.get("steps", 512)
+    paths = _count(args.paths, cfg, "paths", 10**5, "--paths")
+    steps = _count(args.steps, cfg, "steps", 512, "--steps")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     res = levy_area_estimate(omega, d, paths, steps, seed=seed)
     # the unit-weight area exponential follows the series at 2 Omega

@@ -19,6 +19,16 @@ Path functionals, per step k with left-endpoint (Ito) evaluation:
     I_m      += I_{m-1} dPsi_m(k)   (m descending, so I_{m-1} is left value;
                                      I_0 = 1, so I_1 += dPsi_1)
 
+Trace phase.  Each A_j splits as a_j I + A'_j with a_j = tr(A_j)/r and A'_j
+traceless, so M_k = exp(sum_j a_j dB^j_k) M'_k with M'_k = expm(sum_j A'_j
+dB^j_k).  The scalar factors commute with every factor above and cancel in
+G dPsi G^-1, and the increments telescope to z - x, so the loop steps with
+M'_k alone and V(t) and G(t) are multiplied once, after the loop, by the
+per-path phase exp(sum_j a_j (z_j - x_j)).  Wf(t) = G(t) V(t)^-1 is formed
+before the phase enters: the phase has modulus one for skew-Hermitian A_j
+and cancels there.  For r = 2, M'_k is the Cayley-Hamilton form evaluated
+as polynomials in Delta^2 (``_expm_2x2``); r >= 3 uses the truncated series.
+
 The increment conjugation uses the full dressed functional G rather than
 the bare transport: expanding the enlarged-space product formula term by
 term shows the extracted block is the iterated integral of the G-dressed
@@ -33,16 +43,17 @@ entry (i, j) of all P paths is one contiguous plane.  A product of two
 stacks is r broadcast multiply-adds of (r, 1, P) by (1, r, P) planes
 (``_plane_mul``), and the constant factors expm(-hW), expm(hW) and hV
 enter as (r, r, 1) arrays that broadcast over the paths.  The step
-generators sum_j A_j dB^j and sum_j S^j dB^j are one (r, r, d) @ (d, P)
-product each, with the increments held as (d, P).  Products write into
-buffers allocated once per call.  ``FunctionalState`` exposes the final
-planes as (P, r, r) views.
+generators sum_j A'_j dB^j and sum_j S^j dB^j are d broadcast multiply-adds
+each of (r, r, 1) coefficient planes by the (P,) rows of the (d, P)
+increments (``_combine``).  Products write into buffers allocated once
+per call.  ``FunctionalState`` exposes the final planes as (P, r, r) views.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 import scipy.linalg
@@ -73,36 +84,55 @@ def _plane_mul(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
     return out
 
 
-def _expm_2x2(m: np.ndarray, out=None) -> np.ndarray:
-    """Exact exponential of 2x2 planes (2, 2, P) via the Cayley-Hamilton
-    closed form.
+# Taylor coefficients of cosh(z) = sum s^k / (2k)! and sinh(z)/z =
+# sum s^k / (2k+1)! in s = z^2, highest power first (Horner order).  Ten
+# terms leave a truncation error below 1/20! < 1e-18 for |s| <= 1.
+_EVEN_SERIES = np.array(
+    [[[1.0 / factorial(2 * k)], [1.0 / factorial(2 * k + 1)]] for k in range(9, -1, -1)]
+)
 
-    With mu = tr(m)/2 and B = m - mu I one has B^2 = Delta^2 I, so
-    exp(m) = e^mu (cosh(Delta) I + sinhc(Delta) B).
+
+def _expm_2x2(m: np.ndarray, out=None) -> np.ndarray:
+    """Exponential of 2x2 planes (2, 2, P) by the Cayley-Hamilton form.
+
+    With mu = tr(m)/2 and B = m - mu I one has B^2 = s I, s = b00^2 + b01 b10,
+    so exp(m) = e^mu (cosh(Delta) I + sinhc(Delta) B) with Delta^2 = s.
+    cosh and sinhc(z) = sinh(z)/z are even entire functions: where |s| <= 1
+    they are the Horner polynomials ``_EVEN_SERIES`` in s, free of
+    transcendental functions; paths with |s| > 1 take sqrt, cosh and sinh.
+    The choice is made per path, so a path's value does not depend on the
+    other paths of the stack.  e^mu is applied only if some trace is
+    non-zero; the engine's step generators are exactly traceless.  ``out``
+    must not overlap ``m``.
     """
     m = np.asarray(m, dtype=complex)
     mu = m[0, 0] + m[1, 1]
-    mu *= 0.5
-    b00 = m[0, 0] - mu
-    delta_sq = b00 * b00
-    delta_sq += m[0, 1] * m[1, 0]
-    delta = np.sqrt(delta_sq)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sinhc = np.sinh(delta)
-        sinhc /= delta
-    small = np.abs(delta) < 1e-4
-    if small.any():
-        s = delta_sq[small]
-        sinhc[small] = 1.0 + s / 6.0 + s**2 / 120.0
-    scale = np.exp(mu)
-    cosh = np.cosh(delta)
-    cosh *= scale
-    sinhc *= scale
+    scalar = bool(mu.any())
+    if scalar:
+        mu *= 0.5
+        b00 = m[0, 0] - mu
+    else:
+        b00 = m[0, 0]
+    s = b00 * b00
+    s += m[0, 1] * m[1, 0]
+    even = _EVEN_SERIES[0] * s  # rows: cosh, sinhc
+    even += _EVEN_SERIES[1]
+    for c in _EVEN_SERIES[2:]:
+        even *= s
+        even += c
+    cosh, sinhc = even
+    big = np.flatnonzero(s.real**2 + s.imag**2 > 1.0)
+    if big.size:
+        delta = np.sqrt(s[big])
+        cosh[big] = np.cosh(delta)
+        sinhc[big] = np.sinh(delta) / delta
+    if scalar:
+        even *= np.exp(mu)
     if out is None:
         out = np.empty_like(m)
-    b00 *= sinhc
-    np.add(cosh, b00, out=out[0, 0])
-    np.subtract(cosh, b00, out=out[1, 1])
+    np.multiply(b00, sinhc, out=out[0, 0])
+    np.subtract(cosh, out[0, 0], out=out[1, 1])
+    out[0, 0] += cosh
     np.multiply(sinhc, m[0, 1], out=out[0, 1])
     np.multiply(sinhc, m[1, 0], out=out[1, 0])
     return out
@@ -198,6 +228,16 @@ def _planes(matrices) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(np.asarray(matrices, dtype=complex), 0, -1))
 
 
+def _combine(coeffs: np.ndarray, db: np.ndarray, out, tmp) -> np.ndarray:
+    """sum_j coeffs[:, :, j] db[j] into ``out``: d broadcast multiply-adds of
+    the (r, r, 1) coefficient planes by the (P,) increment rows of ``db``."""
+    np.multiply(coeffs[:, :, :1], db[0], out=out)
+    for j in range(1, db.shape[0]):
+        np.multiply(coeffs[:, :, j:j + 1], db[j], out=tmp)
+        out += tmp
+    return out
+
+
 def _adjoint(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Conjugate transpose of every path's matrix in a plane stack."""
     return np.conjugate(a.transpose(1, 0, 2), out=out)
@@ -230,7 +270,14 @@ def simulate_functionals(
     windings = sample_winding(rng, d, x, y, t, n_paths)
     z = np.ascontiguousarray((y + TWO_PI * windings).T)  # (d, P)
 
+    # A_j = (tr A_j / r) I + A'_j: the loop steps with A'_j, the scalar parts
+    # enter as one phase per path after it (module docstring)
     a_planes = _planes(model.connection)  # (r, r, d)
+    traces = np.trace(a_planes) / r  # (d,)
+    for i in range(r):
+        a_planes[i, i] -= traces
+    if r == 2:
+        a_planes[1, 1] = -a_planes[0, 0]  # exactly traceless step generators
     has_connection = bool(np.any(a_planes))
     has_potential = bool(np.any(model.potential))
     specs = model.perturbations[:max_order]
@@ -259,7 +306,7 @@ def simulate_functionals(
                 g_inv = _adjoint(v_inv, adj)  # G = V is unitary
             for i in range(max_order, 0, -1):
                 if s_planes[i - 1] is not None:
-                    local = np.matmul(s_planes[i - 1], db, out=local_buf)
+                    local = _combine(s_planes[i - 1], db, local_buf, tmp)
                     if hv[i - 1] is not None:
                         local += hv[i - 1]
                 elif hv[i - 1] is not None:
@@ -276,7 +323,7 @@ def simulate_functionals(
                     iterated[i] += _plane_mul(iterated[i - 1], dpsi, prod, tmp)
 
         if has_connection:
-            m_step = _expm_planes(np.matmul(a_planes, db, out=gen), m_buf)
+            m_step = _expm_planes(_combine(a_planes, db, gen, tmp), m_buf)
             v_inv, spare = _plane_mul(v_inv, m_step, spare, tmp), v_inv
             if not has_potential:
                 g = v_inv
@@ -287,7 +334,12 @@ def simulate_functionals(
                 g, spare = _plane_mul(g, m_step, spare, tmp), g
                 g_inv, spare = _plane_mul(_adjoint(m_step, adj), g_inv, spare, tmp), g_inv
 
-    mult = _plane_mul(g, _adjoint(v_inv, adj), tmp=spare)
+    mult = _plane_mul(g, _adjoint(v_inv, adj), tmp=spare)  # the phases cancel
+    if traces.any():
+        phase = np.exp(traces @ (z - x[:, None]))  # (P,)
+        v_inv *= phase
+        if g is not v_inv:
+            g *= phase
 
     def paths_first(a):
         return np.moveaxis(a, -1, 0)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opcalc
 from opcalc import acceptance, cli
 from opcalc.jsonio import matrix_to_json
 
@@ -138,6 +143,71 @@ def test_fk_zero_variance_estimate_at_the_guard_edge(tmp_path):
     results = json.loads(out.read_text())["results"]
     assert max(results["stderr"]["re"]) < 1e-15
     assert max(results["z_scores"]["re"]) <= 3.0
+
+
+FK_COUNTS_CONFIG = {
+    "d": 1, "r": 1, "t": 0.5, "x": [0.3], "y": [1.0], "paths": 64, "steps": 8, "K": 12,
+}
+LEVY_COUNTS_CONFIG = {
+    "d": 2,
+    "omega": [
+        [None, [{"indices": [1, 2], "re": 0.9}]],
+        [[{"indices": [1, 2], "re": -0.9}], None],
+    ],
+    "paths": 64,
+    "steps": 8,
+}
+
+
+@pytest.mark.parametrize(
+    "command, argv, override, location",
+    [
+        ("fk", ["--paths", "0"], {}, "--paths"),
+        ("fk", ["--steps", "0"], {}, "--steps"),
+        ("fk", ["--steps", "-3"], {}, "--steps"),
+        ("fk", ["--truncation", "0"], {}, "--truncation"),
+        ("fk", [], {"paths": 0}, "config.paths"),
+        ("fk", [], {"steps": -1}, "config.steps"),
+        ("fk", [], {"K": 0}, "config.K"),
+        ("fk", [], {"paths": 64.0}, "config.paths"),
+        ("levy-area", ["--paths", "0"], {}, "--paths"),
+        ("levy-area", ["--steps", "-2"], {}, "--steps"),
+        ("levy-area", [], {"paths": 0}, "config.paths"),
+        ("levy-area", [], {"steps": 0}, "config.steps"),
+    ],
+)
+def test_non_positive_counts_exit_2_without_a_report(
+    tmp_path, capsys, command, argv, override, location
+):
+    """Zero is a count, not a request for the default: it is rejected like
+    any other non-positive or non-integer count, from either source."""
+    base = FK_COUNTS_CONFIG if command == "fk" else LEVY_COUNTS_CONFIG
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps({**base, **override}))
+    out = tmp_path / "report.json"
+    assert run_cli([command, "--config", str(path), "--out", str(out), *argv]) == 2
+    assert location in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fk", "levy-area"])
+def test_command_line_counts_override_the_config(tmp_path, command):
+    base = FK_COUNTS_CONFIG if command == "fk" else LEVY_COUNTS_CONFIG
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(base))
+    out = tmp_path / "report.json"
+    run_cli([command, "--config", str(path), "--out", str(out), "--paths", "40", "--steps", "3"])
+    diagnostics = json.loads(out.read_text())["results"]["diagnostics"]
+    assert (diagnostics["paths"], diagnostics["steps"]) == (40, 3)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs ~0.2 s to import; only the bridge chi-squared check
+    needs it, so starting the CLI must not load it."""
+    src = str(Path(opcalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, opcalc.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 def test_levy_area_subcommand(tmp_path):
