@@ -308,7 +308,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
     for i in range(10):
         if i % 2 == 0:
             dirac = jlo.random_odd_dirac(rep, rng)
-            vals, spread, sig = jlo.mckean_singer_raw(rep.chirality, dirac, t_grid)
+            vals, spread, sig = jlo.mckean_singer(rep.chirality, dirac, t_grid)
         else:
             # unbalanced toy grading with an engineered nonzero kernel signature
             p, q = int(rng.integers(2, 5)), int(rng.integers(1, 3))
@@ -319,7 +319,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
                 [[np.zeros((p, p)), b], [b.conj().T, np.zeros((q, q))]]
             )
             grading = np.diag([1.0] * p + [-1.0] * q).astype(complex)
-            vals, spread, sig = jlo.mckean_singer_raw(grading, dirac, t_grid)
+            vals, spread, sig = jlo.mckean_singer(grading, dirac, t_grid)
         worst_spread = max(worst_spread, spread)
         all_match = all_match and bool(np.abs(vals - sig).max() <= 1e-9)
     passed = worst_spread <= 1e-9 and all_match

@@ -104,14 +104,14 @@ def _parse_t_grid(text: str):
     return vals
 
 
-def _count(value, cfg: dict, key: str, default: int, flag: str) -> int:
-    """A positive integer count: the command-line ``value`` if given, else the
-    config's ``key``, else ``default``."""
+def _count(value, cfg: dict, key: str, default: int, flag: str, minimum: int = 1) -> int:
+    """An integer count of at least ``minimum``: the command-line ``value``
+    if given, else the config's ``key``, else ``default``."""
     where = flag
     if value is None:
         value, where = cfg.get(key, default), f"config.{key}"
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(where, f"need a positive integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(where, f"need an integer >= {minimum}, got {value!r}")
     return value
 
 
@@ -161,7 +161,7 @@ def cmd_jlo(args) -> int:
     res = small_time_limit(chain, t_sequence=t_grid, truncation=args.truncation)
     rows = [
         {"chain": cfg.get("chain"), "t": t, "value_re": v.real, "value_im": v.imag}
-        for t, v in res.sweep
+        for t, v, _ in res.sweep
     ]
     results = {
         "rows": rows,
@@ -174,7 +174,7 @@ def cmd_jlo(args) -> int:
         _write_csv(
             args.csv,
             ["t", "value_re", "value_im"],
-            [(t, v.real, v.imag) for t, v in res.sweep],
+            [(t, v.real, v.imag) for t, v, _ in res.sweep],
         )
     report = _report("jlo", cfg, results, verdicts, started)
     return _emit(report, args.out, verdicts)
@@ -232,8 +232,9 @@ def cmd_fk(args) -> int:
     steps = _count(args.steps, cfg, "steps", 256, "--steps")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     k = _count(args.truncation, cfg, "K", 14, "--truncation")
+    workers = _count(args.workers, {}, "workers", 1, "--workers")
     oracle = spectral_phi_kernel(model, t, x, y, k)
-    res = fk_estimate(model, t, x, y, paths, steps, seed=seed, workers=args.workers)
+    res = fk_estimate(model, t, x, y, paths, steps, seed=seed, workers=workers)
     z = _oracle_z(
         np.abs(res.estimate - oracle),
         res.stderr,
@@ -285,16 +286,17 @@ def cmd_localize(args) -> int:
     cfg = load_config(args.config)
     d, chain = chain_from_json(cfg)
     t_grid = _parse_t_grid(args.t_grid)
+    # command-line counts only: the empty config adds no config keys
     res = localization_check(
         chain,
         t_sequence=t_grid,
-        truncation=args.truncation or 14,
-        mc_paths=args.paths or 0,
-        mc_steps=args.steps or 256,
-        seed=args.seed if args.seed is not None else 0,
+        truncation=_count(args.truncation, {}, "K", 14, "--truncation"),
+        mc_paths=_count(args.paths, {}, "paths", 0, "--paths", minimum=0),
+        mc_steps=_count(args.steps, {}, "steps", 256, "--steps"),
+        seed=args.seed,
     )
     results = {
-        "sweep": [{"t": t, "value": v} for t, v in res.sweep],
+        "sweep": [{"t": t, "value": v} for t, v, _ in res.sweep],
         "extrapolated": res.extrapolated,
         "target": res.target,
         "relative_error": res.relative_error,
@@ -307,7 +309,7 @@ def cmd_localize(args) -> int:
         _write_csv(
             args.csv,
             ["t", "value_re", "value_im"],
-            [(t, v.real, v.imag) for t, v in res.sweep],
+            [(t, v.real, v.imag) for t, v, _ in res.sweep],
         )
     report = _report("localize", cfg, results, verdicts, started)
     return _emit(report, args.out, verdicts)

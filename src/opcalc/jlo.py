@@ -10,10 +10,11 @@ evaluates the functional
 
 exactly for the K-truncated flat-torus spin model, a batched mode sum with
 the supertrace over the whole torus: (2 pi)^d times ``opcalc localize`` up
-to truncation.  Only ``localize`` enforces the 1e-10 torus-tail guard.  Every
-Phi here, in that sum and in ``chern_eval``, comes from
-``phi_core.phi_block``, the one block-bidiagonal (Van Loan) route.  The
-t -> 0 limit is the localization target
+to truncation.  Only ``localize`` enforces the 1e-10 torus-tail guard.
+``partition_blocks`` is the one assembly of the partition sum, for
+``chern_eval`` and the flat-torus models alike; it drops every partition with
+a vanishing block.  Every Phi comes from ``phi_core.phi_block``, the one
+block-bidiagonal (Van Loan) route.  The t -> 0 limit is the localization target
     ((-1)^n 2^(2n) / (n! (2 pi sqrt(-1))^(d/2))) * vol * top(w_0'^w_1''^...^w_n'').
 Plain cocycle evaluation (chern_eval, unit coefficients at t = 1 with the
 rescaled module) is exposed separately; its small-t limit differs from the
@@ -22,7 +23,7 @@ localization target by 2^(2n), see the package notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -134,15 +135,25 @@ def ordered_partitions(m: int, n: int) -> tuple:
     return tuple(out)
 
 
+def _graded_commutators(generators, quantize, omega: DGAElement) -> tuple:
+    """([G_1, c(w')], ..., [G_k, c(w')], c(w'')) with the graded commutator.
+
+    w' must have pure degree.
+    """
+    sign = -1.0 if omega.prime.pure_degree() % 2 else 1.0
+    c_prime = quantize(omega.prime)
+    return tuple(g @ c_prime - sign * c_prime @ g for g in generators) + (
+        quantize(omega.doubleprime),
+    )
+
+
 def p_of(module: FredholmModule, omega: DGAElement) -> np.ndarray:
     """P(w) = [D, c(w')] - c(dw') + c(w'') with the graded commutator.
 
     The constant-form differential vanishes.  w' must have pure degree.
     """
-    sign = -1.0 if omega.prime.pure_degree() % 2 else 1.0
-    c_prime = module.quantize(omega.prime)
-    commutator = module.dirac @ c_prime - sign * c_prime @ module.dirac
-    return commutator + module.quantize(omega.doubleprime)
+    commutator, zeroth = _graded_commutators((module.dirac,), module.quantize, omega)
+    return commutator + zeroth
 
 
 def clifford_defect(quantize, omega1: DGAElement, omega2: DGAElement) -> np.ndarray:
@@ -158,18 +169,33 @@ def clifford_defect(quantize, omega1: DGAElement, omega2: DGAElement) -> np.ndar
     )
 
 
-def p_of_pair(module: FredholmModule, omega1: DGAElement, omega2: DGAElement):
-    """P(w1, w2): the Clifford defect of the module's quantization map."""
-    return clifford_defect(module.quantize, omega1, omega2)
+def partition_blocks(chain, generators, quantize) -> list:
+    """The nonvanishing terms of the partition sum over (w_1, ..., w_n).
 
-
-def p_of_block(module: FredholmModule, omegas) -> np.ndarray:
-    omegas = tuple(omegas)
-    if len(omegas) == 1:
-        return p_of(module, omegas[0])
-    if len(omegas) == 2:
-        return p_of_pair(module, omegas[0], omegas[1])
-    return np.zeros((module.dim, module.dim), dtype=complex)
+    [(m, (B_1, ..., B_m)), ...] over the ordered partitions of {1..n} into m
+    consecutive blocks, in partition order; [(0, ())] for n = 0.  A block
+    (S^1, ..., S^k, V) is the operator sum_i S^i X_i + V, where D = sum_i
+    G_i X_i with odd ``generators`` G_i and even X_i commuting with every
+    form (X = 1 on a finite module, the derivatives on a flat torus).  A
+    singleton {j} gives P(w_j): S^i = [G_i, c(w_j')], V = c(w_j''); a pair
+    gives the Clifford defect; longer blocks vanish.  Phi is multilinear, so
+    a partition with any vanishing block is dropped.
+    """
+    n = len(chain) - 1
+    table = {}
+    for j in range(1, n + 1):
+        table[(j,)] = _graded_commutators(generators, quantize, chain[j])
+        if j < n:
+            defect = clifford_defect(quantize, chain[j], chain[j + 1])
+            table[(j, j + 1)] = (np.zeros_like(defect),) * len(generators) + (defect,)
+    table = {key: b for key, b in table.items() if any(np.any(part) for part in b)}
+    terms = [] if n else [(0, ())]
+    for m in range(1, n + 1):
+        for partition in ordered_partitions(m, n):
+            blocks = tuple(table.get(indices) for indices in partition)
+            if all(b is not None for b in blocks):
+                terms.append((m, blocks))
+    return terms
 
 
 def chern_eval(module: FredholmModule, chain, t: float) -> complex:
@@ -177,9 +203,9 @@ def chern_eval(module: FredholmModule, chain, t: float) -> complex:
 
     The rescaling carries sqrt(t) on D and t^(deg/2) on the Clifford map, so
     every block P picks up the t-power of its arguments and the semigroup
-    becomes exp(-t D^2); partition sums carry (-1)^m and run in partition
-    order.  n = 0 yields Str(c_t(w_0') exp(-t D^2)).  Every Phi is one
-    ``phi_block`` call; ``phi_block`` checks t D^2 >= 0.
+    becomes exp(-t D^2); the terms of ``partition_blocks`` carry (-1)^m and
+    run in partition order.  n = 0 yields Str(c_t(w_0') exp(-t D^2)).  Every
+    Phi is one ``phi_block`` call; ``phi_block`` checks t D^2 >= 0.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -191,26 +217,16 @@ def chern_eval(module: FredholmModule, chain, t: float) -> complex:
         )
         for w in chain
     )
-    n = len(chain) - 1
     c0 = module.quantize(chain[0].prime)
     h_t = t * (module.dirac @ module.dirac)
-    if n == 0:
-        return module.supertrace(c0 @ phi_block(h_t, (), 1.0))
-
-    module_t = replace(module, dirac=np.sqrt(t) * module.dirac)
     acc = np.zeros((module.dim, module.dim), dtype=complex)
-    for m in range(1, n + 1):
-        for partition in ordered_partitions(m, n):
-            blocks = tuple(
-                p_of_block(module_t, (chain[i] for i in block)) for block in partition
-            )
-            if all(np.all(b == 0) for b in blocks):
-                continue
-            acc = acc + (-1.0) ** m * phi_block(h_t, blocks, 1.0)
+    for m, blocks in partition_blocks(chain, (np.sqrt(t) * module.dirac,), module.quantize):
+        perturbations = tuple(commutator + zeroth for commutator, zeroth in blocks)
+        acc = acc + (-1.0) ** m * phi_block(h_t, perturbations, 1.0)
     return module.supertrace(c0 @ acc)
 
 
-def mckean_singer_raw(grading: np.ndarray, dirac: np.ndarray, t_grid):
+def mckean_singer(grading: np.ndarray, dirac: np.ndarray, t_grid):
     """Supertrace of the heat semigroup over a time grid.
 
     Returns (values, spread, signature) where signature is the graded
@@ -234,10 +250,6 @@ def mckean_singer_raw(grading: np.ndarray, dirac: np.ndarray, t_grid):
     if abs(signature_val - signature) > 1e-8:
         raise ArithmeticError("graded kernel dimension is not close to an integer")
     return values, spread, signature
-
-
-def mckean_singer(module: FredholmModule, t_grid):
-    return mckean_singer_raw(module.grading, module.dirac, t_grid)
 
 
 def localization_target(chain, d: int, volume: float = 1.0) -> complex:

@@ -11,7 +11,6 @@ from .engine import (
 from .levy import LevyAreaResult, levy_area_estimate
 from .localize import (
     LocalizationResult,
-    chain_block_perturbation,
     localization_check,
     localization_value,
     small_time_limit,
@@ -33,7 +32,6 @@ __all__ = [
     "PerturbationSpec",
     "TorusModel",
     "apply_moment_pattern",
-    "chain_block_perturbation",
     "fk_estimate",
     "heat_kernel",
     "levy_area_estimate",

@@ -9,23 +9,29 @@ irrelevant),
 
 with the kernels of the flat-torus spin model, extrapolates t -> 0, and
 compares against the localization target with unit characteristic class.
-Each kernel is a mode sum with one ``phi_core.phi_block`` call (the Van Loan
-block-bidiagonal route) per stack of mode matrices.  ``localization_check`` (``opcalc localize``) uses the spectral
-oracle, which rejects truncations whose torus-tail estimate exceeds 1e-10,
-and optionally cross-checks one grid time against the Monte Carlo path
-estimator.  ``small_time_limit`` (``opcalc jlo``) gives exact values for the
-K-truncated model with the supertrace over the whole torus, (2 pi)^d times
-the unguarded mode sum, so (2 pi)^d times ``localize`` up to truncation.
+The partition sum is ``jlo.partition_blocks``, the assembly ``chern_eval``
+uses, so partitions with a vanishing block are dropped; one spin-torus model
+per surviving partition is built once per call.  Each kernel is a mode sum
+with one ``phi_core.phi_block`` call (the Van Loan block-bidiagonal route)
+per stack of mode matrices.  The three entry points share one body: models,
+F(t) per time, Richardson, target.  ``localization_check`` (``opcalc
+localize``) uses the spectral oracle, which rejects truncations whose
+torus-tail estimate exceeds 1e-10, and optionally cross-checks the first
+grid time against the Monte Carlo path estimator.  ``small_time_limit``
+(``opcalc jlo``) gives exact values for the K-truncated model with the
+supertrace over the whole torus, (2 pi)^d times the unguarded mode sum, so
+(2 pi)^d times ``localize`` up to truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ..clifford import build_spinor_rep, clifford_quantize, supertrace
-from ..jlo import clifford_defect, localization_target, ordered_partitions, richardson
+from ..jlo import localization_target, partition_blocks, richardson
 from .engine import fk_estimate
 from .model import (
     TWO_PI,
@@ -44,27 +50,6 @@ def spin_torus_model(d: int, perturbations=()) -> TorusModel:
     return TorusModel(d, rep.dim, perturbations=tuple(perturbations))
 
 
-def chain_block_perturbation(rep, chain, indices) -> PerturbationSpec:
-    """Perturbation data of one ordered-partition block.
-
-    Singletons {j} give the first-order operator with symbol coefficients
-    S^m = -2 c(e_m -| w_j') and zeroth part c(w_j''); pairs give the purely
-    zeroth-order quantization defect; longer blocks vanish.
-    """
-    d = rep.d
-    omegas = tuple(chain[i] for i in indices)
-    if len(omegas) == 1:
-        w = omegas[0]
-        first = tuple(
-            -2.0 * clifford_quantize(rep, w.prime.contract(m + 1)) for m in range(d)
-        )
-        return PerturbationSpec(first, clifford_quantize(rep, w.doubleprime))
-    if len(omegas) == 2:
-        v = clifford_defect(lambda form: clifford_quantize(rep, form), *omegas)
-        return PerturbationSpec.zeroth(v, d)
-    return PerturbationSpec.zeroth(np.zeros((rep.dim, rep.dim), dtype=complex), d)
-
-
 def _prefactor(chain, t: float) -> float:
     n = len(chain) - 1
     degs = [w.prime.pure_degree() for w in chain]
@@ -72,38 +57,79 @@ def _prefactor(chain, t: float) -> float:
 
 
 def _partition_models(chain) -> list:
-    """[((-2)^m, spin-torus model), ...] over the chain's ordered partitions.
+    """[((-2)^m, spin-torus model), ...] over ``jlo.partition_blocks``.
 
-    A partition's model carries one perturbation per block, in order; a
-    chain with n = 0 gives the unperturbed model with coefficient 1.  The
-    models do not depend on t, so each public entry point builds them once.
+    D = sum_m c(e_m) d_m, so a singleton's symbol coefficients are the
+    graded commutators S^m = [c(e_m), c(w_j')].  A partition's model carries
+    one perturbation per block, in order; n = 0 gives the unperturbed model
+    with coefficient 1.  The models do not depend on t.
     """
     d = chain[0].d
     rep = build_spinor_rep(d)
-    n = len(chain) - 1
-    if n == 0:
-        return [(1.0, spin_torus_model(d))]
     return [
         ((-2.0) ** m, spin_torus_model(d, tuple(
-            chain_block_perturbation(rep, chain, block) for block in partition
+            PerturbationSpec(block[:-1], block[-1]) for block in blocks
         )))
-        for m in range(1, n + 1)
-        for partition in ordered_partitions(m, n)
+        for m, blocks in partition_blocks(chain, rep.gammas, partial(clifford_quantize, rep))
     ]
 
 
-def _functionals(chain, models, t_sequence, kernel) -> list:
-    """F(t) for every t, with ``models`` the chain's ``_partition_models``
-    and ``kernel(model, t)`` the diagonal kernel of a partition's model."""
-    rep = build_spinor_rep(chain[0].d)
+def _functional(chain, rep, c0, models, kernels, t):
+    """F(t) from the partitions' diagonal kernels, and the Cauchy-Schwarz
+    bound sum |prefactor coeff| ||c0||_F ||K||_F on the modulus of every
+    partition term, the scale at which those terms cancel."""
+    prefactor = _prefactor(chain, t)
+    c0_norm = np.linalg.norm(c0)
+    acc = 0.0 + 0.0j
+    bound = 0.0
+    for (coeff, _), kernel in zip(models, kernels):
+        acc += coeff * supertrace(rep, c0 @ kernel)
+        bound += abs(prefactor * coeff) * c0_norm * np.linalg.norm(kernel)
+    return prefactor * acc, float(bound)
+
+
+@dataclass(frozen=True)
+class LocalizationResult:
+    extrapolated: complex
+    target: complex
+    sweep: tuple  # rows of (t, value, Cauchy-Schwarz bound of the value)
+    mc_check: dict | None
+
+    @property
+    def relative_error(self) -> float:
+        """|extrapolated - target| relative to |target|, or, for a zero
+        target, to the sweep's largest Cauchy-Schwarz bound."""
+        scale = abs(self.target) or max(bound for _, _, bound in self.sweep)
+        return abs(self.extrapolated - self.target) / max(scale, 1e-300)
+
+
+def _localize(chain, t_sequence, kernel, truncation, x=None, volume=1.0,
+              richardson_order=1.0, mc=None) -> LocalizationResult:
+    """The body of every entry point: partition models; F(t) times
+    ``volume`` per time, from the kernels ``kernel(model, t, x, x,
+    truncation)``; Richardson; the target.  ``mc`` = (paths, steps, seed)
+    adds a Monte Carlo check of the first time."""
+    chain = tuple(chain)
+    d = chain[0].d
+    if any(w.prime.n != d or w.doubleprime.n != d for w in chain):
+        raise ValueError("chain forms must share the model dimension")
+    if any(t <= 0 for t in t_sequence):
+        raise ValueError("t must be positive")
+    x = np.zeros(d) if x is None else np.asarray(x, dtype=float)
+    rep = build_spinor_rep(d)
     c0 = clifford_quantize(rep, chain[0].prime)
-    values = []
+    models = _partition_models(chain)
+    sweep = []
     for t in t_sequence:
-        acc = 0.0 + 0.0j
-        for coeff, model in models:
-            acc += coeff * supertrace(rep, c0 @ kernel(model, t))
-        values.append(_prefactor(chain, t) * acc)
-    return values
+        kernels = [kernel(model, t, x, x, truncation) for _, model in models]
+        value, bound = _functional(chain, rep, c0, models, kernels, t)
+        sweep.append((t, volume * value, volume * bound))
+    mc_check = None
+    if mc is not None:
+        mc_check = _mc_check(chain, rep, c0, models, sweep[0], x, truncation, *mc)
+    extrapolated = richardson([value for _, value, _ in sweep], richardson_order)
+    target = localization_target(chain, d, volume)
+    return LocalizationResult(extrapolated, target, tuple(sweep), mc_check)
 
 
 def localization_value(chain, t: float, truncation: int, x=None) -> complex:
@@ -112,25 +138,7 @@ def localization_value(chain, t: float, truncation: int, x=None) -> complex:
     Uses the guarded spectral oracle, so a truncation whose tail estimate
     exceeds 1e-10 raises ValueError.
     """
-    chain = tuple(chain)
-    x = np.zeros(chain[0].d) if x is None else np.asarray(x, dtype=float)
-    return _functionals(
-        chain, _partition_models(chain), (t,),
-        lambda model, t: spectral_phi_kernel(model, t, x, x, truncation),
-    )[0]
-
-
-@dataclass(frozen=True)
-class LocalizationResult:
-    extrapolated: complex
-    target: complex
-    sweep: tuple  # rows of (t, value)
-    mc_check: dict | None
-
-    @property
-    def relative_error(self) -> float:
-        scale = max(abs(self.target), 1e-300)
-        return abs(self.extrapolated - self.target) / scale
+    return _localize(chain, (t,), spectral_phi_kernel, truncation, x).sweep[0][1]
 
 
 def localization_check(
@@ -145,40 +153,15 @@ def localization_check(
     """Extrapolated flat-model localization value against the h-map target.
 
     With ``mc_paths`` > 0, the first grid time is re-evaluated through the
-    Feynman-Kac path estimator and compared with the spectral value at the
-    same truncation: ``z`` is the discrepancy beyond the spectral value's
-    truncation-tail bound (``tail_bound``), in standard errors.
+    Feynman-Kac path estimator and compared with the sweep's spectral value
+    there: ``z`` is the discrepancy beyond that value's truncation-tail
+    bound (``tail_bound``), in standard errors floored at 1e-12 of its
+    Cauchy-Schwarz bound.
     """
-    chain = tuple(chain)
-    d = chain[0].d
-    for w in chain:
-        if w.prime.n != d or w.doubleprime.n != d:
-            raise ValueError("chain forms must share the model dimension")
-    x = np.zeros(d)
-    models = _partition_models(chain)
-    values = _functionals(
-        chain, models, t_sequence,
-        lambda model, t: spectral_phi_kernel(model, t, x, x, truncation),
+    return _localize(
+        chain, t_sequence, spectral_phi_kernel, truncation, richardson_order=richardson_order,
+        mc=(mc_paths, mc_steps, seed) if mc_paths > 0 else None,
     )
-    extrapolated = richardson(values, richardson_order)
-    target = localization_target(chain, d, volume=1.0)
-
-    mc_check = None
-    if mc_paths > 0:
-        t_mc = float(t_sequence[0])
-        mc_value, mc_err, det_value, det_tail = _mc_localization(
-            chain, models, t_mc, mc_paths, mc_steps, seed, truncation
-        )
-        z = float(_oracle_z(abs(mc_value - det_value), mc_err, det_tail, abs(det_value)))
-        mc_check = {
-            "t": t_mc,
-            "mc_value": mc_value,
-            "stderr": mc_err,
-            "deterministic": det_value,
-            "tail_bound": det_tail,
-            "z": z,
-        }
-    return LocalizationResult(extrapolated, target, tuple(zip(t_sequence, values)), mc_check)
 
 
 def small_time_limit(
@@ -197,43 +180,31 @@ def small_time_limit(
     volume.
     """
     chain = tuple(chain)
-    d = chain[0].d
-    if any(t <= 0 for t in t_sequence):
-        raise ValueError("t must be positive")
-    x = np.zeros(d)
-    volume = TWO_PI**d
-    values = _functionals(
-        chain, _partition_models(chain), t_sequence,
-        lambda model, t: _truncated_kernel(model, t, x, x, truncation),
+    return _localize(
+        chain, t_sequence, _truncated_kernel, truncation,
+        volume=TWO_PI ** chain[0].d, richardson_order=richardson_order,
     )
-    values = [volume * value for value in values]
-    extrapolated = richardson(values, richardson_order)
-    target = localization_target(chain, d, volume)
-    return LocalizationResult(extrapolated, target, tuple(zip(t_sequence, values)), None)
 
 
-def _mc_localization(chain, models, t, paths, steps, seed, truncation):
-    """Monte Carlo version of the localization functional at one time, with
-    its deterministic value at the same truncation."""
-    d = chain[0].d
-    rep = build_spinor_rep(d)
+def _mc_check(chain, rep, c0, models, row, x, truncation, paths, steps, seed) -> dict:
+    """The functional at the sweep row (t, value, bound) from one path
+    estimate per partition model, against that row's value."""
+    t, det_value, det_bound = row
+    results = [
+        fk_estimate(model, t, x, x, paths, steps, seed=seed + i)
+        for i, (_, model) in enumerate(models)
+    ]
+    mc_value, _ = _functional(chain, rep, c0, models, [res.estimate for res in results], t)
     prefactor = _prefactor(chain, t)
-    x = np.zeros(d)
-    c0 = clifford_quantize(rep, chain[0].prime)
     # crude error propagation through the weighted supertrace
     weights = np.abs(rep.chirality @ c0)
-    acc_mc = 0.0 + 0.0j
-    acc_det = 0.0 + 0.0j
     err_sq = 0.0
     det_tail = 0.0
-    for i, (sign, model) in enumerate(models):
-        res = fk_estimate(model, t, x, x, paths, steps, seed=seed + i)
-        det_kernel = spectral_phi_kernel(model, t, x, x, truncation)
-        coeff = prefactor * sign
-        acc_mc += coeff * supertrace(rep, c0 @ res.estimate)
-        acc_det += coeff * supertrace(rep, c0 @ det_kernel)
-        err_sq += (abs(coeff) * float(np.sum(weights * res.stderr))) ** 2
-        det_tail += abs(coeff) * float(np.sum(weights)) * _truncation_tail(
-            model, t, truncation
-        )
-    return acc_mc, float(np.sqrt(err_sq)), acc_det, det_tail
+    for (sign, model), res in zip(models, results):
+        coeff = abs(prefactor * sign)
+        err_sq += (coeff * float(np.sum(weights * res.stderr))) ** 2
+        det_tail += coeff * float(np.sum(weights)) * _truncation_tail(model, t, truncation)
+    mc_err = float(np.sqrt(err_sq))
+    z = _oracle_z(abs(mc_value - det_value), mc_err, det_tail, det_bound)
+    return {"t": float(t), "mc_value": mc_value, "stderr": mc_err, "deterministic": det_value,
+            "tail_bound": det_tail, "z": float(z)}

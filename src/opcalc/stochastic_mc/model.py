@@ -17,7 +17,7 @@ Phi^{H_k}_t(P_{1,k}, ..., P_{n,k}), which also checks every H_k >= 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -26,6 +26,7 @@ from ..phi_core import phi_block, phi_fermionic  # noqa: F401  (perfbench's trac
 
 TWO_PI = 2.0 * np.pi
 MODE_CHUNK = 128  # modes per stacked exponential, bounding its work arrays
+CHECK_WINDOW = 8  # |k|_inf bound of the nonnegativity check when W is not >= 0
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,6 @@ class TorusModel:
     connection: tuple = ()   # d skew-Hermitian r x r matrices
     potential: np.ndarray = None
     perturbations: tuple = ()
-    _window: int = field(default=8, repr=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -92,7 +92,7 @@ class TorusModel:
             return
         worst = min(
             np.linalg.eigvalsh(self.mode_blocks(ks)[0])[:, 0].min()
-            for ks in _mode_chunks(self.d, self._window)
+            for ks in _mode_chunks(self.d, CHECK_WINDOW)
         )
         if worst < -1e-10:
             raise ValueError(f"mode Hamiltonians are not nonnegative: min eig {worst:.3e}")

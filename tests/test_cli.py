@@ -157,6 +157,7 @@ LEVY_COUNTS_CONFIG = {
     "paths": 64,
     "steps": 8,
 }
+LOCALIZE_CHAIN_CONFIG = {"d": 2, "chain": [{"prime": [{"indices": [1, 2], "re": 1.0}]}]}
 
 
 @pytest.mark.parametrize(
@@ -174,20 +175,37 @@ LEVY_COUNTS_CONFIG = {
         ("levy-area", ["--steps", "-2"], {}, "--steps"),
         ("levy-area", [], {"paths": 0}, "config.paths"),
         ("levy-area", [], {"steps": 0}, "config.steps"),
+        ("fk", ["--workers", "0"], {}, "--workers"),
+        ("fk", ["--workers", "-2"], {}, "--workers"),
+        ("localize", ["--truncation", "0"], {}, "--truncation"),
+        ("localize", ["--truncation", "-4"], {}, "--truncation"),
+        ("localize", ["--paths", "64", "--steps", "0"], {}, "--steps"),
+        ("localize", ["--paths", "-3"], {}, "--paths"),
     ],
 )
 def test_non_positive_counts_exit_2_without_a_report(
     tmp_path, capsys, command, argv, override, location
 ):
     """Zero is a count, not a request for the default: it is rejected like
-    any other non-positive or non-integer count, from either source."""
-    base = FK_COUNTS_CONFIG if command == "fk" else LEVY_COUNTS_CONFIG
+    any other non-positive or non-integer count, from either source.
+    localize reads its counts from the command line only, and its --paths
+    may be 0 (no cross-check) but not negative."""
+    base = {"fk": FK_COUNTS_CONFIG, "levy-area": LEVY_COUNTS_CONFIG,
+            "localize": LOCALIZE_CHAIN_CONFIG}[command]
     path = tmp_path / "counts.json"
     path.write_text(json.dumps({**base, **override}))
     out = tmp_path / "report.json"
     assert run_cli([command, "--config", str(path), "--out", str(out), *argv]) == 2
     assert location in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_localize_zero_paths_means_no_cross_check(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(LOCALIZE_CHAIN_CONFIG))
+    out = tmp_path / "report.json"
+    assert run_cli(["localize", "--config", str(path), "--out", str(out), "--paths", "0"]) == 0
+    assert json.loads(out.read_text())["results"]["mc_check"] is None
 
 
 @pytest.mark.parametrize("command", ["fk", "levy-area"])

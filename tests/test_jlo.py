@@ -85,17 +85,42 @@ def test_p_of_pair_clifford_defect(module4):
     d = 4
     e1, e2 = MultiVector.generator(d, 1), MultiVector.generator(d, 2)
     # disjoint generators: quantization is multiplicative, defect vanishes
-    p12 = jlo.p_of_pair(module4, elem(d, prime=e1), elem(d, prime=e2))
+    p12 = jlo.clifford_defect(module4.quantize, elem(d, prime=e1), elem(d, prime=e2))
     assert np.allclose(p12, 0.0)
     # repeated generator: c(e1 ^ e1) = 0 while c(e1)^2 = -1
-    p11 = jlo.p_of_pair(module4, elem(d, prime=e1), elem(d, prime=e1))
+    p11 = jlo.clifford_defect(module4.quantize, elem(d, prime=e1), elem(d, prime=e1))
     assert np.allclose(p11, -np.eye(4))
 
 
 def test_p_of_block_lengths(module4):
+    """Blocks of length >= 3 vanish, so their partitions are dropped, while
+    the pair blocks (Clifford defect -1) and singletons survive."""
     d = 4
-    omegas = [elem(d, doubleprime=MultiVector.generator(d, 1)) for _ in range(3)]
-    assert np.allclose(jlo.p_of_block(module4, omegas), 0.0)
+    e1 = MultiVector.generator(d, 1)
+    for n, kept in ((3, [2, 2, 3]), (4, [2, 3, 3, 3, 4])):
+        chain = (elem(d, prime=MultiVector.one(d)),) + (elem(d, prime=e1),) * n
+        terms = jlo.partition_blocks(chain, (module4.dirac,), module4.quantize)
+        assert [m for m, _ in terms] == kept
+        for m, blocks in terms:
+            assert len(blocks) == m and all(len(b) == 2 for b in blocks)
+
+
+def test_partition_blocks_drop_vanishing_blocks(module4):
+    """A partition with any vanishing block is dropped, not only one whose
+    blocks all vanish; n = 0 is the single empty partition."""
+    d = 4
+    e1, e2 = MultiVector.generator(d, 1), MultiVector.generator(d, 2)
+    terms = jlo.partition_blocks((elem(d),), (module4.dirac,), module4.quantize)
+    assert terms == [(0, ())]
+    # the pair (w1, w2) has w1' = 0, so its defect vanishes; w3 = 0 vanishes
+    chain = (elem(d), elem(d, doubleprime=e1), elem(d, prime=e2), elem(d))
+    assert jlo.partition_blocks(chain, (module4.dirac,), module4.quantize) == []
+    chain = chain[:3]
+    terms = jlo.partition_blocks(chain, (module4.dirac,), module4.quantize)
+    assert [m for m, _ in terms] == [2]
+    (_, (b1, b2)), = terms
+    assert np.array_equal(b1[0] + b1[1], jlo.p_of(module4, chain[1]))
+    assert np.array_equal(b2[0] + b2[1], jlo.p_of(module4, chain[2]))
 
 
 # --- cocycle evaluation --------------------------------------------------------
@@ -104,7 +129,7 @@ def test_p_of_block_lengths(module4):
 def test_chern_eval_n0_mckean_singer(module4, rep4):
     """n = 0 with the unit chain gives the graded kernel dimension."""
     val = jlo.chern_eval(module4, (elem(4, prime=MultiVector.one(4)),), t=0.7)
-    _, _, sig = jlo.mckean_singer(module4, [0.7])
+    _, _, sig = jlo.mckean_singer(module4.grading, module4.dirac, [0.7])
     assert abs(val - sig) < 1e-9
 
 
@@ -161,7 +186,7 @@ def test_mckean_singer_invertible_dirac(rep4):
         if np.abs(np.linalg.eigvalsh(dirac)).min() > 1e-3:
             break
     module = jlo.spinor_module(rep4, dirac)
-    values, spread, sig = jlo.mckean_singer(module, np.linspace(0.1, 2.0, 7))
+    values, spread, sig = jlo.mckean_singer(module.grading, module.dirac, np.linspace(0.1, 2.0, 7))
     assert sig == 0
     assert spread <= 1e-9
     assert np.abs(values).max() <= 1e-9
@@ -169,7 +194,7 @@ def test_mckean_singer_invertible_dirac(rep4):
 
 def test_mckean_singer_zero_dirac(rep4):
     module = jlo.spinor_module(rep4, np.zeros((4, 4)))
-    values, spread, sig = jlo.mckean_singer(module, [0.5, 1.0])
+    values, spread, sig = jlo.mckean_singer(module.grading, module.dirac, [0.5, 1.0])
     assert sig == 0 and spread == 0 and np.all(values == 0)
 
 
@@ -180,7 +205,7 @@ def test_mckean_singer_engineered_signature():
     b = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
     dirac = np.block([[np.zeros((p, p)), b], [b.conj().T, np.zeros((q, q))]])
     grading = np.diag([1.0] * p + [-1.0] * q).astype(complex)
-    values, spread, sig = jlo.mckean_singer_raw(grading, dirac, np.linspace(0.1, 2, 9))
+    values, spread, sig = jlo.mckean_singer(grading, dirac, np.linspace(0.1, 2, 9))
     assert sig == p - q
     assert spread <= 1e-9
     assert np.abs(values - sig).max() <= 1e-9
@@ -212,21 +237,41 @@ def test_flat_model_dirac_square_is_laplacian():
 
 
 def test_flat_localization_value_matches_dense_chern_structure():
-    """The per-mode truncated value equals a dense assembly of the K = 2 model."""
+    """The per-mode truncated value equals a dense assembly of the K = 2 model,
+    for n = 1 and for an n = 2 chain whose pair block is nonzero."""
     d, truncation, t = 2, 2, 0.9
     rep, modes, dirac = _dense_flat_model(d, truncation)
     eye = np.eye(len(modes))
     e1 = MultiVector.generator(d, 1)
     e2 = MultiVector.generator(d, 2)
-    chain = (DGAElement.of(e1, None, d), DGAElement.of(None, e2, d))
     h = linalg.hermitian(0.5 * dirac @ dirac, require_nonneg=True)
     grading = np.kron(eye, rep.chirality)
-    c0 = np.kron(eye, clifford.clifford_quantize(rep, e1))
-    p1 = np.kron(eye, clifford.clifford_quantize(rep, e2))
-    phi = phi_fermionic(OperatorFamily(h, (p1,)), t).value
-    expect = (t / 2.0) ** 0 * (-2.0) * np.trace(grading @ c0 @ phi)
+
+    def c(form):
+        return np.kron(eye, clifford.clifford_quantize(rep, form))
+
+    def phi_str(c0, *perturbations):
+        phi = phi_fermionic(OperatorFamily(h, perturbations), t).value
+        return np.trace(grading @ c0 @ phi)
+
+    chain = (DGAElement.of(e1, None, d), DGAElement.of(None, e2, d))
+    expect = (t / 2.0) ** 0 * (-2.0) * phi_str(c(e1), c(e2))
     res = small_time_limit(chain, t_sequence=(t,), truncation=truncation)
     assert abs(res.sweep[0][1] - expect) < 1e-9
+
+    # w0' = e1e2, w1 = (e1, 0), w2 = (e1, e2): P(w) = D c(e1) + c(e1) D + c(w'')
+    # for the singletons; the pair (12) gives -(c(e1^e1) - c(e1)^2) = -1
+    e12 = e1.wedge(e2)
+    chain = (DGAElement.of(e12, None, d), DGAElement.of(e1, None, d), DGAElement.of(e1, e2, d))
+    p1 = dirac @ c(e1) + c(e1) @ dirac
+    p2 = p1 + c(e2)
+    p12 = -np.eye(len(dirac))
+    assert np.allclose(p12, -(c(e1.wedge(e1)) - c(e1) @ c(e1)))
+    pair_term = (-2.0) * phi_str(c(e12), p12)
+    expect = (t / 2.0) ** 1 * (pair_term + 4.0 * phi_str(c(e12), p1, p2))
+    res = small_time_limit(chain, t_sequence=(t,), truncation=truncation)
+    assert abs(pair_term) > 1.0
+    assert abs(res.sweep[0][1] - expect) < 1e-9 * abs(expect)
 
 
 def test_small_time_limit_spec_chains():

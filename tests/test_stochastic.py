@@ -772,7 +772,7 @@ def test_localization_mc_cross_check():
 
 def test_localization_check_builds_each_partition_model_once(monkeypatch):
     """The partition models do not depend on t: a two-time check with the
-    Monte Carlo cross-check builds each of its two models once."""
+    Monte Carlo cross-check builds each surviving partition's model once."""
     d = 2
     e1, e2 = MultiVector.generator(d, 1), MultiVector.generator(d, 2)
     zero = MultiVector.zero(d)
@@ -786,7 +786,64 @@ def test_localization_check_builds_each_partition_model_once(monkeypatch):
 
     monkeypatch.setattr(TorusModel, "__init__", counting_init)
     localization_check(chain, t_sequence=(0.8, 0.4), truncation=14, mc_paths=64, mc_steps=8)
-    assert len(built) == 2  # ordered partitions of {1, 2}: (12) and (1)(2)
+    # of the partitions (12) and (1)(2), (12) is dropped: w1'^w2' = 0 and
+    # c(w1') c(w2') = 0, so its Clifford defect vanishes
+    assert len(built) == 1
+
+
+def _count_mode_sums(monkeypatch):
+    calls = []
+    kernel = model_module._truncated_kernel
+
+    def counting_kernel(model, *args):
+        calls.append(model)
+        return kernel(model, *args)
+
+    monkeypatch.setattr(model_module, "_truncated_kernel", counting_kernel)
+    return calls
+
+
+def test_localization_sums_modes_once_per_surviving_partition_and_time(monkeypatch):
+    """On w0' = e1e2, w1'' = e1, w2' = e1, w3'' = e2 only (1)(2)(3) survives:
+    (123) is too long and both pairs have a zero Clifford defect.  The Monte
+    Carlo check reuses the sweep's value at its time instead of summing the
+    modes again."""
+    d = 2
+    e1, e2 = MultiVector.generator(d, 1), MultiVector.generator(d, 2)
+    zero = MultiVector.zero(d)
+    chain = (DGAElement(e1.wedge(e2), zero), DGAElement(zero, e1),
+             DGAElement(e1, zero), DGAElement(zero, e2))
+    calls = _count_mode_sums(monkeypatch)
+    res = localization_check(chain, t_sequence=(0.8, 0.4), truncation=14)
+    assert len(calls) == 2 and all(model.n == 3 for model in calls)
+    calls.clear()
+    res_mc = localization_check(
+        chain, t_sequence=(0.8, 0.4), truncation=14, mc_paths=64, mc_steps=8
+    )
+    assert len(calls) == 2
+    assert res_mc.sweep == res.sweep
+    assert res_mc.mc_check["deterministic"] == res.sweep[0][1]
+
+
+def test_zero_target_verdicts_use_the_cauchy_schwarz_scale():
+    """A d = 4 chain with target 0: the value is rounding noise of order
+    1e-17 of the partition terms, so the relative error and the Monte Carlo
+    z-score are measured against the Cauchy-Schwarz bound of those terms,
+    not against |target| = 0 or the noise itself."""
+    d = 4
+    e = [MultiVector.generator(d, j) for j in range(1, d + 1)]
+    chain = (
+        DGAElement(e[0].wedge(e[1]) + 0.5 * e[2].wedge(e[3]), MultiVector.zero(d)),
+        DGAElement(e[0] - 0.3 * e[3], e[1]),
+    )
+    res = localization_check(
+        chain, t_sequence=(8.0, 4.0), truncation=4, mc_paths=1024, mc_steps=16
+    )
+    assert res.target == 0
+    for _, value, bound in res.sweep:
+        assert bound > 0 and abs(value) < 1e-12 * bound
+    assert res.relative_error < 1e-10
+    assert res.mc_check["z"] <= 3.0
 
 
 def test_spin_torus_model_is_flat_laplacian():
