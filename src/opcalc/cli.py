@@ -158,7 +158,9 @@ def cmd_jlo(args) -> int:
     cfg = load_config(args.config)
     _, chain = chain_from_json(cfg)
     t_grid = _parse_t_grid(args.t_grid)
-    res = small_time_limit(chain, t_sequence=t_grid, truncation=args.truncation)
+    # K = 0 keeps the one mode k = 0
+    truncation = _count(args.truncation, {}, "K", 6, "--truncation", minimum=0)
+    res = small_time_limit(chain, t_sequence=t_grid, truncation=truncation)
     rows = [
         {"chain": cfg.get("chain"), "t": t, "value_re": v.real, "value_im": v.imag}
         for t, v, _ in res.sweep
@@ -184,16 +186,17 @@ def cmd_patodi(args) -> int:
     started = time.time()
     if args.d % 2 or args.d < 2:
         raise ConfigError("--d", "d must be a positive even integer")
+    words = _count(args.words, {}, "words", 50, "--words")
     rep = clifford.build_spinor_rep(args.d)
     worst_vanish, worst_top = acceptance.patodi_residuals(
-        rep, np.random.default_rng(args.seed), args.words
+        rep, np.random.default_rng(args.seed), words
     )
     results = {
         "d": args.d,
         "chirality_sign": rep.sigma,
         "worst_vanishing": worst_vanish,
         "worst_top_residual": worst_top,
-        "words": args.words,
+        "words": words,
     }
     verdicts = {
         "vanishing_1e-10": worst_vanish <= 1e-10,
@@ -317,14 +320,19 @@ def cmd_localize(args) -> int:
 
 def cmd_bridge_test(args) -> int:
     started = time.time()
+    d = _count(args.d, {}, "d", 1, "--d")
+    samples = _count(args.samples, {}, "samples", 10**5, "--samples")
+    bins = _count(args.bins, {}, "bins", 40, "--bins", minimum=2)  # chi^2 has bins - 1 dof
+    if not args.t > 0:
+        raise ConfigError("--t", "t must be positive")
     chi2, crit, endpoints_exact = acceptance.bridge_midpoint_chi2(
-        args.d, args.t, args.samples, args.bins, args.seed
+        d, args.t, samples, bins, args.seed
     )
     results = {
         "chi2": chi2,
         "critical_1pct": crit,
-        "bins": args.bins,
-        "samples": args.samples,
+        "bins": bins,
+        "samples": samples,
         "endpoints_exact": endpoints_exact,
     }
     verdicts = {"chi2_pass": chi2 <= crit, "endpoints_exact": endpoints_exact}

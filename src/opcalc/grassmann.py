@@ -208,15 +208,7 @@ def exp_even(a: MultiVector) -> MultiVector:
     return acc * np.exp(s)
 
 
-@dataclass(frozen=True)
-class LeftMulMatrix:
-    """Matrix of a left-multiplication operator on the bitmask basis."""
-
-    n: int
-    entries: np.ndarray
-
-
-def theta_hat_matrix(j: int, n: int) -> LeftMulMatrix:
+def theta_hat_matrix(j: int, n: int) -> np.ndarray:
     """Matrix of beta -> theta_j beta in the mask-ascending basis."""
     if not 1 <= j <= n:
         raise ValueError(f"generator index {j} out of range 1..{n}")
@@ -228,10 +220,10 @@ def theta_hat_matrix(j: int, n: int) -> LeftMulMatrix:
             continue
         sign = -1.0 if _popcount_below(mask, j) & 1 else 1.0
         out[mask | bit, mask] = sign
-    return LeftMulMatrix(n, out)
+    return out
 
 
-def left_mul_matrix(a: MultiVector) -> LeftMulMatrix:
+def left_mul_matrix(a: MultiVector) -> np.ndarray:
     """Matrix of beta -> a beta (linear extension over the monomials of a)."""
     dim = 1 << a.n
     out = np.zeros((dim, dim), dtype=complex)
@@ -240,4 +232,4 @@ def left_mul_matrix(a: MultiVector) -> LeftMulMatrix:
             if ma & mb:
                 continue
             out[ma | mb, mb] += ca * _merge_sign(ma, mb)
-    return LeftMulMatrix(a.n, out)
+    return out

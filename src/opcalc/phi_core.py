@@ -156,7 +156,7 @@ def build_lift(family: OperatorFamily) -> FermionicLift:
     blk = lam * dim_h
 
     def place(row_slot: int, col_slot: int, index: int):
-        theta = theta_hat_matrix(index, n).entries
+        theta = theta_hat_matrix(index, n)
         block = np.kron(theta, family.perturbations[index - 1])
         r0 = (row_slot - 1) * blk
         c0 = (col_slot - 1) * blk

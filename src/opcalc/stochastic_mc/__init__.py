@@ -1,6 +1,6 @@
 """Seeded Monte Carlo on flat-torus bundle models with exact spectral oracles."""
 
-from .bridge import BridgePath, sample_bridge, sample_bridge_batch, sample_winding
+from .bridge import sample_bridge_batch, sample_winding
 from .engine import (
     FkResult,
     apply_moment_pattern,
@@ -25,7 +25,6 @@ from .model import (
 )
 
 __all__ = [
-    "BridgePath",
     "FkResult",
     "LevyAreaResult",
     "LocalizationResult",
@@ -38,7 +37,6 @@ __all__ = [
     "localization_check",
     "localization_value",
     "moment_scaling_probe",
-    "sample_bridge",
     "sample_bridge_batch",
     "sample_winding",
     "simulate_functionals",

@@ -14,35 +14,9 @@ fills its position array from the same stepper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import TWO_PI, winding_cutoff
-
-
-@dataclass(frozen=True)
-class BridgePath:
-    """Single discretized bridge; positions are the unwrapped lift."""
-
-    x: np.ndarray
-    y: np.ndarray
-    t: float
-    steps: int
-    winding: np.ndarray
-    positions: np.ndarray
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.positions, axis=0)
-
-    @property
-    def lift_endpoint(self) -> np.ndarray:
-        return self.y + TWO_PI * self.winding
-
-    @property
-    def wrapped_positions(self) -> np.ndarray:
-        return np.mod(self.positions, TWO_PI)
 
 
 def sample_winding(rng: np.random.Generator, d: int, x, y, t: float, n_paths: int):
@@ -104,18 +78,4 @@ def sample_bridge_batch(
         positions[:, k] = pos.T
     positions[:, steps] = z
     return windings, positions
-
-
-def sample_bridge(
-    rng: np.random.Generator, d: int, x, y, t: float, steps: int
-) -> BridgePath:
-    windings, positions = sample_bridge_batch(rng, d, x, y, t, steps, 1)
-    return BridgePath(
-        np.asarray(x, dtype=float),
-        np.asarray(y, dtype=float),
-        t,
-        steps,
-        windings[0],
-        positions[0],
-    )
 

@@ -12,32 +12,33 @@ moment probe and the Levy area.  Bridge increments come step by step from
 
 Path functionals, per step k with left-endpoint (Ito) evaluation:
     M_k       = expm(sum_j A_j dB^j_k)              (transport step)
-    V_{k+1}   = V_k M_k                             (inverse transport)
-    Wf_{k+1}  = Wf_k expm(-h V_k W V_k^-1)          (multiplicative functional)
-    G_{k+1}   = G_k expm(-h W) M_k                  (= Wf_{k+1} V_{k+1})
+    G_{k+1}   = G_k expm(-h W) M_k                  (dressed transport)
     dPsi_i(k) = G_k (sum_j S_i^j dB^j_k + V_i h) G_k^-1
     I_m      += I_{m-1} dPsi_m(k)   (m descending, so I_{m-1} is left value;
-                                     I_0 = 1, so I_1 += dPsi_1)
+                                     I_1 += dPsi_1)
+G^-1 is stepped alongside G (G^-1 <- M_k^* expm(h W) G^-1) only when
+W != 0 and some perturbation is kept; without a potential G is unitary and
+dPsi conjugates with its adjoint.
 
 Trace phase.  Each A_j splits as a_j I + A'_j with a_j = tr(A_j)/r and A'_j
 traceless, so M_k = exp(sum_j a_j dB^j_k) M'_k with M'_k = expm(sum_j A'_j
 dB^j_k).  The scalar factors commute with every factor above and cancel in
 G dPsi G^-1, and the increments telescope to z - x, so the loop steps with
-M'_k alone and V(t) and G(t) are multiplied once, after the loop, by the
-per-path phase exp(sum_j a_j (z_j - x_j)).  Wf(t) = G(t) V(t)^-1 is formed
-before the phase enters: the phase has modulus one for skew-Hermitian A_j
-and cancels there.  For r = 2, M'_k is the Cayley-Hamilton form evaluated
-as polynomials in Delta^2 (``_expm_2x2``); r >= 3 uses the truncated series.
+M'_k alone and G(t) is multiplied once, after the loop, by the per-path
+phase exp(sum_j a_j (z_j - x_j)).  For r = 2, M'_k is the Cayley-Hamilton
+form evaluated as polynomials in Delta^2 (``_expm_2x2``); r >= 3 uses the
+truncated series.
 
 The increment conjugation uses the full dressed functional G rather than
-the bare transport: expanding the enlarged-space product formula term by
-term shows the extracted block is the iterated integral of the G-dressed
-increments followed by one right factor G(t), so the kernel estimate is
-p(t,x,y) E[I_n(t) G(t)].  When the potential commutes with everything
-(scalar W, or W = 0) the dressing drops out and this reduces to the
-familiar form p E[Wf(t) I_n(t) V(t)].
+the bare transport V (V_{k+1} = V_k M_k): expanding the enlarged-space
+product formula term by term shows the extracted block is the iterated
+integral of the G-dressed increments followed by one right factor G(t), so
+the kernel estimate is p(t,x,y) E[I_n(t) G(t)].  When the potential
+commutes with everything (scalar W, or W = 0) the dressing drops out and
+this reduces to the familiar form p E[Wf(t) I_n(t) V(t)], with Wf the
+multiplicative functional of W.
 
-Plane layout.  Inside the step loop every per-path stack (V, G, G^-1, the
+Plane layout.  Inside the step loop every per-path stack (G, G^-1, the
 iterated integrals, the step matrices) is a C-contiguous (r, r, P) array:
 entry (i, j) of all P paths is one contiguous plane.  A product of two
 stacks is r broadcast multiply-adds of (r, 1, P) by (1, r, P) planes
@@ -170,13 +171,11 @@ def _expm_planes(m: np.ndarray, out=None) -> np.ndarray:
 class FunctionalState:
     """Per-path accumulators after a simulated horizon.
 
-    ``iterated`` holds the G-dressed iterated integrals;
-    ``full_transport`` is G = multiplicative * transport_inv.  Each array
-    is a (P, r, r) view of the engine's (r, r, P) planes.
+    ``full_transport`` is the dressed transport G(t) and ``iterated`` the
+    G-dressed iterated integrals I_m(t).  Each array is a (P, r, r) view of
+    the engine's (r, r, P) planes.
     """
 
-    transport_inv: np.ndarray          # (P, r, r)
-    multiplicative: np.ndarray         # (P, r, r)
     full_transport: np.ndarray         # (P, r, r)
     iterated: dict = field(default_factory=dict)  # order -> (P, r, r)
 
@@ -290,20 +289,21 @@ def simulate_functionals(
         e_w_plus = scipy.linalg.expm(h * model.potential)[..., None]
 
     shape = (r, r, n_paths)
-    eye = np.zeros(shape, dtype=complex)
+    g = np.zeros(shape, dtype=complex)
     for i in range(r):
-        eye[i, i] = 1.0
-    v_inv = eye.copy()
-    g, g_inv = (eye.copy(), eye.copy()) if has_potential else (v_inv, None)
-    iterated = [eye] + [np.zeros(shape, dtype=complex) for _ in range(max_order)]
+        g[i, i] = 1.0
+    dressed = has_connection or has_potential  # else G = 1 and dPsi = local
+    # G^-1 is read only by the dPsi conjugation
+    g_inv = g.copy() if has_potential and max_order else None
+    iterated = {m: np.zeros(shape, dtype=complex) for m in range(1, max_order + 1)}
     tmp, spare, half, dpsi_buf, prod, local_buf, gen, m_buf, adj = (
         np.empty(shape, dtype=complex) for _ in range(9)
     )
 
     for _, db in _bridge_steps(rng, x, z, t, steps):
         if max_order:
-            if has_connection and not has_potential:
-                g_inv = _adjoint(v_inv, adj)  # G = V is unitary
+            if dressed:  # without a potential G is unitary: G^-1 = G^*
+                inv = g_inv if has_potential else _adjoint(g, adj)
             for i in range(max_order, 0, -1):
                 if s_planes[i - 1] is not None:
                     local = _combine(s_planes[i - 1], db, local_buf, tmp)
@@ -313,8 +313,8 @@ def simulate_functionals(
                     local = hv[i - 1]
                 else:
                     continue  # zero increment
-                if has_connection or has_potential:
-                    dpsi = _plane_mul(_plane_mul(g, local, half, tmp), g_inv, dpsi_buf, tmp)
+                if dressed:
+                    dpsi = _plane_mul(_plane_mul(g, local, half, tmp), inv, dpsi_buf, tmp)
                 else:
                     dpsi = local
                 if i == 1:
@@ -322,31 +322,23 @@ def simulate_functionals(
                 else:
                     iterated[i] += _plane_mul(iterated[i - 1], dpsi, prod, tmp)
 
-        if has_connection:
-            m_step = _expm_planes(_combine(a_planes, db, gen, tmp), m_buf)
-            v_inv, spare = _plane_mul(v_inv, m_step, spare, tmp), v_inv
-            if not has_potential:
-                g = v_inv
         if has_potential:
             g, spare = _plane_mul(g, e_w_minus, spare, tmp), g
-            g_inv, spare = _plane_mul(e_w_plus, g_inv, spare, tmp), g_inv
-            if has_connection:
-                g, spare = _plane_mul(g, m_step, spare, tmp), g
+            if g_inv is not None:
+                g_inv, spare = _plane_mul(e_w_plus, g_inv, spare, tmp), g_inv
+        if has_connection:
+            m_step = _expm_planes(_combine(a_planes, db, gen, tmp), m_buf)
+            g, spare = _plane_mul(g, m_step, spare, tmp), g
+            if g_inv is not None:
                 g_inv, spare = _plane_mul(_adjoint(m_step, adj), g_inv, spare, tmp), g_inv
 
-    mult = _plane_mul(g, _adjoint(v_inv, adj), tmp=spare)  # the phases cancel
     if traces.any():
-        phase = np.exp(traces @ (z - x[:, None]))  # (P,)
-        v_inv *= phase
-        if g is not v_inv:
-            g *= phase
+        g *= np.exp(traces @ (z - x[:, None]))  # the per-path phase
 
     def paths_first(a):
         return np.moveaxis(a, -1, 0)
 
     return FunctionalState(
-        paths_first(v_inv),
-        paths_first(mult),
         paths_first(g),
         {m: paths_first(iterated[m]) for m in orders},
     )

@@ -181,6 +181,15 @@ LOCALIZE_CHAIN_CONFIG = {"d": 2, "chain": [{"prime": [{"indices": [1, 2], "re": 
         ("localize", ["--truncation", "-4"], {}, "--truncation"),
         ("localize", ["--paths", "64", "--steps", "0"], {}, "--steps"),
         ("localize", ["--paths", "-3"], {}, "--paths"),
+        ("jlo", ["--truncation", "-3"], {}, "--truncation"),
+        ("patodi", ["--words", "0"], {}, "--words"),
+        ("patodi", ["--words", "-5"], {}, "--words"),
+        ("bridge-test", ["--samples", "0"], {}, "--samples"),
+        ("bridge-test", ["--bins", "0"], {}, "--bins"),
+        ("bridge-test", ["--bins", "1"], {}, "--bins"),
+        ("bridge-test", ["--d", "0"], {}, "--d"),
+        ("bridge-test", ["--t", "-0.5"], {}, "--t"),
+        ("bridge-test", ["--t", "0"], {}, "--t"),
     ],
 )
 def test_non_positive_counts_exit_2_without_a_report(
@@ -188,14 +197,19 @@ def test_non_positive_counts_exit_2_without_a_report(
 ):
     """Zero is a count, not a request for the default: it is rejected like
     any other non-positive or non-integer count, from either source.
-    localize reads its counts from the command line only, and its --paths
-    may be 0 (no cross-check) but not negative."""
+    localize, jlo, patodi and bridge-test read their counts from the command
+    line only; localize's --paths may be 0 (no cross-check) and jlo's
+    --truncation 0 (one mode), but neither may be negative.  bridge-test
+    needs at least 2 bins and a positive time."""
     base = {"fk": FK_COUNTS_CONFIG, "levy-area": LEVY_COUNTS_CONFIG,
-            "localize": LOCALIZE_CHAIN_CONFIG}[command]
-    path = tmp_path / "counts.json"
-    path.write_text(json.dumps({**base, **override}))
+            "localize": LOCALIZE_CHAIN_CONFIG, "jlo": LOCALIZE_CHAIN_CONFIG}.get(command)
+    config = []
+    if base is not None:
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({**base, **override}))
+        config = ["--config", str(path)]
     out = tmp_path / "report.json"
-    assert run_cli([command, "--config", str(path), "--out", str(out), *argv]) == 2
+    assert run_cli([command, *config, "--out", str(out), *argv]) == 2
     assert location in capsys.readouterr().err
     assert not out.exists()
 
@@ -206,6 +220,18 @@ def test_localize_zero_paths_means_no_cross_check(tmp_path):
     out = tmp_path / "report.json"
     assert run_cli(["localize", "--config", str(path), "--out", str(out), "--paths", "0"]) == 0
     assert json.loads(out.read_text())["results"]["mc_check"] is None
+
+
+def test_jlo_truncation_zero_sums_the_zero_mode(tmp_path):
+    """K = 0 is the one-mode truncation k = 0, not a usage error: on the
+    chain w0' = e1e2 the zero mode alone contributes -i t."""
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(LOCALIZE_CHAIN_CONFIG))
+    out = tmp_path / "report.json"
+    code = run_cli(["jlo", "--config", str(path), "--out", str(out), "--truncation", "0"])
+    assert code == 1  # one mode is far from the localization target
+    rows = json.loads(out.read_text())["results"]["rows"]
+    assert [row["value_im"] for row in rows] == pytest.approx([-1.6, -0.8], abs=1e-12)
 
 
 @pytest.mark.parametrize("command", ["fk", "levy-area"])

@@ -74,13 +74,13 @@ def test_berezin_of_partition_monomials():
 
 
 def test_theta_hat_matrix_n1():
-    m = theta_hat_matrix(1, 1).entries
+    m = theta_hat_matrix(1, 1)
     assert np.array_equal(m, np.array([[0, 0], [1, 0]], dtype=complex))
 
 
 def test_theta_hat_nilpotent_and_anticommuting():
     n = 3
-    mats = [theta_hat_matrix(j, n).entries for j in range(1, n + 1)]
+    mats = [theta_hat_matrix(j, n) for j in range(1, n + 1)]
     for i, mi in enumerate(mats):
         assert np.array_equal(mi @ mi, np.zeros_like(mi))
         for j, mj in enumerate(mats):
@@ -92,7 +92,7 @@ def test_theta_hat_matches_wedge_action():
     rng = np.random.default_rng(2)
     n = 4
     for j in range(1, n + 1):
-        mat = theta_hat_matrix(j, n).entries
+        mat = theta_hat_matrix(j, n)
         vec = rng.standard_normal(1 << n)
         mv = MultiVector.from_dense(n, vec.astype(complex))
         expect = theta(n, j).wedge(mv).dense()
@@ -107,7 +107,7 @@ def test_monomial_matrices_linearly_independent():
         m = np.eye(dim, dtype=complex)
         for j in range(n, 0, -1):
             if mask & (1 << (j - 1)):
-                m = theta_hat_matrix(j, n).entries @ m
+                m = theta_hat_matrix(j, n) @ m
         cols.append(m.ravel())
     rank = np.linalg.matrix_rank(np.array(cols).T)
     assert rank == dim
@@ -117,13 +117,13 @@ def test_left_mul_matrix_consistency():
     rng = np.random.default_rng(3)
     n = 3
     a = MultiVector(n, {int(m): rng.standard_normal() for m in range(8)})
-    mat = left_mul_matrix(a).entries
+    mat = left_mul_matrix(a)
     expect = np.zeros((8, 8), dtype=complex)
     for mask, coeff in a.coeffs.items():
         term = np.eye(8, dtype=complex)
         for j in range(n, 0, -1):
             if mask & (1 << (j - 1)):
-                term = theta_hat_matrix(j, n).entries @ term
+                term = theta_hat_matrix(j, n) @ term
         expect += coeff * term
     assert np.allclose(mat, expect, atol=1e-13)
 

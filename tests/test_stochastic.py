@@ -17,7 +17,6 @@ from opcalc.stochastic_mc import (
     localization_check,
     localization_value,
     moment_scaling_probe,
-    sample_bridge,
     sample_bridge_batch,
     sample_winding,
     simulate_functionals,
@@ -228,12 +227,12 @@ def test_negative_potential_checks_every_mode_hamiltonian():
 def test_bridge_endpoints_pinned_exactly():
     rng = _chunk_rng(7, 0)
     x, y = np.array([0.8]), np.array([2.9])
-    path = sample_bridge(rng, 1, x, y, 0.7, 128)
-    assert path.positions[0] == x[0]
-    assert path.positions[-1] == y[0] + TWO_PI * path.winding[0]
-    assert np.all(np.mod(path.wrapped_positions[-1] - y, TWO_PI) < 1e-12)
-    total = path.increments.sum()
-    assert total == pytest.approx(path.lift_endpoint[0] - x[0], abs=1e-12)
+    windings, positions = sample_bridge_batch(rng, 1, x, y, 0.7, 128, 1)
+    path, lift = positions[0, :, 0], y[0] + TWO_PI * windings[0, 0]
+    assert path[0] == x[0]
+    assert path[-1] == lift
+    assert np.mod(np.mod(path[-1], TWO_PI) - y[0], TWO_PI) < 1e-12
+    assert np.diff(path).sum() == pytest.approx(lift - x[0], abs=1e-12)
 
 
 def test_bridge_short_time_concentration():
@@ -306,12 +305,12 @@ def test_transport_identity_without_connection():
     model = TorusModel(2, 2)
     rng = _chunk_rng(11, 0)
     state = simulate_functionals(model, np.zeros(2), np.zeros(2), 0.5, 64, rng, 100)
-    assert np.allclose(state.transport_inv, np.eye(2))
-    assert np.allclose(state.multiplicative, np.eye(2))
+    assert np.allclose(state.full_transport, np.eye(2))
 
 
 def test_transport_commuting_closed_form():
-    """All connection coefficients multiples of one skew matrix."""
+    """All connection coefficients multiples of one skew matrix; W = 0, so
+    the dressed transport G is the bare transport."""
     rng = np.random.default_rng(4)
     s = skew(rng, 2)
     kappa = (0.7, -0.3)
@@ -330,7 +329,7 @@ def test_transport_commuting_closed_form():
     worst = 0.0
     for i in range(256):
         expect = scipy.linalg.expm(sum(k * lifts[i, j] * s for j, k in enumerate(kappa)))
-        worst = max(worst, np.abs(state.transport_inv[i] - expect).max())
+        worst = max(worst, np.abs(state.full_transport[i] - expect).max())
     assert worst < 1e-8  # commuting exponentials compose exactly
 
 
@@ -339,7 +338,7 @@ def test_transport_unitarity_drift():
     model = TorusModel(2, 2, (skew(rng0, 2), skew(rng0, 2)))
     rng = _chunk_rng(13, 0)
     state = simulate_functionals(model, np.zeros(2), np.ones(2), 1.0, 4096, rng, 64)
-    v = state.transport_inv
+    v = state.full_transport  # W = 0: G is the bare transport
     defect = np.abs(v @ np.conj(np.swapaxes(v, 1, 2)) - np.eye(2)).max()
     assert defect < 1e-8
 
@@ -349,7 +348,8 @@ def test_w_functional_scalar_exact():
     model = TorusModel(1, 2, potential=w * np.eye(2))
     rng = _chunk_rng(14, 0)
     state = simulate_functionals(model, np.zeros(1), np.zeros(1), 0.7, 32, rng, 16)
-    assert np.allclose(state.multiplicative, np.exp(-w * 0.7) * np.eye(2), atol=1e-12)
+    # A = 0: G is the multiplicative functional of W
+    assert np.allclose(state.full_transport, np.exp(-w * 0.7) * np.eye(2), atol=1e-12)
 
 
 def test_psi_deterministic_zeroth_order():
@@ -466,8 +466,7 @@ def test_generic_plane_code_reproduces_the_2x2_fast_path():
         simulate_functionals(m, x, y, t, 32, _chunk_rng(18, 0), 64, orders=(1, 2))
         for m in (model2, model3)
     )
-    for name in ("transport_inv", "multiplicative", "full_transport"):
-        assert np.abs(getattr(s2, name) - getattr(s3, name)[:, :2, :2]).max() < 1e-12
+    assert np.abs(s2.full_transport - s3.full_transport[:, :2, :2]).max() < 1e-12
     for order in (1, 2):
         assert np.abs(s2.iterated[order] - s3.iterated[order][:, :2, :2]).max() < 1e-12
     assert np.abs(s3.full_transport[:, 2, 2] - np.exp(-0.7 * t)).max() < 1e-12
@@ -476,7 +475,7 @@ def test_generic_plane_code_reproduces_the_2x2_fast_path():
 def test_engine_matches_a_per_step_expm_reference_stepper():
     """tr A_j != 0, a non-commuting potential and two perturbations: stepping
     every path with scipy's expm of the full generators, on the same bridge
-    draws, reproduces every FunctionalState field."""
+    draws, reproduces G, I_1 and I_2."""
     rng0 = np.random.default_rng(21)
     a = (0.6 * skew(rng0, 2) + 0.5j * np.eye(2), 0.6 * skew(rng0, 2) - 0.3j * np.eye(2))
     w = herm(rng0, 2, shift=2.2)
@@ -492,8 +491,8 @@ def test_engine_matches_a_per_step_expm_reference_stepper():
     z = (y + TWO_PI * sample_winding(rng, 2, x, y, t, paths)).T
     h = t / steps
     e_w = scipy.linalg.expm(-h * w)
-    v, wf, g = (np.repeat(np.eye(2, dtype=complex)[None], paths, axis=0) for _ in range(3))
-    i1, i2 = np.zeros_like(v), np.zeros_like(v)
+    g = np.repeat(np.eye(2, dtype=complex)[None], paths, axis=0)
+    i1, i2 = np.zeros_like(g), np.zeros_like(g)
     for _, db in _bridge_steps(rng, x, z, t, steps):
         for p in range(paths):
             g_inv = np.linalg.inv(g[p])
@@ -505,12 +504,8 @@ def test_engine_matches_a_per_step_expm_reference_stepper():
             i2[p] += i1[p] @ dpsi2
             i1[p] += dpsi1
             m = scipy.linalg.expm(sum(aj * db[j, p] for j, aj in enumerate(a)))
-            wf[p] = wf[p] @ scipy.linalg.expm(-h * v[p] @ w @ np.linalg.inv(v[p]))
-            v[p] = v[p] @ m
             g[p] = g[p] @ e_w @ m
     for got, expect in (
-        (state.transport_inv, v),
-        (state.multiplicative, wf),
         (state.full_transport, g),
         (state.iterated[1], i1),
         (state.iterated[2], i2),
@@ -522,7 +517,29 @@ def test_simulate_reproducible_streams():
     model = TorusModel(1, 2, (skew(np.random.default_rng(0), 2),))
     a = simulate_functionals(model, np.zeros(1), np.ones(1), 0.5, 64, _chunk_rng(1, 0), 32)
     b = simulate_functionals(model, np.zeros(1), np.ones(1), 0.5, 64, _chunk_rng(1, 0), 32)
-    assert np.array_equal(a.transport_inv, b.transport_inv)
+    assert np.array_equal(a.full_transport, b.full_transport)
+
+
+@pytest.mark.parametrize("n, per_step", [(0, 2), (1, 6)])
+def test_step_loop_plane_products(monkeypatch, n, per_step):
+    """On the criterion-9 model (A and W both non-zero) a step makes two
+    plane products for G, two for G^-1 once a perturbation is kept, and
+    two for the dressed increment dPsi_1; nothing else is multiplied."""
+    model = acceptance_fk_model()
+    if n == 0:
+        model = model.with_perturbations(())
+    calls = []
+    inner = engine._plane_mul
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_plane_mul", counted)
+    steps = 16
+    simulate_functionals(model, np.array([0.4, 2.1]), np.array([1.3, 5.6]), 0.5, steps,
+                         _chunk_rng(0, 0), 8)
+    assert len(calls) == per_step * steps
 
 
 # --- Feynman-Kac ---------------------------------------------------------------
