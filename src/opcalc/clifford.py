@@ -14,7 +14,9 @@ holds on the canonical instance; the calibrated sign is then frozen.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 
 import numpy as np
 
@@ -209,10 +211,6 @@ def patodi_top_identity(rep: SpinorRep, factors):
     return lhs, rhs, abs(lhs - rhs)
 
 
-# coefficients of x / sinh(x) = 1 + sum_k _X_OVER_SINH[k] x^(2k)
-_X_OVER_SINH = {1: -1.0 / 6.0, 2: 7.0 / 360.0, 3: -31.0 / 15120.0}
-
-
 class FormMatrix:
     """Small matrix with multivector entries, for curvature power series."""
 
@@ -286,7 +284,7 @@ def a_hat_series(omega, d: int) -> MultiVector:
     power = FormMatrix.identity(size, d)
     for k in range(1, d // 4 + 2):
         power = power @ half_sq
-        y = y + power.scale(_X_OVER_SINH.get(k, _x_over_sinh_coeff(k)))
+        y = y + power.scale(_x_over_sinh_coeff(k))
 
     # log(I + Y) = Y - Y^2/2 + Y^3/3 - ...
     log_x = y
@@ -313,12 +311,17 @@ def _as_form(e, d: int) -> MultiVector:
     raise TypeError("curvature entries must be MultiVector instances or 0")
 
 
+@lru_cache(maxsize=None)
 def _x_over_sinh_coeff(k: int) -> float:
-    """Taylor coefficient of x/sinh(x) at x^(2k), beyond the cached table."""
-    from scipy.special import bernoulli
-
+    """Taylor coefficient of x/sinh(x) at x^(2k), k >= 0, correctly rounded."""
     # x/sinh x = sum_m (2 - 4^m) B_{2m} x^{2m} / (2m)!
-    b = bernoulli(2 * k)[2 * k]
-    from math import factorial
+    return float((2 - 4**k) * _bernoulli(2 * k) / factorial(2 * k))
 
-    return float((2.0 - 4.0**k) * b / factorial(2 * k))
+
+@lru_cache(maxsize=None)
+def _bernoulli(m: int) -> Fraction:
+    """Bernoulli number B_m exactly (B_1 = -1/2), from
+    sum_{j=0}^{m} C(m+1, j) B_j = 0."""
+    if m == 0:
+        return Fraction(1)
+    return -sum(comb(m + 1, j) * _bernoulli(j) for j in range(m)) / (m + 1)

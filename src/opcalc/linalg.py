@@ -5,12 +5,15 @@ wire format for them lives in :mod:`opcalc.jsonio`.  Hermitian operators are
 wrapped together with their eigendecomposition so spectral calculus
 (semigroups, fractional powers) is a cheap reuse of one ``eigh``.
 
-The general matrix exponential is delegated to SciPy's scaling-and-squaring
-Pade implementation; every contract on top of it (norm guard, Hermitian
-agreement, semigroup property) is tested in this package.  A reducible
-matrix is exponentiated one weakly connected component of its nonzero
-pattern at a time, the exact direct-sum identity, so the Fermionic lift
-costs its decoupled chains rather than its full dimension.
+The general matrix exponential is a numpy scaling-and-squaring Pade kernel
+(Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)): each matrix's degree and
+scaling come from its own 1-norm, so its result does not depend on the
+stack it arrives in.  Every contract on top of it (norm guard, Hermitian
+agreement, semigroup property, agreement with SciPy's ``expm``) is tested in
+this package.  A reducible matrix is exponentiated one weakly connected
+component of its nonzero pattern at a time, the exact direct-sum identity,
+so the Fermionic lift costs its decoupled chains rather than its full
+dimension.
 """
 
 from __future__ import annotations
@@ -18,12 +21,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.csgraph import connected_components
 
 HERM_CONSTRUCTION_RTOL = 1e-12
 EXPM_NORM_LIMIT = 1e4
 DIMENSION_BUDGET = 4096
+
+# Higham (2005), Table 2.3: the [m/m] Pade approximant of degree m meets
+# double-precision backward error for ||A||_1 <= theta_m.  _PADE_COEFFS[m]
+# are its numerator coefficients b_0..b_m; the denominator is p_m(-A).
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+               13: 5.371920351148152e0}
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
 
 
 def _as_square(m: np.ndarray, *, stack: bool = False) -> np.ndarray:
@@ -48,19 +67,86 @@ def expm(m: np.ndarray) -> np.ndarray:
     components is a permuted direct sum, so its exponential is the direct
     sum of the exponentials of the components' principal submatrices; each
     is computed separately and every entry outside them is exactly 0.  A
-    single-component matrix and every stack go to SciPy whole.
+    single-component matrix and every stack go to the Pade kernel whole.
     """
     m = _as_square(m, stack=True)
     _check_norm(m)
-    if m.ndim == 2:
-        count, labels = connected_components(m != 0, connection="weak")
-        if count > 1:
-            out = np.zeros_like(m)
-            for idx in (np.flatnonzero(labels == k) for k in range(count)):
-                block = np.ix_(idx, idx)
-                out[block] = scipy.linalg.expm(m[block])
-            return out
-    return scipy.linalg.expm(m)
+    if m.ndim == 3:
+        return _pade_expm(m)
+    components = _weak_components(m)
+    if len(components) == 1:
+        return _pade_expm(m[None])[0]
+    out = np.zeros_like(m)
+    for idx in components:
+        block = np.ix_(idx, idx)
+        out[block] = _pade_expm(m[block][None])[0]
+    return out
+
+
+def _pade_expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of an (N, s, s) stack (Higham 2005, Algorithm 2.3).
+
+    Matrix k takes the lowest degree m with ||A_k||_1 <= theta_m, else
+    m = 13 after scaling by 2^-s_k into ||.||_1 <= theta_13.  Matrices that
+    share (m, s) run together: their numerator U and denominator V, one
+    batched solve (V - U) R = V + U and s squarings.  Every step acts on each
+    matrix alone, so a matrix gives the same result alone as in any stack.
+    """
+    norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    degree = np.full(norms.shape, 13)
+    for m in (9, 7, 5, 3):
+        degree[norms <= _PADE_THETA[m]] = m
+    scale = np.zeros(norms.shape, dtype=int)
+    big = degree == 13
+    scale[big] = np.maximum(0, np.ceil(np.log2(norms[big] / _PADE_THETA[13])))
+    out = np.empty_like(a)
+    for m, s in sorted(set(zip(degree.tolist(), scale.tolist()))):
+        idx = np.flatnonzero((degree == m) & (scale == s))
+        out[idx] = _pade_group(a[idx] * 2.0**-s, m, s)
+    return out
+
+
+def _pade_group(a: np.ndarray, m: int, s: int) -> np.ndarray:
+    """The degree-m approximant of a stack, squared s times."""
+    b = _PADE_COEFFS[m]
+    ident = np.eye(a.shape[-1], dtype=a.dtype)
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    else:
+        powers = [ident, a2]  # A^0, A^2, ..., A^(m-1)
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
+        v = sum(b[2 * j] * p for j, p in enumerate(powers))
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _weak_components(m: np.ndarray) -> list:
+    """Index arrays of the weakly connected components of the nonzero
+    pattern of a square matrix, each ascending, by smallest index."""
+    adj = m != 0
+    adj = adj | adj.T
+    unseen = np.ones(len(m), dtype=bool)
+    components = []
+    while unseen.any():
+        reach = np.zeros(len(m), dtype=bool)
+        frontier = reach.copy()
+        frontier[np.argmax(unseen)] = True
+        while frontier.any():  # breadth-first: add the neighbours of the frontier
+            reach |= frontier
+            frontier = adj[frontier].any(axis=0) & ~reach
+        unseen &= ~reach
+        components.append(np.flatnonzero(reach))
+    return components
 
 
 def _check_norm(m: np.ndarray) -> None:

@@ -36,10 +36,9 @@ Conventions fixed here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, lgamma
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import linalg
 from .grassmann import theta_hat_matrix
@@ -310,7 +309,7 @@ def simplex_constant(exponents) -> float:
     n = len(exps)
     if n == 0:
         return 1.0
-    log_val = sum(gammaln(1.0 - a) for a in exps) - gammaln(n + 1.0 - sum(exps))
+    log_val = sum(lgamma(1.0 - a) for a in exps) - lgamma(n + 1.0 - sum(exps))
     return float(np.exp(log_val))
 
 
@@ -329,9 +328,12 @@ def simplex_constant_mc(
     n = len(exps)
     if n == 0:
         return 1.0, 0.0
+    # the path engine's moment merge; imported here because its package
+    # imports this module
+    from .stochastic_mc.engine import _chunk_moments, _merge_moments
+
     rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
+    parts = []
     chunk = 1 << 17
     done = 0
     exps_padded = np.concatenate([[0.0], exps])  # spacing s_1 carries no factor
@@ -349,11 +351,10 @@ def simplex_constant_mc(
             f /= n + 1
         else:
             f = np.prod(gaps ** (-exps_padded), axis=1)
-        total += float(np.sum(f))
-        total_sq += float(np.sum(f * f))
+        parts.append(_chunk_moments(f))
         done += m
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
+    _, mean, m2 = _merge_moments(parts)
+    var = m2 / samples
     scale = 1.0 / factorial(n)
     return mean * scale, np.sqrt(var / samples) * scale
 

@@ -57,8 +57,8 @@ from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
-import scipy.linalg
 
+from .. import linalg
 from .bridge import _bridge_steps, sample_winding
 from .model import TWO_PI, TorusModel, heat_kernel
 
@@ -285,8 +285,8 @@ def simulate_functionals(
     hv = [h * spec.zeroth_order[..., None] if np.any(spec.zeroth_order) else None
           for spec in specs]
     if has_potential:
-        e_w_minus = scipy.linalg.expm(-h * model.potential)[..., None]
-        e_w_plus = scipy.linalg.expm(h * model.potential)[..., None]
+        e_w_minus = linalg.expm(-h * model.potential)[..., None]
+        e_w_plus = linalg.expm(h * model.potential)[..., None]
 
     shape = (r, r, n_paths)
     g = np.zeros(shape, dtype=complex)

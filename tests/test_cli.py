@@ -245,13 +245,38 @@ def test_command_line_counts_override_the_config(tmp_path, command):
     assert (diagnostics["paths"], diagnostics["steps"]) == (40, 3)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """scipy.stats costs ~0.2 s to import; only the bridge chi-squared check
-    needs it, so starting the CLI must not load it."""
+def test_cli_runs_leave_scipy_unloaded(family_config, tmp_path):
+    """The program imports no SciPy submodule: importing the CLI and running
+    phi, fk (with a potential) and localize (with its Monte Carlo
+    cross-check) in one process leaves scipy.linalg, scipy.sparse,
+    scipy.special and scipy.stats unloaded.  Only the bridge chi-squared
+    check imports scipy.stats, when it runs."""
+    fk = tmp_path / "fk.json"
+    fk.write_text(json.dumps({
+        "d": 1, "r": 1, "W": matrix_to_json(np.array([[0.4]], dtype=complex)),
+        "t": 0.5, "x": [0.3], "y": [1.0], "paths": 200, "steps": 8, "K": 12,
+    }))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"d": 2, "chain": [
+        {"prime": [{"indices": [1], "re": 1.0}]},
+        {"doubleprime": [{"indices": [2], "re": 1.0}]},
+    ]}))
+    runs = [
+        ["phi", "--config", family_config, "--method", "all", "--t", "0.5"],
+        ["fk", "--config", str(fk)],
+        ["localize", "--config", str(chain), "--t-grid", "0.8", "--paths", "64", "--steps", "8"],
+    ]
+    code = (
+        "import sys, opcalc.cli\n"
+        f"codes = [opcalc.cli.main(argv + ['--out', {str(tmp_path / 'r.json')!r}]) for argv in {runs!r}]\n"
+        "mods = ('scipy.linalg', 'scipy.sparse', 'scipy.special', 'scipy.stats')\n"
+        "sys.exit(repr((codes, [m for m in mods if m in sys.modules])))\n"
+    )
     src = str(Path(opcalc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, opcalc.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=300,
+                          capture_output=True, text=True)
+    assert proc.stderr.strip().splitlines()[-1] == repr(([0, 0, 0], []))
 
 
 def test_levy_area_subcommand(tmp_path):

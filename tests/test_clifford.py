@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -201,3 +204,21 @@ def test_a_hat_rejects_bad_input():
     omega[0][1] = MultiVector(4, {0b0011: 1.0})  # not antisymmetric
     with pytest.raises(ValueError):
         clifford.a_hat_series(omega, d)
+
+
+def test_x_over_sinh_coefficients_from_exact_bernoulli_numbers():
+    """B_2k are exact Fractions; SciPy's float Bernoulli numbers agree to
+    their own accuracy (~2e-12 relative at k <= 30)."""
+    from scipy.special import bernoulli
+
+    assert [clifford._bernoulli(m) for m in (0, 1, 2, 4, 12)] == [
+        1, Fraction(-1, 2), Fraction(1, 6), Fraction(-1, 30), Fraction(-691, 2730)
+    ]
+    assert [clifford._x_over_sinh_coeff(k) for k in range(4)] == [
+        1.0, -1.0 / 6.0, 7.0 / 360.0, -31.0 / 15120.0
+    ]
+    ref = bernoulli(60)
+    for k in range(31):
+        assert float(clifford._bernoulli(2 * k)) == pytest.approx(ref[2 * k], rel=1e-11, abs=0)
+        want = (2.0 - 4.0**k) * ref[2 * k] / factorial(2 * k)
+        assert clifford._x_over_sinh_coeff(k) == pytest.approx(want, rel=1e-11, abs=0)

@@ -65,14 +65,41 @@ def test_expm_splits_a_permuted_direct_sum_into_its_blocks():
     assert np.all(got[~inside] == 0)
 
 
-def test_expm_irreducible_matrices_and_stacks_are_scipy_bitwise():
+def test_expm_irreducible_matrices_and_stacks_go_to_the_kernel_whole():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     m[2, :] = 0.0  # a zero row still connects through its column: one component
-    assert np.array_equal(linalg.expm(m), scipy.linalg.expm(m))
+    assert np.array_equal(linalg.expm(m), linalg._pade_expm(m[None])[0])
     stack = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
     stack[:, 0, 1:] = stack[:, 1:, 0] = 0.0  # reducible matrices stay whole in a stack
-    assert np.array_equal(linalg.expm(stack), scipy.linalg.expm(stack))
+    assert np.array_equal(linalg.expm(stack), linalg._pade_expm(stack))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 17, 32, 64, 128])
+def test_expm_matches_scipy(dim):
+    """SciPy's expm (Al-Mohy & Higham 2009) as an independent reference, at
+    1-norms that select every Pade degree and up to six squarings."""
+    rng = np.random.default_rng(100 + dim)
+    for norm in (1e-4, 1e-2, 0.2, 0.9, 2.0, 5.0, 20.0, 50.0):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m *= norm / np.abs(m).sum(axis=0).max()
+        want = scipy.linalg.expm(m)
+        assert np.linalg.norm(linalg.expm(m) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_expm_of_a_matrix_is_the_same_alone_and_in_a_stack():
+    """Degree and scaling come from each matrix's own 1-norm: a stack that
+    mixes all five degrees and several scalings gives every matrix bitwise
+    its result alone."""
+    rng = np.random.default_rng(12)
+    norms = (0.0, 1e-3, 0.1, 0.5, 1.5, 4.0, 11.0, 40.0, 0.1)
+    stack = rng.standard_normal((9, 6, 6)) + 1j * rng.standard_normal((9, 6, 6))
+    stack *= (np.array(norms) / np.abs(stack).sum(axis=-2).max(axis=-1))[:, None, None]
+    got = linalg.expm(stack)
+    for m, e in zip(stack, got):
+        assert np.array_equal(e, linalg.expm(m))
+    assert np.array_equal(got[0], np.eye(6))
+    assert np.array_equal(linalg.expm(stack[::-1]), got[::-1])
 
 
 def test_expm_norm_guard_decisions():

@@ -59,13 +59,13 @@ def test_lift_exponential_runs_one_chain_at_a_time(monkeypatch, n, dim):
     lift is a direct sum of n 2^(n-1) chains of at most n+1 blocks, and
     ``linalg.expm`` exponentiates each chain on its own."""
     sizes = []
-    scipy_expm = linalg.scipy.linalg.expm
+    pade_expm = linalg._pade_expm
 
     def counting_expm(m):
         sizes.append(m.shape[-1])
-        return scipy_expm(m)
+        return pade_expm(m)
 
-    monkeypatch.setattr(linalg.scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(linalg, "_pade_expm", counting_expm)
     fam = random_family(np.random.default_rng(20 + n), dim, n)
     got = phi_core.phi_fermionic(fam, 0.7).value
     assert len(sizes) == n * (1 << (n - 1))
@@ -360,6 +360,16 @@ def test_simplex_constant_against_mc_oracle():
         closed = phi_core.simplex_constant(exps)
         mc, se = phi_core.simplex_constant_mc(exps, samples=400000, seed=11)
         assert abs(mc - closed) <= 3.0 * se
+
+
+def test_simplex_constant_mc_stderr_from_centred_moments():
+    """Near a = 0 every sample is 1 + a L with L fixed by the seed, so the
+    stderr is linear in a.  At a = 1e-9 the variance (~1e-18) is below the
+    rounding of E[x^2] - mean^2 (~1e-16); the merged centred moments of the
+    three chunks (two full, one partial) still resolve it."""
+    se = {a: phi_core.simplex_constant_mc((a, a), samples=300000, seed=5)[1]
+          for a in (1e-6, 1e-9)}
+    assert se[1e-9] / se[1e-6] == pytest.approx(1e-3, rel=1e-4)
 
 
 # --- bounds and checks ------------------------------------------------------
