@@ -20,6 +20,7 @@ import numpy as np
 from . import clifford, jlo, linalg, phi_core
 from .grassmann import MultiVector
 from .jlo import DGAElement
+from .jsonio import _json_default
 from .stochastic_mc import (
     PerturbationSpec,
     TorusModel,
@@ -557,8 +558,9 @@ def _reproducibility_payload(seed: int, workers: int) -> dict:
 
 
 def digest_of(payload: dict) -> str:
+    """SHA-256 of the canonical JSON of ``payload``, encoded as reports are."""
     return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
+        json.dumps(payload, sort_keys=True, default=_json_default).encode()
     ).hexdigest()
 
 

@@ -43,50 +43,6 @@ def _args_echo(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("func",)}
 
 
-def _report(command: str, config_echo, results: dict, verdicts: dict, started: float):
-    import scipy
-
-    digest_payload = {"results": _digestable(results), "verdicts": _digestable(verdicts)}
-    return {
-        "command": command,
-        "config": config_echo,
-        "results": results,
-        "verdicts": verdicts,
-        "timings": {"elapsed_s": time.time() - started},
-        "versions": {
-            "opcalc": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-        "results_digest": acceptance.digest_of(digest_payload),
-    }
-
-
-def _digestable(obj):
-    if isinstance(obj, dict):
-        return {k: _digestable(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_digestable(v) for v in obj]
-    if isinstance(obj, complex):
-        return repr(obj)
-    if isinstance(obj, float):
-        return repr(obj)
-    if isinstance(obj, np.ndarray):
-        return [repr(v) for v in obj.ravel()]
-    if isinstance(obj, (np.integer, np.floating, np.complexfloating, np.bool_)):
-        return repr(obj)
-    return obj
-
-
-def _emit(report, out, verdicts) -> int:
-    text = dump_json(report, out)
-    if out:
-        print(f"report written to {out}")
-    else:
-        print(text)
-    return EXIT_PASS if all(verdicts.values()) else EXIT_NUMERIC
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -115,16 +71,27 @@ def _count(value, cfg: dict, key: str, default: int, flag: str, minimum: int = 1
     return value
 
 
+def _time(value, cfg: dict):
+    """The positive time t: the command-line ``value`` if given, else the
+    config's ``t``, else 0.5."""
+    where = "--t"
+    if value is None:
+        value, where = cfg.get("t", 0.5), "config.t"
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        raise ConfigError(where, f"t must be positive, got {value!r}")
+    return value
+
+
 # --- subcommand handlers ----------------------------------------------------
+#
+# Each handler returns (config echo, results, verdicts); selftest also returns
+# its per-criterion seconds.  ``main`` times the call and writes the report.
 
 
-def cmd_phi(args) -> int:
-    started = time.time()
+def cmd_phi(args):
     cfg = load_config(args.config)
     fam = family_from_json(cfg)
-    t = args.t if args.t is not None else cfg.get("t", 0.5)
-    if t <= 0:
-        raise ConfigError("--t", "t must be positive")
+    t = _time(args.t, cfg)
     methods = (
         ("fermionic", "quadrature", "ode") if args.method == "all" else (args.method,)
     )
@@ -149,12 +116,10 @@ def cmd_phi(args) -> int:
         devs = acceptance.pairwise_relative_deviation(vals)
         results["pairwise_relative_deviation"] = devs
         verdicts["cross_method_1e-6"] = max(devs.values()) <= 1e-6
-    report = _report("phi", cfg, results, verdicts, started)
-    return _emit(report, args.out, verdicts)
+    return cfg, results, verdicts
 
 
-def cmd_jlo(args) -> int:
-    started = time.time()
+def cmd_jlo(args):
     cfg = load_config(args.config)
     _, chain = chain_from_json(cfg)
     t_grid = _parse_t_grid(args.t_grid)
@@ -178,36 +143,33 @@ def cmd_jlo(args) -> int:
             ["t", "value_re", "value_im"],
             [(t, v.real, v.imag) for t, v, _ in res.sweep],
         )
-    report = _report("jlo", cfg, results, verdicts, started)
-    return _emit(report, args.out, verdicts)
+    return cfg, results, verdicts
 
 
-def cmd_patodi(args) -> int:
-    started = time.time()
+def cmd_patodi(args):
     if args.d % 2 or args.d < 2:
         raise ConfigError("--d", "d must be a positive even integer")
-    words = _count(args.words, {}, "words", 50, "--words")
+    args.words = _count(args.words, {}, "words", 50, "--words")
+    args.seed = _count(args.seed, {}, "seed", 0, "--seed", minimum=0)
     rep = clifford.build_spinor_rep(args.d)
     worst_vanish, worst_top = acceptance.patodi_residuals(
-        rep, np.random.default_rng(args.seed), words
+        rep, np.random.default_rng(args.seed), args.words
     )
     results = {
         "d": args.d,
         "chirality_sign": rep.sigma,
         "worst_vanishing": worst_vanish,
         "worst_top_residual": worst_top,
-        "words": words,
+        "words": args.words,
     }
     verdicts = {
         "vanishing_1e-10": worst_vanish <= 1e-10,
         "top_identity_1e-10": worst_top <= 1e-10,
     }
-    report = _report("patodi", _args_echo(args), results, verdicts, started)
-    return _emit(report, args.out, verdicts)
+    return _args_echo(args), results, verdicts
 
 
-def cmd_ahat(args) -> int:
-    started = time.time()
+def cmd_ahat(args):
     cfg = load_config(args.config)
     d, omega = curvature_from_json(cfg)
     series = clifford.a_hat_series(omega, d)
@@ -220,20 +182,18 @@ def cmd_ahat(args) -> int:
         "top": series.coefficient((1 << d) - 1),
     }
     verdicts = {"degree0_is_one": series.coefficient(0) == 1.0}
-    report = _report("ahat", cfg, results, verdicts, started)
-    return _emit(report, args.out, verdicts)
+    return cfg, results, verdicts
 
 
-def cmd_fk(args) -> int:
-    started = time.time()
+def cmd_fk(args):
     cfg = load_config(args.config)
     model = torus_model_from_json(cfg)
-    t = args.t if args.t is not None else cfg.get("t", 0.5)
+    t = _time(args.t, cfg)
     x = point_from_json(cfg.get("x", [0.0] * model.d), model.d, "config.x")
     y = point_from_json(cfg.get("y", [0.0] * model.d), model.d, "config.y")
     paths = _count(args.paths, cfg, "paths", 20000, "--paths")
     steps = _count(args.steps, cfg, "steps", 256, "--steps")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _count(args.seed, cfg, "seed", 0, "--seed", minimum=0)
     k = _count(args.truncation, cfg, "K", 14, "--truncation")
     workers = _count(args.workers, {}, "workers", 1, "--workers")
     oracle = spectral_phi_kernel(model, t, x, y, k)
@@ -252,19 +212,17 @@ def cmd_fk(args) -> int:
         "diagnostics": res.diagnostics,
     }
     verdicts = {"within_3_stderr": bool(np.all(z <= 3.0))}
-    report = _report("fk", cfg, results, verdicts, started)
-    return _emit(report, args.out, verdicts)
+    return cfg, results, verdicts
 
 
-def cmd_levy_area(args) -> int:
-    started = time.time()
+def cmd_levy_area(args):
     cfg = load_config(args.config)
     d, omega = curvature_from_json(cfg)
     if len(omega) != d:
         raise ConfigError("config.omega", f"levy-area needs a {d} x {d} matrix")
     paths = _count(args.paths, cfg, "paths", 10**5, "--paths")
     steps = _count(args.steps, cfg, "steps", 512, "--steps")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _count(args.seed, cfg, "seed", 0, "--seed", minimum=0)
     res = levy_area_estimate(omega, d, paths, steps, seed=seed)
     # the unit-weight area exponential follows the series at 2 Omega
     oracle = clifford.a_hat_series([[2.0 * e for e in row] for row in omega], d)
@@ -280,12 +238,10 @@ def cmd_levy_area(args) -> int:
         "diagnostics": res.diagnostics,
     }
     verdicts = {"within_tolerance": diff <= tol}
-    report = _report("levy-area", cfg, results, verdicts, started)
-    return _emit(report, args.out, verdicts)
+    return cfg, results, verdicts
 
 
-def cmd_localize(args) -> int:
-    started = time.time()
+def cmd_localize(args):
     cfg = load_config(args.config)
     d, chain = chain_from_json(cfg)
     t_grid = _parse_t_grid(args.t_grid)
@@ -296,7 +252,7 @@ def cmd_localize(args) -> int:
         truncation=_count(args.truncation, {}, "K", 14, "--truncation"),
         mc_paths=_count(args.paths, {}, "paths", 0, "--paths", minimum=0),
         mc_steps=_count(args.steps, {}, "steps", 256, "--steps"),
-        seed=args.seed,
+        seed=_count(args.seed, {}, "seed", 0, "--seed", minimum=0),
     )
     results = {
         "sweep": [{"t": t, "value": v} for t, v, _ in res.sweep],
@@ -314,59 +270,49 @@ def cmd_localize(args) -> int:
             ["t", "value_re", "value_im"],
             [(t, v.real, v.imag) for t, v, _ in res.sweep],
         )
-    report = _report("localize", cfg, results, verdicts, started)
-    return _emit(report, args.out, verdicts)
+    return cfg, results, verdicts
 
 
-def cmd_bridge_test(args) -> int:
-    started = time.time()
-    d = _count(args.d, {}, "d", 1, "--d")
-    samples = _count(args.samples, {}, "samples", 10**5, "--samples")
-    bins = _count(args.bins, {}, "bins", 40, "--bins", minimum=2)  # chi^2 has bins - 1 dof
+def cmd_bridge_test(args):
+    args.d = _count(args.d, {}, "d", 1, "--d")
+    args.samples = _count(args.samples, {}, "samples", 10**5, "--samples")
+    args.bins = _count(args.bins, {}, "bins", 40, "--bins", minimum=2)  # chi^2 has bins - 1 dof
+    args.seed = _count(args.seed, {}, "seed", 0, "--seed", minimum=0)
     if not args.t > 0:
         raise ConfigError("--t", "t must be positive")
     chi2, crit, endpoints_exact = acceptance.bridge_midpoint_chi2(
-        d, args.t, samples, bins, args.seed
+        args.d, args.t, args.samples, args.bins, args.seed
     )
     results = {
         "chi2": chi2,
         "critical_1pct": crit,
-        "bins": bins,
-        "samples": samples,
+        "bins": args.bins,
+        "samples": args.samples,
         "endpoints_exact": endpoints_exact,
     }
     verdicts = {"chi2_pass": chi2 <= crit, "endpoints_exact": endpoints_exact}
-    report = _report("bridge-test", _args_echo(args), results, verdicts, started)
-    return _emit(report, args.out, verdicts)
+    return _args_echo(args), results, verdicts
 
 
-def cmd_selftest(args) -> int:
-    started = time.time()
+def cmd_selftest(args):
     numbers = None
     if args.criteria:
         try:
             numbers = [int(v) for v in args.criteria.split(",")]
         except ValueError:
             raise ConfigError("--criteria", "expected comma-separated integers") from None
-    results = acceptance.run_criteria(numbers, seed=args.seed or 0)
+    seed = _count(args.seed, {}, "seed", 0, "--seed", minimum=0)
+    results = acceptance.run_criteria(numbers, seed=seed)
     for res in results:
         print(res.line())
     verdicts = {f"criterion_{r.number}": r.passed for r in results}
+    print(f"{sum(verdicts.values())}/{len(verdicts)} criteria passed")
     results_json = {
-        f"criterion_{r.number}": {
-            "title": r.title,
-            "passed": r.passed,
-            "details": _digestable(r.details),
-        }
+        f"criterion_{r.number}": {"title": r.title, "passed": r.passed, "details": r.details}
         for r in results
     }
-    report = _report("selftest", {"criteria": numbers or "all"}, results_json, verdicts, started)
-    report["timings"]["criteria_s"] = {
-        f"criterion_{r.number}": r.elapsed for r in results
-    }
-    code = _emit(report, args.out, verdicts)
-    print(f"{sum(v for v in verdicts.values())}/{len(verdicts)} criteria passed")
-    return code
+    criteria_s = {f"criterion_{r.number}": r.elapsed for r in results}
+    return {"criteria": numbers or "all"}, results_json, verdicts, criteria_s
 
 
 # --- argument parsing -------------------------------------------------------
@@ -385,12 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
 
     p = sub.add_parser("phi", help="evaluate the iterated integral three ways")
     common(p)
     p.add_argument("--method", choices=("quadrature", "fermionic", "ode", "all"), default="all")
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--t", type=float)
     p.add_argument("--nodes", type=int, default=32, help="quadrature nodes per dim")
     p.add_argument("--steps", type=int, default=4096, help="ode steps")
     p.set_defaults(func=cmd_phi)
@@ -398,14 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jlo", help="flat-model small-time cocycle study")
     common(p)
     p.add_argument("--t-grid", default="1.6,0.8", help="comma-separated times")
-    p.add_argument("--truncation", type=int, default=6)
+    p.add_argument("--truncation", type=int)
     p.add_argument("--csv", help="write the t-sweep CSV here")
     p.set_defaults(func=cmd_jlo)
 
     p = sub.add_parser("patodi", help="filtration and top supertrace checks")
     common(p, config=False)
+    p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--words", type=int, default=50)
+    p.add_argument("--words", type=int)
     p.set_defaults(func=cmd_patodi)
 
     p = sub.add_parser("ahat", help="curvature characteristic power series")
@@ -414,38 +360,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fk", help="path estimator vs spectral oracle")
     common(p)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=int, help="RNG seed")
+    p.add_argument("--t", type=float)
+    p.add_argument("--paths", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--truncation", type=int)
+    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_fk)
 
     p = sub.add_parser("levy-area", help="stochastic-area exponential vs series")
     common(p)
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--seed", type=int, help="RNG seed")
+    p.add_argument("--paths", type=int)
+    p.add_argument("--steps", type=int)
     p.set_defaults(func=cmd_levy_area)
 
     p = sub.add_parser("localize", help="flat-model localization check")
     common(p)
+    p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument("--t-grid", default="0.8,0.4")
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--paths", type=int, default=None, help="MC cross-check paths")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--truncation", type=int)
+    p.add_argument("--paths", type=int, help="MC cross-check paths")
+    p.add_argument("--steps", type=int)
     p.add_argument("--csv", help="write the t-sweep CSV here")
     p.set_defaults(func=cmd_localize)
 
     p = sub.add_parser("bridge-test", help="bridge cylinder-law chi-squared test")
     common(p, config=False)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--seed", type=int, help="RNG seed")
+    p.add_argument("--d", type=int)
     p.add_argument("--t", type=float, default=0.7)
-    p.add_argument("--samples", type=int, default=10**5)
-    p.add_argument("--bins", type=int, default=40)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--bins", type=int)
     p.set_defaults(func=cmd_bridge_test)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     common(p, config=False)
+    p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument("--criteria", help="comma-separated criterion numbers (default all)")
     p.set_defaults(func=cmd_selftest)
 
@@ -459,16 +410,33 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code) if exc.code else 0
-    if args.seed is None and hasattr(args, "seed"):
-        args.seed = 0
+    started = time.time()
     try:
-        return args.func(args)
+        config_echo, results, verdicts, *criteria_s = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    timings = {"elapsed_s": time.time() - started}
+    if criteria_s:
+        timings["criteria_s"] = criteria_s[0]
+    versions = {"opcalc": __version__, "numpy": np.__version__}
+    if "scipy" in sys.modules:  # of the program, only the chi-squared check imports it
+        versions["scipy"] = sys.modules["scipy"].__version__
+    report = {
+        "command": args.command,
+        "config": config_echo,
+        "results": results,
+        "verdicts": verdicts,
+        "timings": timings,
+        "versions": versions,
+        "results_digest": acceptance.digest_of({"results": results, "verdicts": verdicts}),
+    }
+    text = dump_json(report, args.out)
+    print(f"report written to {args.out}" if args.out else text)
+    return EXIT_PASS if all(verdicts.values()) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -196,25 +196,21 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
 
 
-class _ComplexEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, complex):
-            return {"re": o.real, "im": o.imag}
-        if isinstance(o, np.ndarray):
-            return matrix_to_json(o) if o.ndim == 2 else [self.default(v) if isinstance(v, (complex, np.ndarray)) else v for v in o.tolist()]
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, (np.complexfloating,)):
-            return {"re": float(o.real), "im": float(o.imag)}
-        if isinstance(o, (np.bool_,)):
-            return bool(o)
-        return super().default(o)
+def _json_default(o):
+    """``json.dumps`` hook for the values reports carry: complex numbers as
+    {"re", "im"}, 2-D arrays in the matrix schema, other arrays as lists and
+    numpy scalars as Python numbers."""
+    if isinstance(o, complex):
+        return {"re": o.real, "im": o.imag}
+    if isinstance(o, np.ndarray):
+        return matrix_to_json(o) if o.ndim == 2 else o.tolist()
+    if isinstance(o, np.generic):
+        return o.item()
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
 def dump_json(obj, path: str | None):
-    text = json.dumps(obj, indent=2, cls=_ComplexEncoder, sort_keys=True)
+    text = json.dumps(obj, indent=2, default=_json_default, sort_keys=True)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

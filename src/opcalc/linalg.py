@@ -164,7 +164,9 @@ def _check_norm(m: np.ndarray) -> None:
         # the margin covers rounding in the sums, so no matrix the exact
         # norm rejects passes the screen
         flagged = stack[screen > EXPM_NORM_LIMIT * (1.0 - 1e-10)]
-        norm = np.max(np.linalg.norm(flagged, 2, axis=(-2, -1)), initial=0.0)
+        if not len(flagged):
+            return
+        norm = np.max(np.linalg.norm(flagged, 2, axis=(-2, -1)))
     if norm > EXPM_NORM_LIMIT:
         raise ValueError(f"matrix norm {norm:.3e} exceeds expm limit {EXPM_NORM_LIMIT:.0e}")
 

@@ -27,7 +27,8 @@ G dPsi G^-1, and the increments telescope to z - x, so the loop steps with
 M'_k alone and G(t) is multiplied once, after the loop, by the per-path
 phase exp(sum_j a_j (z_j - x_j)).  For r = 2, M'_k is the Cayley-Hamilton
 form evaluated as polynomials in Delta^2 (``_expm_2x2``); r >= 3 uses the
-truncated series.
+per-matrix Pade kernel ``linalg._pade_expm``.  Either way a path's step
+does not depend on the other paths of the stack.
 
 The increment conjugation uses the full dressed functional G rather than
 the bare transport V (V_{k+1} = V_k M_k): expanding the enlarged-space
@@ -139,31 +140,14 @@ def _expm_2x2(m: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _expm_series(m: np.ndarray) -> np.ndarray:
-    """Truncated exponential series of a (P, r, r) stack with one batchwide
-    scaling exponent, which keeps the evaluation schedule-independent."""
-    norm = float(np.abs(m).sum(axis=-1).max()) if m.size else 0.0
-    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.25))))
-    a = m / (2.0**squarings)
-    eye = np.broadcast_to(np.eye(m.shape[-1], dtype=complex), m.shape)
-    out = eye + a
-    term = a
-    for k in range(2, 13):
-        term = (term @ a) / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 def _expm_planes(m: np.ndarray, out=None) -> np.ndarray:
     """Exponential of every path's matrix in a plane stack (r, r, P)."""
     if m.shape[0] == 2:
         return _expm_2x2(m, out)
-    series = np.moveaxis(_expm_series(np.ascontiguousarray(np.moveaxis(m, -1, 0))), 0, -1)
+    stack = np.moveaxis(linalg._pade_expm(np.ascontiguousarray(np.moveaxis(m, -1, 0))), 0, -1)
     if out is None:
-        return series
-    out[...] = series
+        return stack
+    out[...] = stack
     return out
 
 

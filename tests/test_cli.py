@@ -158,6 +158,7 @@ LEVY_COUNTS_CONFIG = {
     "steps": 8,
 }
 LOCALIZE_CHAIN_CONFIG = {"d": 2, "chain": [{"prime": [{"indices": [1, 2], "re": 1.0}]}]}
+PHI_FAMILY_CONFIG = {"H": matrix_to_json(np.diag([0.0, 1.3]).astype(complex))}
 
 
 @pytest.mark.parametrize(
@@ -190,6 +191,18 @@ LOCALIZE_CHAIN_CONFIG = {"d": 2, "chain": [{"prime": [{"indices": [1, 2], "re": 
         ("bridge-test", ["--d", "0"], {}, "--d"),
         ("bridge-test", ["--t", "-0.5"], {}, "--t"),
         ("bridge-test", ["--t", "0"], {}, "--t"),
+        ("fk", ["--seed", "-1"], {}, "--seed"),
+        ("fk", [], {"seed": -1}, "config.seed"),
+        ("levy-area", ["--seed", "-1"], {}, "--seed"),
+        ("levy-area", [], {"seed": -1}, "config.seed"),
+        ("localize", ["--seed", "-1"], {}, "--seed"),
+        ("bridge-test", ["--seed", "-1"], {}, "--seed"),
+        ("patodi", ["--seed", "-1"], {}, "--seed"),
+        ("selftest", ["--criteria", "2", "--seed", "-1"], {}, "--seed"),
+        ("fk", [], {"t": -1}, "config.t"),
+        ("fk", ["--t", "0"], {}, "--t"),
+        ("phi", [], {"t": -0.5}, "config.t"),
+        ("phi", ["--t", "-0.5"], {}, "--t"),
     ],
 )
 def test_non_positive_counts_exit_2_without_a_report(
@@ -200,9 +213,11 @@ def test_non_positive_counts_exit_2_without_a_report(
     localize, jlo, patodi and bridge-test read their counts from the command
     line only; localize's --paths may be 0 (no cross-check) and jlo's
     --truncation 0 (one mode), but neither may be negative.  bridge-test
-    needs at least 2 bins and a positive time."""
+    needs at least 2 bins and a positive time, fk a positive time.  A seed
+    may be 0 but not negative, on every command that takes one."""
     base = {"fk": FK_COUNTS_CONFIG, "levy-area": LEVY_COUNTS_CONFIG,
-            "localize": LOCALIZE_CHAIN_CONFIG, "jlo": LOCALIZE_CHAIN_CONFIG}.get(command)
+            "localize": LOCALIZE_CHAIN_CONFIG, "jlo": LOCALIZE_CHAIN_CONFIG,
+            "phi": PHI_FAMILY_CONFIG}.get(command)
     config = []
     if base is not None:
         path = tmp_path / "counts.json"
@@ -245,12 +260,62 @@ def test_command_line_counts_override_the_config(tmp_path, command):
     assert (diagnostics["paths"], diagnostics["steps"]) == (40, 3)
 
 
+@pytest.mark.parametrize("command", ["fk", "levy-area"])
+def test_config_seed_is_honoured(tmp_path, command):
+    """The seed is --seed if given, else the config's "seed", else 0."""
+    one_form = {"S": [matrix_to_json(np.array([[0.5]], dtype=complex))]}
+    base = ({**FK_COUNTS_CONFIG, "perturbations": [one_form]} if command == "fk"
+            else LEVY_COUNTS_CONFIG)
+
+    def results(cfg, *argv):
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "report.json"
+        assert run_cli([command, "--config", str(path), "--out", str(out), *argv]) in (0, 1)
+        return json.loads(out.read_text())["results"]
+
+    unseeded = results(base)
+    assert results({**base, "seed": 0}) == unseeded
+    assert results({**base, "seed": 7}) == results(base, "--seed", "7") != unseeded
+    assert results({**base, "seed": 7}, "--seed", "0") == unseeded
+
+
+@pytest.mark.parametrize("command", ["phi", "jlo", "ahat"])
+def test_unseeded_commands_reject_seed(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_text("{}")
+    assert run_cli([command, "--config", str(path), "--seed", "3"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_results_digest_is_recomputable_from_the_report(family_config, tmp_path):
+    """results_digest is the SHA-256 of the report's results and verdicts as
+    written, so a reader recomputes it from the file alone."""
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(LOCALIZE_CHAIN_CONFIG))
+    levy = tmp_path / "levy.json"
+    levy.write_text(json.dumps(LEVY_COUNTS_CONFIG))
+    runs = [
+        ["phi", "--config", family_config],
+        ["localize", "--config", str(chain), "--paths", "64", "--steps", "8"],
+        ["levy-area", "--config", str(levy)],
+        ["patodi", "--words", "5"],
+        ["selftest", "--criteria", "2"],
+    ]
+    for argv in runs:
+        out = tmp_path / "report.json"
+        assert run_cli(argv + ["--out", str(out)]) in (0, 1)
+        report = json.loads(out.read_text())
+        payload = {"results": report["results"], "verdicts": report["verdicts"]}
+        assert acceptance.digest_of(payload) == report["results_digest"], argv[0]
+
+
 def test_cli_runs_leave_scipy_unloaded(family_config, tmp_path):
-    """The program imports no SciPy submodule: importing the CLI and running
+    """The program imports no SciPy module: importing the CLI and running
     phi, fk (with a potential) and localize (with its Monte Carlo
-    cross-check) in one process leaves scipy.linalg, scipy.sparse,
-    scipy.special and scipy.stats unloaded.  Only the bridge chi-squared
-    check imports scipy.stats, when it runs."""
+    cross-check) in one process, reports included, leaves scipy and its
+    linalg, sparse, special and stats modules unloaded.  Only the bridge
+    chi-squared check imports scipy.stats, when it runs."""
     fk = tmp_path / "fk.json"
     fk.write_text(json.dumps({
         "d": 1, "r": 1, "W": matrix_to_json(np.array([[0.4]], dtype=complex)),
@@ -269,7 +334,7 @@ def test_cli_runs_leave_scipy_unloaded(family_config, tmp_path):
     code = (
         "import sys, opcalc.cli\n"
         f"codes = [opcalc.cli.main(argv + ['--out', {str(tmp_path / 'r.json')!r}]) for argv in {runs!r}]\n"
-        "mods = ('scipy.linalg', 'scipy.sparse', 'scipy.special', 'scipy.stats')\n"
+        "mods = ('scipy', 'scipy.linalg', 'scipy.sparse', 'scipy.special', 'scipy.stats')\n"
         "sys.exit(repr((codes, [m for m in mods if m in sys.modules])))\n"
     )
     src = str(Path(opcalc.__file__).resolve().parents[1])
@@ -447,6 +512,15 @@ def test_selftest_subset_and_determinism(tmp_path, capsys):
     rep1 = json.loads(out1.read_text())
     rep2 = json.loads(out2.read_text())
     assert rep1["results_digest"] == rep2["results_digest"]
+
+
+def test_selftest_details_are_numbers(tmp_path):
+    out = tmp_path / "self.json"
+    assert run_cli(["selftest", "--criteria", "2,3", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    for criterion in results.values():
+        for value in criterion["details"].values():
+            assert isinstance(value, (int, float)), value
 
 
 def test_unknown_criterion_is_usage_error():

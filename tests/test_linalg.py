@@ -123,6 +123,24 @@ def test_expm_norm_guard_decisions():
         linalg.expm(-450.0 * np.eye(600))
 
 
+def test_expm_norm_guard_takes_no_svd_when_the_screen_clears(monkeypatch):
+    """The exact 2-norm, an SVD, runs only on matrices the screen flags."""
+    calls = []
+    norm = np.linalg.norm
+
+    def counting(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    linalg.expm(np.array([[0.1, 1.0], [-1.0, 0.2]]))
+    assert calls == []
+    with np.errstate(over="ignore", invalid="ignore"):  # e^{9000} overflows
+        linalg.expm(4500.0 * scipy.linalg.hadamard(4))
+    assert calls == [(1, 4, 4)]
+
+
 def test_hermitian_validation():
     with pytest.raises(ValueError):
         linalg.hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -294,11 +294,22 @@ def test_expm_planes_agrees_with_scipy():
     import scipy.linalg
 
     rng = np.random.default_rng(3)
-    for r in (2, 3):
+    for r in (2, 3, 4):
         m = 0.3 * (rng.standard_normal((5, r, r)) + 1j * rng.standard_normal((5, r, r)))
         got = engine._expm_planes(np.moveaxis(m, 0, -1))
         for i in range(5):
             assert np.allclose(got[..., i], scipy.linalg.expm(m[i]), atol=1e-12)
+
+
+def test_expm_planes_r3_is_the_same_alone_and_in_a_stack():
+    """A path's r >= 3 step exponential does not depend on the other paths:
+    norms that select different Pade degrees and scalings share one stack."""
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+    m *= np.array([1e-3, 0.1, 0.5, 1.5, 4.0, 30.0])[:, None, None]
+    stacked = engine._expm_planes(np.moveaxis(m, 0, -1))
+    for i in range(6):
+        assert np.array_equal(stacked[..., i], engine._expm_planes(m[i][..., None])[..., 0])
 
 
 def test_transport_identity_without_connection():
