@@ -34,6 +34,7 @@ from .stochastic_mc import (
     small_time_limit,
     spectral_phi_kernel,
 )
+from .stochastic_mc.localize import _partition_models
 from .stochastic_mc.model import _oracle_z, _truncation_tail
 
 EXIT_PASS, EXIT_NUMERIC, EXIT_USAGE = 0, 1, 2
@@ -60,15 +61,27 @@ def _parse_t_grid(text: str):
     return vals
 
 
-def _count(value, cfg: dict, key: str, default: int, flag: str, minimum: int = 1) -> int:
-    """An integer count of at least ``minimum``: the command-line ``value``
-    if given, else the config's ``key``, else ``default``."""
+def _count(value, cfg: dict, key: str, default: int, flag: str, minimum: int = 1,
+           maximum: int | None = None) -> int:
+    """An integer count of at least ``minimum`` (and at most ``maximum``):
+    the command-line ``value`` if given, else the config's ``key``, else
+    ``default``."""
     where = flag
     if value is None:
         value, where = cfg.get(key, default), f"config.{key}"
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(where, f"need an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(where, f"need an integer <= {maximum}, got {value!r}")
     return value
+
+
+def _seed(value, cfg: dict, streams: int = 1) -> int:
+    """The seed: the command-line ``value`` if given, else the config's
+    ``seed``, else 0.  The path engine keys Philox streams with unsigned
+    64-bit words, and a command that keys ``streams`` of them uses seed, ...,
+    seed + streams - 1; every command takes seeds in the same range."""
+    return _count(value, cfg, "seed", 0, "--seed", minimum=0, maximum=2**64 - streams)
 
 
 def _time(value, cfg: dict):
@@ -150,7 +163,7 @@ def cmd_patodi(args):
     if args.d % 2 or args.d < 2:
         raise ConfigError("--d", "d must be a positive even integer")
     args.words = _count(args.words, {}, "words", 50, "--words")
-    args.seed = _count(args.seed, {}, "seed", 0, "--seed", minimum=0)
+    args.seed = _seed(args.seed, {})
     rep = clifford.build_spinor_rep(args.d)
     worst_vanish, worst_top = acceptance.patodi_residuals(
         rep, np.random.default_rng(args.seed), args.words
@@ -193,7 +206,7 @@ def cmd_fk(args):
     y = point_from_json(cfg.get("y", [0.0] * model.d), model.d, "config.y")
     paths = _count(args.paths, cfg, "paths", 20000, "--paths")
     steps = _count(args.steps, cfg, "steps", 256, "--steps")
-    seed = _count(args.seed, cfg, "seed", 0, "--seed", minimum=0)
+    seed = _seed(args.seed, cfg)
     k = _count(args.truncation, cfg, "K", 14, "--truncation")
     workers = _count(args.workers, {}, "workers", 1, "--workers")
     oracle = spectral_phi_kernel(model, t, x, y, k)
@@ -222,7 +235,7 @@ def cmd_levy_area(args):
         raise ConfigError("config.omega", f"levy-area needs a {d} x {d} matrix")
     paths = _count(args.paths, cfg, "paths", 10**5, "--paths")
     steps = _count(args.steps, cfg, "steps", 512, "--steps")
-    seed = _count(args.seed, cfg, "seed", 0, "--seed", minimum=0)
+    seed = _seed(args.seed, cfg)
     res = levy_area_estimate(omega, d, paths, steps, seed=seed)
     # the unit-weight area exponential follows the series at 2 Omega
     oracle = clifford.a_hat_series([[2.0 * e for e in row] for row in omega], d)
@@ -246,13 +259,16 @@ def cmd_localize(args):
     d, chain = chain_from_json(cfg)
     t_grid = _parse_t_grid(args.t_grid)
     # command-line counts only: the empty config adds no config keys
+    paths = _count(args.paths, {}, "paths", 0, "--paths", minimum=0)
+    # the Monte Carlo check keys surviving partition i with seed + i
+    streams = len(_partition_models(chain)) if paths else 1
     res = localization_check(
         chain,
         t_sequence=t_grid,
         truncation=_count(args.truncation, {}, "K", 14, "--truncation"),
-        mc_paths=_count(args.paths, {}, "paths", 0, "--paths", minimum=0),
+        mc_paths=paths,
         mc_steps=_count(args.steps, {}, "steps", 256, "--steps"),
-        seed=_count(args.seed, {}, "seed", 0, "--seed", minimum=0),
+        seed=_seed(args.seed, {}, streams),
     )
     results = {
         "sweep": [{"t": t, "value": v} for t, v, _ in res.sweep],
@@ -277,7 +293,7 @@ def cmd_bridge_test(args):
     args.d = _count(args.d, {}, "d", 1, "--d")
     args.samples = _count(args.samples, {}, "samples", 10**5, "--samples")
     args.bins = _count(args.bins, {}, "bins", 40, "--bins", minimum=2)  # chi^2 has bins - 1 dof
-    args.seed = _count(args.seed, {}, "seed", 0, "--seed", minimum=0)
+    args.seed = _seed(args.seed, {})
     if not args.t > 0:
         raise ConfigError("--t", "t must be positive")
     chi2, crit, endpoints_exact = acceptance.bridge_midpoint_chi2(
@@ -301,7 +317,7 @@ def cmd_selftest(args):
             numbers = [int(v) for v in args.criteria.split(",")]
         except ValueError:
             raise ConfigError("--criteria", "expected comma-separated integers") from None
-    seed = _count(args.seed, {}, "seed", 0, "--seed", minimum=0)
+    seed = _seed(args.seed, {})
     results = acceptance.run_criteria(numbers, seed=seed)
     for res in results:
         print(res.line())

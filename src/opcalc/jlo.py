@@ -8,13 +8,16 @@ evaluates the functional
     F(t) = (t/2)^(-n/2 + sum_j deg(w_j')/2)
            * Str( sum_m (-2)^m sum_I c(w_0') Phi^{D^2/2}_t(P(w_{I_1}), ...) )
 
-exactly for the K-truncated flat-torus spin model, a batched mode sum with
-the supertrace over the whole torus: (2 pi)^d times ``opcalc localize`` up
-to truncation.  Only ``localize`` enforces the 1e-10 torus-tail guard.
+exactly for the K-truncated flat-torus spin model, with the supertrace over
+the whole torus: (2 pi)^d times ``opcalc localize`` up to truncation.  Only
+``localize`` enforces the 1e-10 torus-tail guard.  The flat model's mode
+Hamiltonians are scalar, |k|^2/2, so its kernels are the factorised moment
+sum of ``stochastic_mc.model``, not a per-mode ``phi_block`` sum.
 ``partition_blocks`` is the one assembly of the partition sum, for
 ``chern_eval`` and the flat-torus models alike; it drops every partition with
-a vanishing block.  Every Phi comes from ``phi_core.phi_block``, the one
-block-bidiagonal (Van Loan) route.  The t -> 0 limit is the localization target
+a vanishing block.  Every Phi of ``chern_eval`` comes from
+``phi_core.phi_block``, the one block-bidiagonal (Van Loan) route.  The
+t -> 0 limit is the localization target
     ((-1)^n 2^(2n) / (n! (2 pi sqrt(-1))^(d/2))) * vol * top(w_0'^w_1''^...^w_n'').
 Plain cocycle evaluation (chern_eval, unit coefficients at t = 1 with the
 rescaled module) is exposed separately; its small-t limit differs from the

@@ -11,9 +11,11 @@ with the kernels of the flat-torus spin model, extrapolates t -> 0, and
 compares against the localization target with unit characteristic class.
 The partition sum is ``jlo.partition_blocks``, the assembly ``chern_eval``
 uses, so partitions with a vanishing block are dropped; one spin-torus model
-per surviving partition is built once per call.  Each kernel is a mode sum
-with one ``phi_core.phi_block`` call (the Van Loan block-bidiagonal route)
-per stack of mode matrices.  The three entry points share one body: models,
+per surviving partition is built once per call.  The spin-torus models have
+no connection and no potential, so H_k = |k|^2/2 is scalar and each kernel
+is the factorised moment sum of ``model._truncated_kernel`` (a model with a
+connection or a non-scalar potential would take its per-mode
+``phi_core.phi_block`` sum).  The three entry points share one body: models,
 F(t) per time, Richardson, target.  ``localization_check`` (``opcalc
 localize``) uses the spectral oracle, which rejects truncations whose
 torus-tail estimate exceeds 1e-10, and optionally cross-checks the first

@@ -8,9 +8,13 @@ coefficients make every operator a Fourier multiplier, so the mode blocks
     H_k = (1/2) sum_m (i k_m I + A_m)^* (i k_m I + A_m) + W
     P_{j,k} = sum_m S_j^m (i k_m I + A_m) + V_j
 
-yield an exact spectral oracle for the semigroup integrals.  It evaluates
-a chunk of modes at once: the (N, r, r) stacks of H_k and P_{j,k} go to
-``phi_core.phi_block``, the one Van Loan block-bidiagonal route for
+yield an exact spectral oracle for the semigroup integrals.  A model with
+no connection and a scalar potential W = w I (every localization model) has
+the scalar H_k = (|k|^2/2 + w) I, so Phi^{H_k}_t(P_{1,k}, ..., P_{n,k}) =
+e^{-t(|k|^2/2 + w)} t^n/n! P_{1,k} ... P_{n,k}, and the mode sum factorises
+into 1-D moment sums with no per-mode exponential.  Every other model
+evaluates a chunk of modes at once: the (N, r, r) stacks of H_k and P_{j,k}
+go to ``phi_core.phi_block``, the one Van Loan block-bidiagonal route for
 Phi^{H_k}_t(P_{1,k}, ..., P_{n,k}), which also checks every H_k >= 0.
 """
 
@@ -166,10 +170,58 @@ def spectral_phi_kernel(model: TorusModel, t: float, x, y, truncation: int):
 
 def _truncated_kernel(model: TorusModel, t: float, x, y, truncation: int):
     """The mode sum of ``spectral_phi_kernel`` without its tail check: the
-    exact kernel of the model truncated to the modes |k|_inf <= K, one
-    ``phi_block`` call per chunk of modes.  Every H_k is checked to be
-    nonnegative."""
+    exact kernel of the model truncated to the modes |k|_inf <= K.  Models
+    with no connection and a scalar potential take the factorised moment
+    sum, all others the per-mode ``phi_block`` sum."""
     delta = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    w = _scalar_potential(model)
+    if w is not None:
+        return _moment_sum(model, w, t, delta, truncation)
+    return _mode_sum(model, t, delta, truncation)
+
+
+def _scalar_potential(model: TorusModel):
+    """w if the model has no connection and W = w I, else None.  Then every
+    H_k is scalar, and construction has proved w >= -1e-10 at k = 0."""
+    w = model.potential[0, 0].real if model.r else 0.0
+    if any(np.any(a) for a in model.connection) or not np.array_equal(
+        model.potential, w * np.eye(model.r)
+    ):
+        return None
+    return w
+
+
+def _moment_sum(model: TorusModel, w: float, t: float, delta, truncation: int):
+    """(2 pi)^-d e^{-tw} t^n/n! sum_k e^{ik delta - t|k|^2/2} P_{1,k} ... P_{n,k}.
+
+    Each P_{j,k} = V_j + sum_m i k_m S_j^m is affine in k, so the product is
+    a polynomial in k: the factors are contracted one at a time into a table
+    {(p_1, ..., p_d): coefficient of k_1^p_1 ... k_d^p_d}, at most C(n+d, d)
+    entries.  The mode sum of each monomial is the product of the 1-D sums
+    sigma_m(p) = sum_{|k| <= K} k^p e^{i k delta_m - t k^2/2}.
+    """
+    d, n = model.d, model.n
+    table = {(0,) * d: np.eye(model.r, dtype=complex)}
+    for spec in model.perturbations:
+        grown = {}
+        for p, c in table.items():
+            grown[p] = grown.get(p, 0) + c @ spec.zeroth_order
+            for m, s in enumerate(spec.first_order):
+                if np.any(s):
+                    q = p[:m] + (p[m] + 1,) + p[m + 1 :]
+                    grown[q] = grown.get(q, 0) + 1j * (c @ s)
+        table = grown
+    ks = np.arange(-truncation, truncation + 1, dtype=float)
+    gauss = np.exp(1j * np.outer(ks, delta) - 0.5 * t * ks[:, None] ** 2)  # (2K+1, d)
+    sigma = (ks ** np.arange(n + 1)[:, None]) @ gauss  # (n+1, d)
+    weights = sigma[np.array(list(table)), np.arange(d)].prod(axis=1)
+    out = np.einsum("e,eab->ab", weights, np.array(list(table.values())))
+    return out * (np.exp(-t * w) * t**n / factorial(n) / TWO_PI**d)
+
+
+def _mode_sum(model: TorusModel, t: float, delta, truncation: int):
+    """(2 pi)^-d sum_{|k|_inf <= K} e^{ik delta} Phi^{H_k}_t(P_{1,k}, ...),
+    one ``phi_block`` call per chunk of modes, which checks every H_k >= 0."""
     out = np.zeros((model.r, model.r), dtype=complex)
     for ks in _mode_chunks(model.d, truncation):
         h, perts = model.mode_blocks(ks)

@@ -159,6 +159,14 @@ LEVY_COUNTS_CONFIG = {
 }
 LOCALIZE_CHAIN_CONFIG = {"d": 2, "chain": [{"prime": [{"indices": [1, 2], "re": 1.0}]}]}
 PHI_FAMILY_CONFIG = {"H": matrix_to_json(np.diag([0.0, 1.3]).astype(complex))}
+# w0' = e1e2, w1' = w2' = e1: both partitions (1)(2) and (12) survive, so the
+# Monte Carlo check keys two streams, seed and seed + 1
+TWO_PARTITION_CHAIN = [
+    {"prime": [{"indices": [1, 2], "re": 1.0}]},
+    {"prime": [{"indices": [1], "re": 1.0}]},
+    {"prime": [{"indices": [1], "re": 1.0}]},
+]
+SEED_LIMIT = 2**64  # Philox keys are unsigned 64-bit words
 
 
 @pytest.mark.parametrize(
@@ -203,6 +211,16 @@ PHI_FAMILY_CONFIG = {"H": matrix_to_json(np.diag([0.0, 1.3]).astype(complex))}
         ("fk", ["--t", "0"], {}, "--t"),
         ("phi", [], {"t": -0.5}, "config.t"),
         ("phi", ["--t", "-0.5"], {}, "--t"),
+        ("fk", ["--seed", str(SEED_LIMIT)], {}, "--seed"),
+        ("fk", [], {"seed": SEED_LIMIT}, "config.seed"),
+        ("levy-area", ["--seed", str(SEED_LIMIT)], {}, "--seed"),
+        ("levy-area", [], {"seed": SEED_LIMIT}, "config.seed"),
+        ("localize", ["--seed", str(SEED_LIMIT)], {}, "--seed"),
+        ("localize", ["--paths", "64", "--steps", "8", "--seed", str(SEED_LIMIT - 1)],
+         {"chain": TWO_PARTITION_CHAIN}, "--seed"),
+        ("bridge-test", ["--seed", str(SEED_LIMIT)], {}, "--seed"),
+        ("patodi", ["--seed", str(SEED_LIMIT)], {}, "--seed"),
+        ("selftest", ["--criteria", "2", "--seed", str(SEED_LIMIT)], {}, "--seed"),
     ],
 )
 def test_non_positive_counts_exit_2_without_a_report(
@@ -214,7 +232,9 @@ def test_non_positive_counts_exit_2_without_a_report(
     line only; localize's --paths may be 0 (no cross-check) and jlo's
     --truncation 0 (one mode), but neither may be negative.  bridge-test
     needs at least 2 bins and a positive time, fk a positive time.  A seed
-    may be 0 but not negative, on every command that takes one."""
+    may be 0 but not negative, on every command that takes one, and every
+    Philox key it makes must fit in 64 bits: localize keys partition i of
+    its Monte Carlo check with seed + i."""
     base = {"fk": FK_COUNTS_CONFIG, "levy-area": LEVY_COUNTS_CONFIG,
             "localize": LOCALIZE_CHAIN_CONFIG, "jlo": LOCALIZE_CHAIN_CONFIG,
             "phi": PHI_FAMILY_CONFIG}.get(command)
@@ -227,6 +247,21 @@ def test_non_positive_counts_exit_2_without_a_report(
     assert run_cli([command, *config, "--out", str(out), *argv]) == 2
     assert location in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_largest_seeds_run(tmp_path):
+    """2^64 - 1 keys a Philox stream: fk runs on it, and localize on the
+    largest seed whose partition keys seed + i all fit."""
+    fk = tmp_path / "fk.json"
+    fk.write_text(json.dumps(FK_COUNTS_CONFIG))
+    assert run_cli(["fk", "--config", str(fk), "--seed", str(SEED_LIMIT - 1)]) == 0
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({**LOCALIZE_CHAIN_CONFIG, "chain": TWO_PARTITION_CHAIN}))
+    out = tmp_path / "report.json"
+    argv = ["--paths", "64", "--steps", "8", "--seed", str(SEED_LIMIT - 2)]
+    # 8 steps leave an O(h) bias the 3 SE verdict may flag: a report, not a usage error
+    assert run_cli(["localize", "--config", str(chain), "--out", str(out), *argv]) in (0, 1)
+    assert json.loads(out.read_text())["results"]["mc_check"] is not None
 
 
 def test_localize_zero_paths_means_no_cross_check(tmp_path):

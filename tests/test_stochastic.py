@@ -200,6 +200,68 @@ def test_stacked_mode_sum_does_not_depend_on_the_chunk_size(monkeypatch):
     assert np.abs(chunked - whole).max() <= 1e-14 * scale
 
 
+def _scalar_models():
+    """Models with no connection and W = w I, which take the moment sum."""
+    for c, chain in enumerate(_spec_chains()):
+        for i, (_, m) in enumerate(_partition_models(chain)):
+            yield f"chain{c}.partition{i}.n{m.n}", m
+    d = 2
+    e1, e2 = MultiVector.generator(d, 1), MultiVector.generator(d, 2)
+    zero = MultiVector.zero(d)
+    # (1)(2) has n = 2; (12) has one perturbation with no first-order part
+    chain = (DGAElement(e1.wedge(e2), zero), DGAElement(e1, zero), DGAElement(e1, e2))
+    for i, (_, m) in enumerate(_partition_models(chain)):
+        yield f"pair_chain.partition{i}.n{m.n}", m
+    ((_, m),) = _partition_models(_d4_chain())
+    yield "d4.n1", m
+    rng = np.random.default_rng(4)
+    perts = tuple(
+        PerturbationSpec((skew(rng, 2) + herm(rng, 2), herm(rng, 2)), skew(rng, 2))
+        for _ in range(2)
+    )
+    yield "w0.7.n2", TorusModel(2, 2, potential=0.7 * np.eye(2), perturbations=perts)
+
+
+@pytest.mark.parametrize("case", list(_scalar_models()), ids=lambda case: case[0])
+@pytest.mark.parametrize("off_diagonal", [False, True], ids=["x=y", "x!=y"])
+def test_moment_sum_matches_the_per_mode_phi_block_sum(case, off_diagonal):
+    """H_k = (|k|^2/2 + w) I makes the mode sum a sum of moments; the
+    per-mode ``phi_block`` sum is its reference."""
+    _, model = case
+    x = np.linspace(0.4, 2.1, model.d)
+    y = np.linspace(5.6, 1.3, model.d) if off_diagonal else x
+    for t, truncation in ((0.8, 3), (0.3, 4)):
+        got = _truncated_kernel(model, t, x, y, truncation)
+        expect = model_module._mode_sum(model, t, x - y, truncation)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_only_models_with_scalar_mode_hamiltonians_skip_phi_block(monkeypatch):
+    calls = []
+    block = model_module.phi_block
+
+    def counting_block(h, perts, t):
+        calls.append(len(h))
+        return block(h, perts, t)
+
+    monkeypatch.setattr(model_module, "phi_block", counting_block)
+    rng = np.random.default_rng(5)
+    spec = PerturbationSpec((herm(rng, 2), herm(rng, 2)), herm(rng, 2))
+    x, y = np.array([0.3, 1.2]), np.array([2.0, 0.1])
+    models = {
+        "flat": spin_torus_model(2, (spec,)),
+        "scalar_w": TorusModel(2, 2, potential=0.4 * np.eye(2), perturbations=(spec,)),
+        "connection": TorusModel(2, 2, (skew(rng, 2), np.zeros((2, 2))), perturbations=(spec,)),
+        "diagonal_w": TorusModel(2, 2, potential=np.diag([0.4, 0.5]), perturbations=(spec,)),
+    }
+    counts = {}
+    for name, model in models.items():
+        calls.clear()
+        _truncated_kernel(model, 0.5, x, y, 3)
+        counts[name] = list(calls)
+    assert counts == {"flat": [], "scalar_w": [], "connection": [49], "diagonal_w": [49]}
+
+
 def test_negative_potential_checks_every_mode_hamiltonian():
     """W < 0 does not prove H_k >= 0, so construction scans the window
     |k| <= 8 and the kernel checks every mode of its truncation."""
@@ -796,6 +858,45 @@ def test_localization_mc_cross_check():
     )
     assert res.mc_check is not None
     assert res.mc_check["z"] < 4.0
+
+
+def test_d4_localization_mc_check():
+    """The Monte Carlo check at d = 4 runs the r = 4 spinor model through the
+    engine's generic plane code.  w1' has degree 3, so its first-order
+    symbols [c(e_m), c(w1')] have degree 2 and enter the supertrace.  On a
+    flat n = 1 model a path's first-order integral is S^m times its winding
+    displacement, and at t = 8 the bridges wind often, so the estimate has
+    variance.  The gate is the CLI's z <= 3; the standard error is the crude
+    propagation of ``_mc_check``, and over seeds 0-199 the largest z was 1.7.
+
+    On the diagonal the first-order terms have mean 0, so the partition
+    model's path estimate is also checked entry by entry off the diagonal,
+    where they do not, against its moment-sum kernel: z <= 4 for the largest
+    of the 16 entries (the largest over seeds 0-199 was 3.2)."""
+    d = 4
+    e = [MultiVector.generator(d, j) for j in range(1, d + 1)]
+    w1 = e[0].wedge(e[1]).wedge(e[2]) - 0.3 * e[1].wedge(e[2]).wedge(e[3])
+    chain = (
+        DGAElement(e[0].wedge(e[1]) + 0.5 * e[2].wedge(e[3]), MultiVector.zero(d)),
+        DGAElement(w1, e[2].wedge(e[3])),
+    )
+    res = localization_check(
+        chain, t_sequence=(8.0, 4.0), truncation=4, mc_paths=4096, mc_steps=32, seed=0
+    )
+    mc = res.mc_check
+    assert res.target != 0 and mc["deterministic"] == res.sweep[0][1]
+    assert mc["stderr"] > 1e-3 * abs(mc["deterministic"])
+    assert mc["z"] <= 3.0
+
+    ((_, model),) = _partition_models(chain)
+    x, y = np.array([0.3, 1.1, 2.0, 0.7]), np.array([1.0, 0.4, 2.9, 0.2])
+    oracle = spectral_phi_kernel(model, 8.0, x, y, 4)
+    est = fk_estimate(model, 8.0, x, y, paths=4096, steps=32, seed=0)
+    z = model_module._oracle_z(
+        np.abs(est.estimate - oracle), est.stderr,
+        model_module._truncation_tail(model, 8.0, 4), np.abs(oracle).max(),
+    )
+    assert z.max() <= 4.0
 
 
 def test_localization_check_builds_each_partition_model_once(monkeypatch):
