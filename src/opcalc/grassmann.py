@@ -221,15 +221,3 @@ def theta_hat_matrix(j: int, n: int) -> np.ndarray:
         sign = -1.0 if _popcount_below(mask, j) & 1 else 1.0
         out[mask | bit, mask] = sign
     return out
-
-
-def left_mul_matrix(a: MultiVector) -> np.ndarray:
-    """Matrix of beta -> a beta (linear extension over the monomials of a)."""
-    dim = 1 << a.n
-    out = np.zeros((dim, dim), dtype=complex)
-    for ma, ca in a.coeffs.items():
-        for mb in range(dim):
-            if ma & mb:
-                continue
-            out[ma | mb, mb] += ca * _merge_sign(ma, mb)
-    return out

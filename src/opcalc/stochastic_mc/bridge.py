@@ -39,24 +39,32 @@ def _bridge_steps(rng: np.random.Generator, x, z, t: float, steps: int):
     """Yield (position, increment) per step of Euclidean bridges from x to z.
 
     ``x`` is a d-vector and ``z`` the (d, P) per-path endpoints; both
-    yielded arrays are (d, P), the position being the step's left endpoint.
+    yielded arrays are C-contiguous (d, P), the position being the step's
+    left endpoint, so every coordinate row is one contiguous (P,) plane.
     Sequential conditional sampling draws one (P, d) normal block per step
     except the last, which is deterministic: its increment lands exactly on
-    ``z``.  Yielded arrays are read-only to the caller.
+    ``z``.  Yielded arrays are read-only to the caller and are overwritten
+    by the next step.
     """
     h = t / steps
     d, n_paths = z.shape
-    cur = np.broadcast_to(np.asarray(x, dtype=float)[:, None], (d, n_paths))
-    for k in range(steps):
-        if k < steps - 1:
-            tau = t - k * h
-            mean = cur + (z - cur) * (h / tau)
-            std = np.sqrt(h * (tau - h) / tau)
-            nxt = mean + std * rng.standard_normal((n_paths, d)).T
-        else:
-            nxt = z
-        yield cur, nxt - cur
-        cur = nxt
+    cur, nxt, inc = (np.empty((d, n_paths)) for _ in range(3))
+    cur[...] = np.asarray(x, dtype=float)[:, None]
+    normals = np.empty((n_paths, d))
+    for k in range(steps - 1):
+        tau = t - k * h
+        std = np.sqrt(h * (tau - h) / tau)
+        # nxt = cur + (z - cur) (h / tau) + std n, in this order
+        np.subtract(z, cur, out=nxt)
+        nxt *= h / tau
+        nxt += cur
+        np.multiply(rng.standard_normal(out=normals).T, std, out=inc)
+        nxt += inc
+        np.subtract(nxt, cur, out=inc)
+        yield cur, inc
+        cur, nxt = nxt, cur
+    np.subtract(z, cur, out=inc)
+    yield cur, inc
 
 
 def sample_bridge_batch(

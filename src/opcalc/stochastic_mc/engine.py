@@ -10,51 +10,58 @@ the ones every Monte Carlo estimator here uses: the FK estimator, the
 moment probe and the Levy area.  Bridge increments come step by step from
 ``bridge._bridge_steps``.
 
-Path functionals, per step k with left-endpoint (Ito) evaluation:
+Path functionals.  The kernel estimate is p(t,x,y) E[I_n(t) G(t)], where G
+is the dressed transport and I_m the iterated Ito integrals of the
+G-dressed increments (left-endpoint evaluation, step k, h = t/steps):
     M_k       = expm(sum_j A_j dB^j_k)              (transport step)
-    G_{k+1}   = G_k expm(-h W) M_k                  (dressed transport)
-    dPsi_i(k) = G_k (sum_j S_i^j dB^j_k + V_i h) G_k^-1
-    I_m      += I_{m-1} dPsi_m(k)   (m descending, so I_{m-1} is left value;
-                                     I_1 += dPsi_1)
-G^-1 is stepped alongside G (G^-1 <- M_k^* expm(h W) G^-1) only when
-W != 0 and some perturbation is kept; without a potential G is unitary and
-dPsi conjugates with its adjoint.
+    G_{k+1}   = G_k expm(-h W) M_k
+    I_m(k+1)  = I_m(k) + I_{m-1}(k) G_k local_m(k) G_k^-1,  I_0 = I,
+    local_m   = sum_j S_m^j dB^j_k + h V_m.
+The engine steps the enlarged-space row Y_m = I_m G instead, the stochastic
+form of the block-bidiagonal (Van Loan) transport that ``phi_block`` uses
+for the oracle.  Multiplying the recurrence by G_{k+1} on the right gives
+    Y_0 = G,    Y_m <- (Y_m + Y_{m-1} local_m) E M_k,   E = expm(-h W),
+taking m in descending order so that Y_{m-1} is still the left value.  No
+G^-1 appears, and the estimate averages Y_n(t) as it is.  Expanding the
+enlarged-space product formula term by term shows that the dressed form is
+the one that matches the exact oracle; when the potential commutes with
+everything (scalar W, or W = 0) it reduces to the familiar p E[Wf(t) I_n(t)
+V(t)], with Wf the multiplicative functional of W and V the bare transport.
+``FunctionalState.iterated`` recovers I_m = Y_m G(t)^-1 for the one caller
+that needs it, the moment probe.
 
 Trace phase.  Each A_j splits as a_j I + A'_j with a_j = tr(A_j)/r and A'_j
 traceless, so M_k = exp(sum_j a_j dB^j_k) M'_k with M'_k = expm(sum_j A'_j
-dB^j_k).  The scalar factors commute with every factor above and cancel in
-G dPsi G^-1, and the increments telescope to z - x, so the loop steps with
-M'_k alone and G(t) is multiplied once, after the loop, by the per-path
-phase exp(sum_j a_j (z_j - x_j)).  For r = 2, M'_k is the Cayley-Hamilton
-form evaluated as polynomials in Delta^2 (``_expm_2x2``); r >= 3 uses the
-per-matrix Pade kernel ``linalg._pade_expm``.  Either way a path's step
-does not depend on the other paths of the stack.
+dB^j_k).  The scalar factors commute with every factor above and the
+increments telescope to z - x, so the loop steps with M'_k alone and every
+Y_m is multiplied once, after the loop, by the per-path phase
+exp(sum_j a_j (z_j - x_j)).
 
-The increment conjugation uses the full dressed functional G rather than
-the bare transport V (V_{k+1} = V_k M_k): expanding the enlarged-space
-product formula term by term shows the extracted block is the iterated
-integral of the G-dressed increments followed by one right factor G(t), so
-the kernel estimate is p(t,x,y) E[I_n(t) G(t)].  When the potential
-commutes with everything (scalar W, or W = 0) the dressing drops out and
-this reduces to the familiar form p E[Wf(t) I_n(t) V(t)], with Wf the
-multiplicative functional of W.
+Step exponential.  For r = 2 the traceless planes are projected once to
+exactly skew-Hermitian and kept as three real coordinate rows
+(Im a00, Re a01, Im a01) of shape (3, d); a step's generator is then
+[[i x, y + i w], [-y + i w, -i x]] with (x, y, w) = coords @ dB, and
+its exponential is the SU(2) form cos(theta) I + (sin(theta)/theta) B,
+theta^2 = x^2 + y^2 + w^2, in real arithmetic (``_su2_expm``).  r >= 3
+uses the per-matrix Pade kernel ``linalg._pade_expm``.  Either way a path's
+step does not depend on the other paths of the stack.
 
-Plane layout.  Inside the step loop every per-path stack (G, G^-1, the
-iterated integrals, the step matrices) is a C-contiguous (r, r, P) array:
-entry (i, j) of all P paths is one contiguous plane.  A product of two
-stacks is r broadcast multiply-adds of (r, 1, P) by (1, r, P) planes
-(``_plane_mul``), and the constant factors expm(-hW), expm(hW) and hV
-enter as (r, r, 1) arrays that broadcast over the paths.  The step
-generators sum_j A'_j dB^j and sum_j S^j dB^j are d broadcast multiply-adds
-each of (r, r, 1) coefficient planes by the (P,) rows of the (d, P)
-increments (``_combine``).  Products write into buffers allocated once
-per call.  ``FunctionalState`` exposes the final planes as (P, r, r) views.
+Plane layout.  Inside the step loop every per-path stack (the rows Y_m and
+the step matrices) is a C-contiguous (r, r, P) array: entry (i, j) of all P
+paths is one contiguous plane.  A product of two stacks is r broadcast
+multiply-adds of (r, 1, P) by (1, r, P) planes (``_plane_mul``), and the
+constant factors expm(-hW) and hV enter as (r, r, 1) arrays that broadcast
+over the paths.  A step forms E M_k once (one product) and multiplies every
+row by it.  The generator sum_j S^j dB^j is d broadcast multiply-adds of
+(r, r, 1) coefficient planes by the contiguous (P,) rows of the (d, P)
+increments (``_combine``).  Products write into buffers allocated once per
+call.  ``FunctionalState`` exposes the final planes as (P, r, r) views.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -86,64 +93,58 @@ def _plane_mul(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
     return out
 
 
-# Taylor coefficients of cosh(z) = sum s^k / (2k)! and sinh(z)/z =
-# sum s^k / (2k+1)! in s = z^2, highest power first (Horner order).  Ten
-# terms leave a truncation error below 1/20! < 1e-18 for |s| <= 1.
+# Taylor coefficients of cos(theta) = sum s^k / (2k)! and sin(theta)/theta =
+# sum s^k / (2k+1)! in s = -theta^2, highest power first (Horner order).
+# Ten terms leave a truncation error below 1/20! < 1e-18 for |s| <= 1.
 _EVEN_SERIES = np.array(
     [[[1.0 / factorial(2 * k)], [1.0 / factorial(2 * k + 1)]] for k in range(9, -1, -1)]
 )
 
 
-def _expm_2x2(m: np.ndarray, out=None) -> np.ndarray:
-    """Exponential of 2x2 planes (2, 2, P) by the Cayley-Hamilton form.
+def _su2_expm(xyw: np.ndarray, out=None) -> np.ndarray:
+    """exp(B) for B = [[i x, y + i w], [-y + i w, -i x]], one per column of
+    the real (3, P) rows (x, y, w); returns the (2, 2, P) complex planes.
 
-    With mu = tr(m)/2 and B = m - mu I one has B^2 = s I, s = b00^2 + b01 b10,
-    so exp(m) = e^mu (cosh(Delta) I + sinhc(Delta) B) with Delta^2 = s.
-    cosh and sinhc(z) = sinh(z)/z are even entire functions: where |s| <= 1
-    they are the Horner polynomials ``_EVEN_SERIES`` in s, free of
-    transcendental functions; paths with |s| > 1 take sqrt, cosh and sinh.
-    The choice is made per path, so a path's value does not depend on the
-    other paths of the stack.  e^mu is applied only if some trace is
-    non-zero; the engine's step generators are exactly traceless.  ``out``
-    must not overlap ``m``.
+    B^2 = s I with s = -(x^2 + y^2 + w^2), so exp(B) = cos(theta) I +
+    sinc(theta) B, theta^2 = -s.  Where |s| <= 1, cos and sinc are the real
+    Horner polynomials ``_EVEN_SERIES`` in s; paths with |s| > 1 take sqrt,
+    cos and sin.  The choice is made per path, so a path's value does not
+    depend on the other paths of the stack.  ``xyw`` is overwritten.
     """
-    m = np.asarray(m, dtype=complex)
-    mu = m[0, 0] + m[1, 1]
-    scalar = bool(mu.any())
-    if scalar:
-        mu *= 0.5
-        b00 = m[0, 0] - mu
-    else:
-        b00 = m[0, 0]
-    s = b00 * b00
-    s += m[0, 1] * m[1, 0]
-    even = _EVEN_SERIES[0] * s  # rows: cosh, sinhc
+    x, y, w = xyw
+    s = x * x
+    s += y * y
+    s += w * w
+    np.negative(s, out=s)
+    even = _EVEN_SERIES[0] * s  # rows: cos, sinc
     even += _EVEN_SERIES[1]
     for c in _EVEN_SERIES[2:]:
         even *= s
         even += c
-    cosh, sinhc = even
-    big = np.flatnonzero(s.real**2 + s.imag**2 > 1.0)
+    cos, sinc = even
+    big = np.flatnonzero(s < -1.0)
     if big.size:
-        delta = np.sqrt(s[big])
-        cosh[big] = np.cosh(delta)
-        sinhc[big] = np.sinh(delta) / delta
-    if scalar:
-        even *= np.exp(mu)
+        theta = np.sqrt(-s[big])
+        cos[big] = np.cos(theta)
+        sinc[big] = np.sin(theta) / theta
+    xyw *= sinc
     if out is None:
-        out = np.empty_like(m)
-    np.multiply(b00, sinhc, out=out[0, 0])
-    np.subtract(cosh, out[0, 0], out=out[1, 1])
-    out[0, 0] += cosh
-    np.multiply(sinhc, m[0, 1], out=out[0, 1])
-    np.multiply(sinhc, m[1, 0], out=out[1, 0])
+        out = np.empty((2, 2, xyw.shape[1]), dtype=complex)
+    re, im = out.real, out.imag
+    re[0, 0] = cos
+    re[1, 1] = cos
+    im[0, 0] = x
+    np.negative(x, out=im[1, 1])
+    re[0, 1] = y
+    np.negative(y, out=re[1, 0])
+    im[0, 1] = w
+    im[1, 0] = w
     return out
 
 
 def _expm_planes(m: np.ndarray, out=None) -> np.ndarray:
-    """Exponential of every path's matrix in a plane stack (r, r, P)."""
-    if m.shape[0] == 2:
-        return _expm_2x2(m, out)
+    """Exponential of every path's matrix in a plane stack (r, r, P) by the
+    per-matrix Pade kernel."""
     stack = np.moveaxis(linalg._pade_expm(np.ascontiguousarray(np.moveaxis(m, -1, 0))), 0, -1)
     if out is None:
         return stack
@@ -155,13 +156,24 @@ def _expm_planes(m: np.ndarray, out=None) -> np.ndarray:
 class FunctionalState:
     """Per-path accumulators after a simulated horizon.
 
-    ``full_transport`` is the dressed transport G(t) and ``iterated`` the
-    G-dressed iterated integrals I_m(t).  Each array is a (P, r, r) view of
-    the engine's (r, r, P) planes.
+    ``full_transport`` is the dressed transport G(t) and ``rows`` maps an
+    order m to the enlarged-space row Y_m(t) = I_m(t) G(t).  Each array is a
+    (P, r, r) view of the engine's (r, r, P) planes.  ``dressed`` is False
+    when G(t) is the identity on every path (no connection, no potential),
+    so that Y_m = I_m.
     """
 
-    full_transport: np.ndarray         # (P, r, r)
-    iterated: dict = field(default_factory=dict)  # order -> (P, r, r)
+    full_transport: np.ndarray  # (P, r, r)
+    rows: dict                  # order -> (P, r, r)
+    dressed: bool
+
+    def iterated(self, m: int) -> np.ndarray:
+        """The G-dressed iterated integral I_m(t) = Y_m(t) G(t)^-1, (P, r, r)."""
+        y = self.rows[m]
+        if not self.dressed:
+            return y
+        # I G = Y  <=>  G^T I^T = Y^T: one batched solve
+        return np.linalg.solve(self.full_transport.swapaxes(1, 2), y.swapaxes(1, 2)).swapaxes(1, 2)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -221,9 +233,31 @@ def _combine(coeffs: np.ndarray, db: np.ndarray, out, tmp) -> np.ndarray:
     return out
 
 
-def _adjoint(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every path's matrix in a plane stack."""
-    return np.conjugate(a.transpose(1, 0, 2), out=out)
+def _step_generator(model: TorusModel, n_paths: int):
+    """Set-up of the step exponential: (traces, step) with the (d,) scalar
+    parts tr(A_j)/r and ``step(db, out, tmp)`` -> M'_k for the (d, P)
+    increments, or step = None when every traceless part vanishes (module
+    docstring)."""
+    r = model.r
+    a_planes = _planes(model.connection)  # (r, r, d)
+    traces = np.trace(a_planes) / r
+    for i in range(r):
+        a_planes[i, i] -= traces
+    if not np.any(a_planes):
+        return traces, None
+    if r != 2:
+        def step(db, out, tmp):
+            return _expm_planes(_combine(a_planes, db, tmp, out), out)
+        return traces, step
+    # the exactly skew-Hermitian, traceless (A' - A'^*)/2 by its coordinate
+    # rows (Im a00, Re a01, Im a01)
+    a01 = 0.5 * (a_planes[0, 1] - np.conj(a_planes[1, 0]))
+    coords = np.stack([0.5 * (a_planes[0, 0].imag - a_planes[1, 1].imag), a01.real, a01.imag])
+    xyw = np.empty((3, n_paths))
+
+    def step(db, out, tmp):
+        return _su2_expm(np.matmul(coords, db, out=xyw), out)
+    return traces, step
 
 
 def simulate_functionals(
@@ -236,9 +270,10 @@ def simulate_functionals(
     n_paths: int,
     orders=None,
 ) -> FunctionalState:
-    """Run the per-step functional updates for a batch of bridges.
+    """Run the per-step row updates Y_0 = G, Y_m = I_m G for a batch of
+    bridges.
 
-    ``orders`` selects which iterated integrals to keep (default: only the
+    ``orders`` selects which rows to return besides G (default: only the
     full order n).  Increments are generated step by step; paths are never
     stored.
     """
@@ -253,78 +288,62 @@ def simulate_functionals(
     windings = sample_winding(rng, d, x, y, t, n_paths)
     z = np.ascontiguousarray((y + TWO_PI * windings).T)  # (d, P)
 
-    # A_j = (tr A_j / r) I + A'_j: the loop steps with A'_j, the scalar parts
-    # enter as one phase per path after it (module docstring)
-    a_planes = _planes(model.connection)  # (r, r, d)
-    traces = np.trace(a_planes) / r  # (d,)
-    for i in range(r):
-        a_planes[i, i] -= traces
-    if r == 2:
-        a_planes[1, 1] = -a_planes[0, 0]  # exactly traceless step generators
-    has_connection = bool(np.any(a_planes))
+    traces, transport_step = _step_generator(model, n_paths)
     has_potential = bool(np.any(model.potential))
     specs = model.perturbations[:max_order]
     s_planes = [_planes(spec.first_order) if np.any(spec.first_order) else None
                 for spec in specs]
     hv = [h * spec.zeroth_order[..., None] if np.any(spec.zeroth_order) else None
           for spec in specs]
-    if has_potential:
-        e_w_minus = linalg.expm(-h * model.potential)[..., None]
-        e_w_plus = linalg.expm(h * model.potential)[..., None]
+    e_w = linalg.expm(-h * model.potential)[..., None] if has_potential else None
+    # without a connection or a potential Y_0 = G stays the identity
+    dressed = transport_step is not None or has_potential
 
     shape = (r, r, n_paths)
-    g = np.zeros(shape, dtype=complex)
+    rows = [np.zeros(shape, dtype=complex) for _ in range(max_order + 1)]
     for i in range(r):
-        g[i, i] = 1.0
-    dressed = has_connection or has_potential  # else G = 1 and dPsi = local
-    # G^-1 is read only by the dPsi conjugation
-    g_inv = g.copy() if has_potential and max_order else None
-    iterated = {m: np.zeros(shape, dtype=complex) for m in range(1, max_order + 1)}
-    tmp, spare, half, dpsi_buf, prod, local_buf, gen, m_buf, adj = (
-        np.empty(shape, dtype=complex) for _ in range(9)
+        rows[0][i, i] = 1.0
+    tmp, spare, prod, local_buf, m_buf, em_buf = (
+        np.empty(shape, dtype=complex) for _ in range(6)
     )
 
     for _, db in _bridge_steps(rng, x, z, t, steps):
-        if max_order:
-            if dressed:  # without a potential G is unitary: G^-1 = G^*
-                inv = g_inv if has_potential else _adjoint(g, adj)
-            for i in range(max_order, 0, -1):
-                if s_planes[i - 1] is not None:
-                    local = _combine(s_planes[i - 1], db, local_buf, tmp)
-                    if hv[i - 1] is not None:
-                        local += hv[i - 1]
-                elif hv[i - 1] is not None:
-                    local = hv[i - 1]
+        # the right factor E M_k of this step (None when it is the identity)
+        if transport_step is not None:
+            em = transport_step(db, m_buf, tmp)
+            if has_potential:
+                em = _plane_mul(e_w, em, em_buf, tmp)
+        else:
+            em = e_w
+        for i in range(max_order, 0, -1):
+            if s_planes[i - 1] is not None:
+                local = _combine(s_planes[i - 1], db, local_buf, tmp)
+                if hv[i - 1] is not None:
+                    local += hv[i - 1]
+            else:
+                local = hv[i - 1]  # None: a zero increment
+            if local is not None:
+                if i == 1 and not dressed:  # Y_0 = I
+                    rows[1] += local
                 else:
-                    continue  # zero increment
-                if dressed:
-                    dpsi = _plane_mul(_plane_mul(g, local, half, tmp), inv, dpsi_buf, tmp)
-                else:
-                    dpsi = local
-                if i == 1:
-                    iterated[1] += dpsi
-                else:
-                    iterated[i] += _plane_mul(iterated[i - 1], dpsi, prod, tmp)
-
-        if has_potential:
-            g, spare = _plane_mul(g, e_w_minus, spare, tmp), g
-            if g_inv is not None:
-                g_inv, spare = _plane_mul(e_w_plus, g_inv, spare, tmp), g_inv
-        if has_connection:
-            m_step = _expm_planes(_combine(a_planes, db, gen, tmp), m_buf)
-            g, spare = _plane_mul(g, m_step, spare, tmp), g
-            if g_inv is not None:
-                g_inv, spare = _plane_mul(_adjoint(m_step, adj), g_inv, spare, tmp), g_inv
+                    rows[i] += _plane_mul(rows[i - 1], local, prod, tmp)
+            if em is not None:
+                rows[i], spare = _plane_mul(rows[i], em, spare, tmp), rows[i]
+        if em is not None:
+            rows[0], spare = _plane_mul(rows[0], em, spare, tmp), rows[0]
 
     if traces.any():
-        g *= np.exp(traces @ (z - x[:, None]))  # the per-path phase
+        phase = np.exp(traces @ (z - x[:, None]))  # the per-path phase
+        for m in {0, *orders}:
+            rows[m] *= phase
 
     def paths_first(a):
         return np.moveaxis(a, -1, 0)
 
     return FunctionalState(
-        paths_first(g),
-        {m: paths_first(iterated[m]) for m in orders},
+        paths_first(rows[0]),
+        {m: paths_first(rows[m]) for m in orders},
+        dressed or bool(traces.any()),
     )
 
 
@@ -336,13 +355,11 @@ class FkResult:
 
 
 def _fk_chunk(model, x, y, t, steps, seed, chunk_index, chunk_paths):
-    """``_chunk_moments`` of I_n(t) G(t) over one chunk."""
+    """``_chunk_moments`` of Y_n(t) = I_n(t) G(t) over one chunk."""
     rng = _chunk_rng(seed, chunk_index)
     state = simulate_functionals(model, x, y, t, steps, rng, chunk_paths)
-    f = np.moveaxis(state.full_transport, 0, -1)  # (r, r, P) planes
-    if model.n:
-        f = _plane_mul(np.moveaxis(state.iterated[model.n], 0, -1), f)
-    return _chunk_moments(f)
+    f = state.rows[model.n] if model.n else state.full_transport
+    return _chunk_moments(np.moveaxis(f, 0, -1))  # over the (r, r, P) planes
 
 
 def fk_estimate(
@@ -355,11 +372,12 @@ def fk_estimate(
     seed: int = 0,
     workers: int = 1,
 ) -> FkResult:
-    """p(t,x,y) times the Monte Carlo mean of I_n(t) G(t).
+    """p(t,x,y) times the Monte Carlo mean of Y_n(t) = I_n(t) G(t).
 
     I_n is the iterated integral of the G-dressed increments and G the full
     multiplicative transport Wf(t) V(t); for commuting potentials this is
-    the familiar p E[Wf(t) I_n(t) V(t)].  Entrywise standard errors come
+    the familiar p E[Wf(t) I_n(t) V(t)].  The engine steps Y_n itself, so
+    the mean needs no final product.  Entrywise standard errors come
     from the per-entry sample variance of real and imaginary parts
     combined, merged from per-chunk centred moments in chunk order
     (Chan, Golub & LeVeque), so no E[x^2] - mean^2 cancellation occurs.
@@ -417,6 +435,26 @@ def apply_moment_pattern(model: TorusModel, nu) -> TorusModel:
     return model.with_perturbations(specs)
 
 
+def _check_moment_pattern(model: TorusModel, nu) -> None:
+    """Reject a pattern whose I_m on the probe's loops (y = x) does not grow
+    like t^((m + |nu|)/2).
+
+    A kept part that is zero makes I_m vanish identically.  For nu = (0,),
+    I_1 = sum_j S^j (z_j - x_j) when the transport commutes with every S^j
+    (no connection and no potential, say): it is fixed by the winding class
+    and is 0 unless the bridge winds.  Otherwise the loop cancels its
+    t^(1/2) term and the dressing leaves Ito and area terms of order t.
+    """
+    for j, (v, spec) in enumerate(zip(nu, model.perturbations)):
+        if not np.any(spec.zeroth_order if v else spec.first_order):
+            raise ValueError(f"pattern nu={tuple(nu)} keeps a vanishing part of perturbation {j}")
+    if tuple(nu) == (0,):
+        raise ValueError(
+            "pattern nu=(0,) has no t^(1/2) growth on a loop: I_1 is fixed by the "
+            "winding class, or of order t through the transport"
+        )
+
+
 def moment_scaling_probe(
     model: TorusModel,
     nu,
@@ -430,10 +468,13 @@ def moment_scaling_probe(
     """Fit the growth exponent of E|I_m(t)|^b against t.
 
     Returns (slope, diagnostics); the expected slope is (b/2) (m + |nu|)
-    for pure patterns.
+    for pure patterns.  A pattern that cannot follow it on a loop (nu = (0,),
+    or a vanishing kept part) raises ``ValueError`` (``_check_moment_pattern``).  On a dressed model each chunk recovers
+    I_m = Y_m G(t)^-1 with one batched solve; otherwise Y_m = I_m.
     """
     m = len(tuple(nu))
     probe_model = apply_moment_pattern(model, nu)
+    _check_moment_pattern(probe_model, nu)
     x = np.zeros(model.d) if x is None else np.asarray(x, dtype=float)
     chunks = _chunks(paths)
     if len(chunks) > _PROBE_KEY_STRIDE:
@@ -449,7 +490,7 @@ def moment_scaling_probe(
             state = simulate_functionals(
                 probe_model, x, x, float(t), steps, rng, take, orders=(m,)
             )
-            mats = state.iterated[m]
+            mats = state.iterated(m)
             total += float(
                 np.sum(np.linalg.norm(mats, axis=(1, 2)) ** b)
             )

@@ -12,7 +12,8 @@ Omega.  Over d = 2 both reduce to 1 plus a mean-zero top term.
 
 The bridges stream from ``bridge._bridge_steps`` in the engine's chunk
 schedule and Philox streams; the pair areas accumulate step by step into
-one (n_pairs, P) array, so no path is stored.  The mean and the top
+one (n_pairs, P) array, one contiguous slice of pairs (i, j > i) per
+coordinate i, so no path is stored.  The mean and the top
 coefficient's error bar come from per-chunk centred moments merged in
 chunk order (``engine._merge_moments``).
 """
@@ -94,27 +95,31 @@ def levy_area_estimate(
         raise ValueError("d must be even")
     entries = [[e if isinstance(e, MultiVector) else MultiVector.zero(d) for e in row] for row in omega]
     top_mask = (1 << d) - 1
-    pair_forms = []
+    pair_forms = []  # over the pairs (i, j > i) in order
     for i in range(d):
         for j in range(i + 1, d):
             form = entries[i][j]
             diff = form + entries[j][i]
             if not diff.is_zero(1e-14):
                 raise ValueError("curvature matrix must be antisymmetric")
-            pair_forms.append((i, j, (-1.0 * form).dense()))
+            pair_forms.append((-1.0 * form).dense())
 
-    if all(np.all(f == 0) for _, _, f in pair_forms) or paths == 0:
+    if all(np.all(f == 0) for f in pair_forms) or paths == 0:
         one = MultiVector.one(d)
         return LevyAreaResult(one, one.coefficient(top_mask), 0.0, {"paths": paths})
 
-    rows, cols, forms = (np.array(v) for v in zip(*pair_forms))
+    forms = np.array(pair_forms)
+    # block i of the area rows, the pairs (i, j > i), is one slice
+    blocks = [slice(i * d - i * (i + 1) // 2, (i + 1) * d - (i + 1) * (i + 2) // 2)
+              for i in range(d - 1)]
     parts = []
     for idx, take in _chunks(paths):
         rng = _chunk_rng(seed, idx)
         # pair areas int Y_j dY_i - int Y_i dY_j with left endpoints
         area = np.zeros((len(forms), take))
         for pos, inc in _bridge_steps(rng, np.zeros(d), np.zeros((d, take)), 1.0, steps):
-            area += pos[cols] * inc[rows] - pos[rows] * inc[cols]
+            for i, blk in enumerate(blocks):
+                area[blk] += pos[i + 1:] * inc[i] - pos[i] * inc[i + 1:]
         # J = -sum_{i<j} Omega_ij (int Y_j dY_i - int Y_i dY_j)
         e_j = exp_dense_batch((weight * area).T @ forms, d)
         parts.append(_chunk_moments(e_j.T))

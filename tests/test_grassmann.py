@@ -6,7 +6,6 @@ from opcalc.grassmann import (
     MultiVector,
     berezin,
     exp_even,
-    left_mul_matrix,
     theta_hat_matrix,
 )
 
@@ -111,21 +110,6 @@ def test_monomial_matrices_linearly_independent():
         cols.append(m.ravel())
     rank = np.linalg.matrix_rank(np.array(cols).T)
     assert rank == dim
-
-
-def test_left_mul_matrix_consistency():
-    rng = np.random.default_rng(3)
-    n = 3
-    a = MultiVector(n, {int(m): rng.standard_normal() for m in range(8)})
-    mat = left_mul_matrix(a)
-    expect = np.zeros((8, 8), dtype=complex)
-    for mask, coeff in a.coeffs.items():
-        term = np.eye(8, dtype=complex)
-        for j in range(n, 0, -1):
-            if mask & (1 << (j - 1)):
-                term = theta_hat_matrix(j, n) @ term
-        expect += coeff * term
-    assert np.allclose(mat, expect, atol=1e-13)
 
 
 def test_contract_interior_product():

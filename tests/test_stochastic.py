@@ -333,6 +333,43 @@ def test_bridge_steps_chain_to_the_endpoints_with_one_draw_block_per_inner_step(
     assert rng.random() == twin.random()
 
 
+def _bridge_steps_allocating(rng, x, z, t, steps):
+    """The bridge recurrence as it was written before the row-major buffers:
+    fresh arrays each step and F-ordered (d, P) views of the normals."""
+    h = t / steps
+    d, n_paths = z.shape
+    cur = np.broadcast_to(np.asarray(x, dtype=float)[:, None], (d, n_paths))
+    for k in range(steps):
+        if k < steps - 1:
+            tau = t - k * h
+            mean = cur + (z - cur) * (h / tau)
+            std = np.sqrt(h * (tau - h) / tau)
+            nxt = mean + std * rng.standard_normal((n_paths, d)).T
+        else:
+            nxt = z
+        yield cur, nxt - cur
+        cur = nxt
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_bridge_steps_are_bitwise_the_allocating_recurrence(d):
+    """Same draws, same operations in the same order: positions and
+    increments equal bitwise, every yield C-contiguous, and the generator
+    left in the same state."""
+    x = np.linspace(-0.4, 1.1, d)
+    z = np.random.default_rng(d).normal(size=(d, 37)) + 2.0
+    rng, ref_rng = _chunk_rng(30, d), _chunk_rng(30, d)
+    got = [(pos.copy(), inc.copy(), pos.flags.c_contiguous and inc.flags.c_contiguous)
+           for pos, inc in _bridge_steps(rng, x, z, 0.9, 7)]
+    ref = list(_bridge_steps_allocating(ref_rng, x, z, 0.9, 7))
+    assert len(got) == len(ref) == 7
+    for (pos, inc, contiguous), (ref_pos, ref_inc) in zip(got, ref):
+        assert contiguous
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(inc, ref_inc)
+    assert rng.random() == ref_rng.random()
+
+
 def test_winding_distribution_matches_weights():
     rng = _chunk_rng(10, 0)
     x, y, t = np.array([0.0]), np.array([0.5]), 2.0
@@ -443,10 +480,10 @@ def test_psi_deterministic_zeroth_order():
     state = simulate_functionals(
         model, np.zeros(1), np.zeros(1), t, steps, rng, 8, orders=(1, 2)
     )
-    assert np.allclose(state.iterated[1], v1 * t, atol=1e-12)
+    assert np.allclose(state.iterated(1), v1 * t, atol=1e-12)
     # left-endpoint Riemann sum of int_0^t s ds = t^2/2 with error t^2/(2 steps)
     expect = v1 @ v2 * t**2 / 2
-    err = np.abs(state.iterated[2] - expect).max()
+    err = np.abs(state.iterated(2) - expect).max()
     assert err < 2.5 * np.abs(v1 @ v2).max() * t**2 / (2 * steps)
 
 
@@ -467,7 +504,7 @@ def test_psi_gaussian_law_first_order():
     rng = _chunk_rng(16, 0)
     x = np.zeros(2)
     state = simulate_functionals(model, x, x, t, steps, rng, paths, orders=(1,))
-    vals = state.iterated[1][:, 0, 0].real
+    vals = state.iterated(1)[:, 0, 0].real
     # B_t - B_0 = 2 pi w with the winding class w, so Psi = sum_j s_j 2 pi w_j
     assert abs(vals.mean()) < 0.02
     # variance: sum_j s_j^2 * Var(2 pi w_j); compare against the empirical winding law
@@ -495,8 +532,8 @@ def test_iterated_ito_quadratic_variation_identity():
     rng = _chunk_rng(17, 0)
     x = np.zeros(1)
     state = simulate_functionals(model, x, x, t, steps, rng, paths, orders=(1, 2))
-    psi = state.iterated[1][:, 0, 0]
-    i2 = state.iterated[2][:, 0, 0]
+    psi = state.iterated(1)[:, 0, 0]
+    i2 = state.iterated(2)[:, 0, 0]
     # reconstruct the quadratic variation from the same increments
     rng2 = _chunk_rng(17, 0)
     _, pos = sample_bridge_batch(rng2, 1, x, x, t, steps, paths)
@@ -541,14 +578,15 @@ def test_generic_plane_code_reproduces_the_2x2_fast_path():
     )
     assert np.abs(s2.full_transport - s3.full_transport[:, :2, :2]).max() < 1e-12
     for order in (1, 2):
-        assert np.abs(s2.iterated[order] - s3.iterated[order][:, :2, :2]).max() < 1e-12
+        assert np.abs(s2.rows[order] - s3.rows[order][:, :2, :2]).max() < 1e-12
     assert np.abs(s3.full_transport[:, 2, 2] - np.exp(-0.7 * t)).max() < 1e-12
 
 
 def test_engine_matches_a_per_step_expm_reference_stepper():
     """tr A_j != 0, a non-commuting potential and two perturbations: stepping
-    every path with scipy's expm of the full generators, on the same bridge
-    draws, reproduces G, I_1 and I_2."""
+    every path with scipy's expm of the full generators and the G-conjugated
+    increments, on the same bridge draws, reproduces G, the rows
+    Y_m = I_m G, and the I_m that the state recovers from them."""
     rng0 = np.random.default_rng(21)
     a = (0.6 * skew(rng0, 2) + 0.5j * np.eye(2), 0.6 * skew(rng0, 2) - 0.3j * np.eye(2))
     w = herm(rng0, 2, shift=2.2)
@@ -580,8 +618,10 @@ def test_engine_matches_a_per_step_expm_reference_stepper():
             g[p] = g[p] @ e_w @ m
     for got, expect in (
         (state.full_transport, g),
-        (state.iterated[1], i1),
-        (state.iterated[2], i2),
+        (state.rows[1], i1 @ g),
+        (state.rows[2], i2 @ g),
+        (state.iterated(1), i1),
+        (state.iterated(2), i2),
     ):
         assert np.abs(got - expect).max() < 1e-12
 
@@ -593,11 +633,11 @@ def test_simulate_reproducible_streams():
     assert np.array_equal(a.full_transport, b.full_transport)
 
 
-@pytest.mark.parametrize("n, per_step", [(0, 2), (1, 6)])
+@pytest.mark.parametrize("n, per_step", [(0, 2), (1, 4)])
 def test_step_loop_plane_products(monkeypatch, n, per_step):
-    """On the criterion-9 model (A and W both non-zero) a step makes two
-    plane products for G, two for G^-1 once a perturbation is kept, and
-    two for the dressed increment dPsi_1; nothing else is multiplied."""
+    """On the criterion-9 model (A and W both non-zero) a step makes one
+    plane product for the right factor E M_k and one per row Y_m for it,
+    plus one for each Y_{m-1} local_m; nothing else is multiplied."""
     model = acceptance_fk_model()
     if n == 0:
         model = model.with_perturbations(())
@@ -676,7 +716,7 @@ def test_fk_stderr_stable_for_large_mean_and_tiny_spread():
     for idx, start in enumerate(range(0, paths, CHUNK_SIZE)):
         take = min(CHUNK_SIZE, paths - start)
         state = simulate_functionals(model, x, x, t, steps, _chunk_rng(seed, idx), take)
-        f.append(state.iterated[2][:, 0, 0])
+        f.append(state.iterated(2)[:, 0, 0])
     f = np.concatenate(f)
     p = heat_kernel(1, t, x, x)
     assert np.std(f) < 1e-10 * abs(f.mean())
@@ -705,25 +745,54 @@ def test_fk_stderr_scaling_with_paths():
 
 
 def test_moment_probe_single_first_order():
+    """One first-order factor after a zeroth-order one, on a model with a
+    connection and a potential that commute with neither coefficient: the
+    probe recovers I_2 = Y_2 G^-1 and E|I_2|^2 grows like t^3."""
+    a = 0.8 * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    w = np.array([[0.6, 0.2], [0.2, 0.3]], dtype=complex)
+    s = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    v = np.array([[0.5, 0.3], [0.3, -0.4]], dtype=complex)
+    zero = np.zeros((2, 2))
     model = TorusModel(
-        1,
-        1,
-        perturbations=(
-            PerturbationSpec((np.array([[1.0]], dtype=complex),), np.zeros((1, 1))),
-        ),
+        1, 2, (a,), w, (PerturbationSpec((zero,), v), PerturbationSpec((s,), zero))
     )
     slope, diag = moment_scaling_probe(
-        model, (0,), b=2.0, t_grid=(0.05, 0.1, 0.2), paths=8000, steps=128, seed=0
+        model, (1, 0), b=2.0, t_grid=(0.05, 0.1, 0.2), paths=8000, steps=128, seed=0
     )
-    assert abs(slope - 1.0) < 0.15
+    assert diag["expected_slope"] == 3.0
+    assert abs(slope - 3.0) < 0.15
+
+
+@pytest.mark.parametrize("dressed", [False, True])
+def test_moment_probe_rejects_patterns_without_the_power_law(monkeypatch, dressed):
+    """nu = (0,) on a loop: I_1 = S (z - x) is fixed by the winding class
+    (0 unless the bridge winds, so a fitted slope reads rounding noise of
+    ~1e-34), and with a non-commuting connection its leading term is of
+    order t.  A pattern keeping a zero part vanishes identically.  Neither
+    simulates."""
+    s = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    connection = (np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex),) if dressed else ()
+    model = TorusModel(
+        1, 2, connection, perturbations=(PerturbationSpec((s,), np.zeros((2, 2))),) * 2
+    )
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths were simulated")
+
+    monkeypatch.setattr(engine, "simulate_functionals", no_draws)
+    with pytest.raises(ValueError, match=r"nu=\(0,\)"):
+        moment_scaling_probe(model, (0,), 2.0, (0.1, 0.2), paths=100, steps=4)
+    with pytest.raises(ValueError, match=r"nu=\(0, 1\) keeps a vanishing part of perturbation 1"):
+        moment_scaling_probe(model, (0, 1), 2.0, (0.1, 0.2), paths=100, steps=4)
+    with pytest.raises(AssertionError, match="simulated"):
+        moment_scaling_probe(model, (0, 0), 2.0, (0.1, 0.2), paths=100, steps=4)
 
 
 def test_moment_probe_rejects_colliding_chunk_keys(monkeypatch):
     """Chunk idx of grid time ti is keyed 10_000 ti + idx, so more than
     10_000 chunks per time would share streams across times."""
-    model = TorusModel(
-        1, 1, perturbations=(PerturbationSpec((np.array([[1.0]], dtype=complex),), np.zeros((1, 1))),)
-    )
+    one = np.array([[1.0]], dtype=complex)
+    model = TorusModel(1, 1, perturbations=(PerturbationSpec.zeroth(one, 1),))
 
     def no_draws(*args, **kwargs):
         raise AssertionError("paths were simulated")
@@ -731,9 +800,9 @@ def test_moment_probe_rejects_colliding_chunk_keys(monkeypatch):
     monkeypatch.setattr(engine, "CHUNK_SIZE", 1)
     monkeypatch.setattr(engine, "simulate_functionals", no_draws)
     with pytest.raises(ValueError, match="10000 distinct stream keys"):
-        moment_scaling_probe(model, (0,), 2.0, (0.1, 0.2), paths=10_001, steps=4)
+        moment_scaling_probe(model, (1,), 2.0, (0.1, 0.2), paths=10_001, steps=4)
     with pytest.raises(AssertionError, match="simulated"):  # 10_000 keys fit
-        moment_scaling_probe(model, (0,), 2.0, (0.1, 0.2), paths=10_000, steps=4)
+        moment_scaling_probe(model, (1,), 2.0, (0.1, 0.2), paths=10_000, steps=4)
 
 
 def test_levy_streamed_areas_match_stored_paths(monkeypatch):
