@@ -129,11 +129,17 @@ def chain_from_json(obj, location: str = "chain"):
         loc = f"{location}.chain[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(loc, "expected an object")
-        chain.append(
-            DGAElement(
-                form_from_json(entry.get("prime"), d, f"{loc}.prime"),
-                form_from_json(entry.get("doubleprime"), d, f"{loc}.doubleprime"),
+        prime = form_from_json(entry.get("prime"), d, f"{loc}.prime")
+        # the small-time prefactor (t/2)^(-n/2 + sum deg w_j' / 2) matches the
+        # localization target only when every w_j' past w_0' has degree 1
+        degrees = prime.degrees()
+        if i >= 1 and degrees and degrees != {1}:
+            raise ConfigError(
+                f"{loc}.prime",
+                f"w_{i}' must be zero or of pure degree 1, got degrees {sorted(degrees)}",
             )
+        chain.append(
+            DGAElement(prime, form_from_json(entry.get("doubleprime"), d, f"{loc}.doubleprime"))
         )
     if not chain:
         raise ConfigError(f"{location}.chain", "chain must be nonempty")

@@ -412,6 +412,34 @@ def test_malformed_curvature_config_exits_2(tmp_path, capsys, command, cfg, loca
     assert location in capsys.readouterr().err
 
 
+def d4_chain_config(w1_prime):
+    """d = 4: w0' = e1e2 + e3e4/2, w1'' = e3e4 and the given w1'."""
+    return {"d": 4, "chain": [
+        {"prime": [{"indices": [1, 2], "re": 1.0}, {"indices": [3, 4], "re": 0.5}]},
+        {"prime": w1_prime, "doubleprime": [{"indices": [3, 4], "re": 1.0}]},
+    ]}
+
+
+@pytest.mark.parametrize("command", ["localize", "jlo"])
+def test_chain_with_a_higher_degree_later_prime_exits_2(tmp_path, capsys, command):
+    """The small-time prefactor counts w_j' (j >= 1) as degree 1: on a
+    degree-3 w1' the sweep came out exactly (t/2) times the target, with
+    relative_error 1.0, so such a chain is rejected as input.  The same
+    chain with a degree-1 w1' runs and meets its target."""
+    cubic = [{"indices": [1, 2, 3], "re": 1.0}, {"indices": [2, 3, 4], "re": -0.3}]
+    linear = [{"indices": [1], "re": 1.0}, {"indices": [4], "re": -0.3}]
+    codes = {}
+    for name, w1_prime in (("cubic", cubic), ("linear", linear)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d4_chain_config(w1_prime)))
+        out = tmp_path / f"{name}.report.json"
+        codes[name] = run_cli([command, "--config", str(path), "--out", str(out)])
+        assert out.exists() == (codes[name] != 2)
+        if name == "cubic":
+            assert "chain.chain[1].prime" in capsys.readouterr().err
+    assert codes == {"cubic": 2, "linear": 0}
+
+
 def test_levy_area_subcommand_d4_uses_doubled_series(tmp_path):
     """The unit-weight estimate is checked against the series at 2 Omega."""
     theta = [{"indices": [1, 2], "re": 0.4}, {"indices": [3, 4], "re": -0.55}]

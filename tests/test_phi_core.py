@@ -267,7 +267,7 @@ def test_eigenbasis_evaluators_match_dense_loops(family, t):
     if family.n > 1:
         assert not np.allclose(first @ last, last @ first)
     assert not np.allclose(first, first.conj().T)
-    for steps in (64, 128):
+    for steps in (64, 100, 128):
         got = phi_core.phi_ode(family, t, steps).value
         ref = dense_ode_reference(family, t, steps)
         assert np.all(np.isfinite(got))
@@ -276,6 +276,78 @@ def test_eigenbasis_evaluators_match_dense_loops(family, t):
     ref = dense_quadrature_reference(family, t, 8)
     assert np.all(np.isfinite(got))
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def per_step_ode(family, t, steps):
+    """The step loop of phi_ode before the blocked scan, verbatim: one
+    Python iteration per step of every level."""
+    n, dim = family.n, family.dim
+    lam, u, ps = phi_core._to_eigenbasis(family)
+
+    suffix = None  # odd-index values of level k+1, the midpoints of level k
+    for k in range(n, 0, -1):
+        nsteps = steps * 2 ** (k - 1)
+        h = t / nsteps
+        decay = np.exp(-h * lam)[:, None]
+        p = (h * np.exp(-h / 2.0 * lam))[:, None] * ps[k - 1]
+        if k == n:
+            mids = np.exp(-np.multiply.outer((np.arange(nsteps) + 0.5) * h, lam))
+            forcing = (p * mid for mid in mids)
+        else:
+            forcing = p @ suffix
+            suffix = None  # read once; release before the next level's values
+        kept = np.empty((nsteps // 2, dim, dim), dtype=complex) if k > 1 else None
+        cur = np.zeros((dim, dim), dtype=complex)  # Phi_0 = 0 for n >= 1
+        for i, term in enumerate(forcing):
+            cur *= decay
+            cur += term
+            if kept is not None and i % 2 == 0:
+                kept[i // 2] = cur
+        suffix, kept = kept, None  # suffix holds the only reference
+    return u @ cur @ u.conj().T
+
+
+@pytest.mark.parametrize("steps", [16, 17, 100, 2048])
+@pytest.mark.parametrize("dim", [2, 8, 32])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_blocked_scan_matches_per_step_loop(n, dim, steps):
+    """Only the order of summation differs.  17 and 100 leave a tail after
+    the last full block, and 17 gives an odd step count at level 1."""
+    family = random_family(np.random.default_rng(1000 * n + dim), dim, n)
+    got = phi_core.phi_ode(family, 0.7, steps).value
+    ref = per_step_ode(family, 0.7, steps)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "nsteps, dim", [(n, 3) for n in (16, 17, 100, 2048, 16384)] + [(n, 32) for n in (16, 17, 2048)]
+)
+def test_midpoint_scan_steps_blocks_not_single_steps(nsteps, dim):
+    """The scan asks for forcing terms once per block step and once per
+    tail step, and gives the end point and every kept even-step value of
+    the one-step recurrence; an odd step count keeps its last step too.
+    Small matrices take about sqrt(nsteps) blocks, so fewer than
+    2 sqrt(nsteps) calls; 32 x 32 ones at most 16 blocks (16 KB each), so
+    at most about nsteps / 16 calls."""
+    rng = np.random.default_rng(nsteps)
+    decay = np.exp(-rng.random(dim))[:, None] ** (1.0 / np.sqrt(nsteps))
+    terms = rng.standard_normal((nsteps, dim, dim)) + 1j * rng.standard_normal((nsteps, dim, dim))
+    calls = []
+
+    def forcing(sl, out):
+        calls.append(sl)
+        out[...] = terms[sl]
+        return out
+
+    kept = np.empty(((nsteps + 1) // 2, dim, dim), dtype=complex)
+    end = phi_core._midpoint_scan(decay, forcing, nsteps, kept)
+    assert len(calls) < max(2 * np.sqrt(nsteps), nsteps / 8)
+    cur = np.zeros((dim, dim), dtype=complex)
+    for i, term in enumerate(terms):
+        cur = decay * cur + term
+        if i % 2 == 0:
+            assert np.linalg.norm(kept[i // 2] - cur) <= 1e-13 * np.linalg.norm(cur)
+    assert np.linalg.norm(end - cur) <= 1e-13 * np.linalg.norm(cur)
 
 
 @pytest.mark.parametrize("n,steps", [(2, 2048), (3, 1024)])
