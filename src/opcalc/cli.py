@@ -58,6 +58,8 @@ def _parse_t_grid(text: str):
         raise ConfigError("--t-grid", "expected comma-separated reals") from None
     if not vals or any(v <= 0 for v in vals):
         raise ConfigError("--t-grid", "need positive times")
+    if len(vals) > 1 and vals[-1] == vals[-2]:
+        raise ConfigError("--t-grid", "the last two times must differ")
     return vals
 
 
@@ -237,7 +239,7 @@ def cmd_levy_area(args):
     steps = _count(args.steps, cfg, "steps", 512, "--steps")
     seed = _seed(args.seed, cfg)
     res = levy_area_estimate(omega, d, paths, steps, seed=seed)
-    # the unit-weight area exponential follows the series at 2 Omega
+    # the area exponential follows the series at 2 Omega
     oracle = clifford.a_hat_series([[2.0 * e for e in row] for row in omega], d)
     top_mask = (1 << d) - 1
     diff = abs(res.top_mean - oracle.coefficient(top_mask))

@@ -138,21 +138,6 @@ class MultiVector:
                 out[key] = out.get(key, 0.0) + sign * ca * cb
         return MultiVector(self.n, out)
 
-    def __xor__(self, other: "MultiVector") -> "MultiVector":
-        return self.wedge(other)
-
-    def contract(self, j: int) -> "MultiVector":
-        """Interior product with generator j: theta_S -> sign * theta_{S\\{j}}."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"generator index {j} out of range 1..{self.n}")
-        bit = 1 << (j - 1)
-        out = {}
-        for mask, c in self.coeffs.items():
-            if mask & bit:
-                sign = -1 if _popcount_below(mask, j) & 1 else 1
-                out[mask ^ bit] = out.get(mask ^ bit, 0.0) + sign * c
-        return MultiVector(self.n, out)
-
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, mask: int) -> complex:

@@ -18,10 +18,12 @@ sum of ``stochastic_mc.model``, not a per-mode ``phi_block`` sum.
 a vanishing block.  Every Phi of ``chern_eval`` comes from
 ``phi_core.phi_block``, the one block-bidiagonal (Van Loan) route.  The
 t -> 0 limit is the localization target
-    ((-1)^n 2^(2n) / (n! (2 pi sqrt(-1))^(d/2))) * vol * top(w_0'^w_1''^...^w_n'').
-Plain cocycle evaluation (chern_eval, unit coefficients at t = 1 with the
-rescaled module) is exposed separately; its small-t limit differs from the
-localization target by 2^(2n), see the package notes.
+    ((-1)^n 2^(2n) / (n! (2 pi sqrt(-1))^(d/2))) * vol * top(w_0'^w_1''^...^w_n''),
+which ``richardson`` approaches along the line through the last two grid
+times.  Plain cocycle evaluation (chern_eval on the ``FredholmModule`` of a
+spinor rep and an odd D, unit coefficients, rescaled by t) is exposed
+separately; its small-t limit differs from the localization target by
+2^(2n), see the package notes.
 """
 
 from __future__ import annotations
@@ -63,48 +65,39 @@ class DGAElement:
 
 @dataclass(frozen=True)
 class FredholmModule:
-    """Graded finite module: grading, odd self-adjoint D, Clifford map.
+    """Finite graded module of a spinor rep: the rep's chirality grading,
+    an odd self-adjoint D and the rep's Clifford map.
 
-    ``rep`` supplies the quantization map for form arguments; modules used
-    only for heat-supertrace diagnostics may carry an explicit unbalanced
-    ``grading`` and no rep.  The differential of the constant-form model is
-    identically zero.  ``scale_t`` composes multiplicatively with the time
-    arguments of the rescaled family.
+    The rep's checks already make the grading square to one.  The
+    differential of the constant-form model is identically zero.
     """
 
+    rep: SpinorRep
     dirac: np.ndarray
-    grading: np.ndarray
-    rep: SpinorRep | None = None
-    scale_t: float = 1.0
 
     def __post_init__(self):
         d = np.asarray(self.dirac, dtype=complex)
-        g = np.asarray(self.grading, dtype=complex)
+        g = self.grading
         scale = max(np.linalg.norm(d, 2), 1.0)
         if np.linalg.norm(d - d.conj().T, 2) > 1e-12 * scale:
             raise ValueError("D must be self-adjoint")
         if np.linalg.norm(g @ d + d @ g, 2) > 1e-12 * scale:
             raise ValueError("D must be odd for the grading")
-        if np.linalg.norm(g @ g - np.eye(len(g)), 2) > 1e-12:
-            raise ValueError("grading must square to the identity")
         object.__setattr__(self, "dirac", d)
-        object.__setattr__(self, "grading", g)
+
+    @property
+    def grading(self) -> np.ndarray:
+        return self.rep.chirality
 
     @property
     def dim(self) -> int:
         return self.dirac.shape[0]
 
     def quantize(self, form: MultiVector) -> np.ndarray:
-        if self.rep is None:
-            raise ValueError("module carries no Clifford map")
         return clifford_quantize(self.rep, form)
 
     def supertrace(self, m: np.ndarray) -> complex:
         return complex(np.trace(self.grading @ m))
-
-
-def spinor_module(rep: SpinorRep, dirac: np.ndarray, scale_t: float = 1.0) -> FredholmModule:
-    return FredholmModule(dirac, rep.chirality, rep, scale_t)
 
 
 def random_odd_dirac(rep: SpinorRep, rng: np.random.Generator) -> np.ndarray:
@@ -212,7 +205,6 @@ def chern_eval(module: FredholmModule, chain, t: float) -> complex:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    t = t * module.scale_t
     chain = tuple(
         DGAElement(
             t ** (w.prime.pure_degree() / 2.0) * w.prime,
@@ -267,10 +259,11 @@ def localization_target(chain, d: int, volume: float = 1.0) -> complex:
     return coeff * volume * berezin(top)
 
 
-def richardson(values, order: float = 1.0) -> complex:
-    """Two-point Richardson step for a geometric (ratio-2) time sequence."""
-    values = list(values)
+def richardson(times, values) -> complex:
+    """The value at t = 0 of the line through the last two (time, value)
+    points: (r v[-1] - v[-2]) / (r - 1) with r = t[-2] / t[-1], so any
+    distinct pair of times serves; one point is its own limit."""
     if len(values) == 1:
         return values[0]
-    factor = 2.0**order
-    return (factor * values[-1] - values[-2]) / (factor - 1.0)
+    r = times[-2] / times[-1]
+    return (r * values[-1] - values[-2]) / (r - 1.0)

@@ -230,49 +230,6 @@ def frac_power_inv(h: HermitianOperator, a: float) -> np.ndarray:
     return h.apply_function(lambda lam: (lam + 1.0) ** (-a))
 
 
-def relative_bound_probe(
-    h: HermitianOperator,
-    p: np.ndarray,
-    a: float,
-    lam: float,
-    samples: int = 32,
-    seed: int = 0,
-):
-    """Split constants epsilon(lambda), C_eps(lambda) of the relative bound.
-
-    Uses the elementary integral-splitting estimate
-        ||P f|| <= kappa * (int_0^lam s^(a-1) ds) ||f||
-                 + kappa * (int_lam^inf s^(a-2) ds) (||H f|| + ||f||)
-    with kappa = (sin(pi a)/a) * ||P (H+1)^(-a)||, then verifies
-    ||P f|| <= eps ||H f|| + C_eps ||f|| on random unit vectors.
-
-    Returns (eps, c_eps, holds).
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"exponent must lie in (0,1), got {a}")
-    p = np.asarray(p, dtype=complex)
-    if p.shape != h.matrix.shape:
-        raise ValueError("P must share H's shape")
-    kappa = (np.sin(np.pi * a) / a) * op_norm(p @ frac_power_inv(h, a))
-    tail = lam ** (a - 1.0) / (1.0 - a)   # int_lam^inf s^(a-2) ds
-    head = lam**a / a                     # int_0^lam s^(a-1) ds
-    eps = kappa * tail
-    c_eps = kappa * (head + tail)
-
-    rng = np.random.default_rng(seed)
-    holds = True
-    for _ in range(samples):
-        f = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
-        f /= np.linalg.norm(f)
-        lhs = np.linalg.norm(p @ f)
-        rhs = eps * np.linalg.norm(h.matrix @ f) + c_eps
-        if lhs > rhs * (1 + 1e-12):
-            holds = False
-    return eps, c_eps, holds
-
-
 def op_norm(m: np.ndarray) -> float:
     """Largest singular value; RuntimeError if the power iteration used
     above dimension 1024 has not converged in 500 iterations."""

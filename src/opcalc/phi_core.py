@@ -35,7 +35,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial, lgamma
 
 import numpy as np
@@ -106,9 +106,7 @@ class FermionicLift:
 @dataclass(frozen=True)
 class PhiResult:
     value: np.ndarray
-    method: str
-    t: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def phi_block(h, perturbations, t: float) -> np.ndarray:
@@ -173,14 +171,14 @@ def phi_fermionic(family: OperatorFamily, t: float) -> PhiResult:
     if t < 0:
         raise ValueError("t must be nonnegative")
     if family.n == 0:
-        return PhiResult(herm_exp(family.h, t), "fermionic", t, {"lift_dim": family.dim})
+        return PhiResult(herm_exp(family.h, t), {"lift_dim": family.dim})
     lift = build_lift(family)
     big = linalg.expm(-t * lift.generator)
     n, dim_h = family.n, family.dim
     r0 = lift.block_index(n, (1 << n) - 1)
     c0 = lift.block_index(n, 0)
     value = (-1.0) ** n * big[r0 : r0 + dim_h, c0 : c0 + dim_h]
-    return PhiResult(value, "fermionic", t, {"lift_dim": lift.dim})
+    return PhiResult(value, {"lift_dim": lift.dim})
 
 
 def _to_eigenbasis(family: OperatorFamily):
@@ -229,12 +227,7 @@ def phi_quadrature(family: OperatorFamily, t: float, nodes_per_dim: int = 32) ->
         return np.einsum("nq,nqad->nad", weights, left)
 
     value = u @ level_values(n, np.array([t]))[0] @ u.conj().T
-    return PhiResult(
-        value,
-        "quadrature",
-        t,
-        {"nodes_per_dim": nodes_per_dim, "total_nodes": nodes_per_dim**n},
-    )
+    return PhiResult(value, {"nodes_per_dim": nodes_per_dim, "total_nodes": nodes_per_dim**n})
 
 
 def phi_ode(family: OperatorFamily, t: float, steps: int = 4096) -> PhiResult:
@@ -286,7 +279,7 @@ def phi_ode(family: OperatorFamily, t: float, steps: int = 4096) -> PhiResult:
         raise ValueError("need at least 16 steps")
     n, dim = family.n, family.dim
     if n == 0:
-        return PhiResult(herm_exp(family.h, t), "ode", t, {"steps": steps})
+        return PhiResult(herm_exp(family.h, t), {"steps": steps})
     if t / (steps * 2 ** (n - 1)) < 1e-15 * t:
         raise ValueError("step underflow")
     lam, u, ps = _to_eigenbasis(family)
@@ -305,9 +298,7 @@ def phi_ode(family: OperatorFamily, t: float, steps: int = 4096) -> PhiResult:
         kept = np.empty((nsteps // 2, dim, dim), dtype=complex) if k > 1 else None
         cur = _midpoint_scan(decay, forcing, nsteps, kept)
         suffix, kept = kept, None  # suffix holds the only reference
-    return PhiResult(
-        u @ cur @ u.conj().T, "ode", t, {"steps": steps, "step_size": t / steps}
-    )
+    return PhiResult(u @ cur @ u.conj().T, {"steps": steps, "step_size": t / steps})
 
 
 # Upper bound on the bytes of one stack of nb block matrices in
@@ -379,16 +370,14 @@ def simplex_constant(exponents) -> float:
     return float(np.exp(log_val))
 
 
-def simplex_constant_mc(
-    exponents, samples: int = 10**6, seed: int = 0, symmetrize: bool = True
-):
+def simplex_constant_mc(exponents, samples: int = 10**6, seed: int = 0):
     """Monte Carlo oracle for :func:`simplex_constant`.
 
     Sorted uniforms are uniform on the ordered simplex (volume 1/n!), so the
     integral is E[f] / n!.  The spacings of sorted uniforms are exchangeable,
-    so with ``symmetrize`` the integrand is averaged over cyclic assignments
-    of the exponents to the n+1 spacings; this is a variance reduction of
-    the same sampler, not a different estimator.  Returns (estimate, stderr).
+    so the integrand is averaged over cyclic assignments of the exponents to
+    the n+1 spacings; this is a variance reduction of the same sampler, not
+    a different estimator.  Returns (estimate, stderr).
     """
     exps = np.asarray(tuple(exponents), dtype=float)
     n = len(exps)
@@ -410,13 +399,10 @@ def simplex_constant_mc(
         gaps = np.concatenate(
             [s[:, :1], np.diff(s, axis=1), 1.0 - s[:, -1:]], axis=1
         )
-        if symmetrize:
-            f = np.zeros(m)
-            for shift in range(n + 1):
-                f += np.prod(gaps ** (-np.roll(exps_padded, shift)), axis=1)
-            f /= n + 1
-        else:
-            f = np.prod(gaps ** (-exps_padded), axis=1)
+        f = np.zeros(m)
+        for shift in range(n + 1):
+            f += np.prod(gaps ** (-np.roll(exps_padded, shift)), axis=1)
+        f /= n + 1
         parts.append(_chunk_moments(f))
         done += m
     _, mean, m2 = _merge_moments(parts)
@@ -456,8 +442,9 @@ def norm_bound_check(family: OperatorFamily, t: float):
     return lhs, rhs, bool(lhs <= rhs * (1 + 1e-8) + 1e-300)
 
 
-def nilpotency_check(family: OperatorFamily, t: float, l: int, nodes_per_dim: int = 4):
-    """Norm of the l-fold repeated lifted-perturbation integral.
+def nilpotency_check(family: OperatorFamily, t: float, l: int):
+    """Norm of the l-fold repeated lifted-perturbation integral, by
+    ``phi_quadrature`` with 4 nodes per dimension.
 
     Every product of l >= n+1 copies of the lifted perturbation repeats an
     exterior generator, so there the integrand vanishes identically and the
@@ -471,7 +458,7 @@ def nilpotency_check(family: OperatorFamily, t: float, l: int, nodes_per_dim: in
         linalg.hermitian(lift.h_part, require_nonneg=True),
         (lift.p_part,) * l,
     )
-    res = phi_quadrature(lifted_family, t, nodes_per_dim)
+    res = phi_quadrature(lifted_family, t, 4)
     return op_norm(res.value)
 
 

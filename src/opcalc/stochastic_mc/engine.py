@@ -27,7 +27,8 @@ enlarged-space product formula term by term shows that the dressed form is
 the one that matches the exact oracle; when the potential commutes with
 everything (scalar W, or W = 0) it reduces to the familiar p E[Wf(t) I_n(t)
 V(t)], with Wf the multiplicative functional of W and V the bare transport.
-``FunctionalState.iterated`` recovers I_m = Y_m G(t)^-1 for the one caller
+The engine returns G(t) and the top row Y_n(t) (``FunctionalState.row``);
+``FunctionalState.iterated`` recovers I_n = Y_n G(t)^-1 for the one caller
 that needs it, the moment probe.
 
 Trace phase.  Each A_j splits as a_j I + A'_j with a_j = tr(A_j)/r and A'_j
@@ -156,24 +157,25 @@ def _expm_planes(m: np.ndarray, out=None) -> np.ndarray:
 class FunctionalState:
     """Per-path accumulators after a simulated horizon.
 
-    ``full_transport`` is the dressed transport G(t) and ``rows`` maps an
-    order m to the enlarged-space row Y_m(t) = I_m(t) G(t).  Each array is a
-    (P, r, r) view of the engine's (r, r, P) planes.  ``dressed`` is False
-    when G(t) is the identity on every path (no connection, no potential),
-    so that Y_m = I_m.
+    ``full_transport`` is the dressed transport G(t) and ``row`` the
+    enlarged-space row Y_n(t) = I_n(t) G(t) of the model's order n (G(t)
+    itself for n = 0).  Each array is a (P, r, r) view of the engine's
+    (r, r, P) planes.  ``dressed`` is False when G(t) is the identity on
+    every path (no connection, no potential), so that Y_n = I_n.
     """
 
     full_transport: np.ndarray  # (P, r, r)
-    rows: dict                  # order -> (P, r, r)
+    row: np.ndarray             # (P, r, r)
     dressed: bool
 
-    def iterated(self, m: int) -> np.ndarray:
-        """The G-dressed iterated integral I_m(t) = Y_m(t) G(t)^-1, (P, r, r)."""
-        y = self.rows[m]
+    def iterated(self) -> np.ndarray:
+        """The G-dressed iterated integral I_n(t) = Y_n(t) G(t)^-1, (P, r, r)."""
         if not self.dressed:
-            return y
+            return self.row
         # I G = Y  <=>  G^T I^T = Y^T: one batched solve
-        return np.linalg.solve(self.full_transport.swapaxes(1, 2), y.swapaxes(1, 2)).swapaxes(1, 2)
+        return np.linalg.solve(
+            self.full_transport.swapaxes(1, 2), self.row.swapaxes(1, 2)
+        ).swapaxes(1, 2)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -268,19 +270,13 @@ def simulate_functionals(
     steps: int,
     rng: np.random.Generator,
     n_paths: int,
-    orders=None,
 ) -> FunctionalState:
-    """Run the per-step row updates Y_0 = G, Y_m = I_m G for a batch of
-    bridges.
+    """Run the per-step row updates Y_0 = G, Y_m = I_m G (m = 1..n) for a
+    batch of bridges; returns G(t) and Y_n(t).
 
-    ``orders`` selects which rows to return besides G (default: only the
-    full order n).  Increments are generated step by step; paths are never
-    stored.
+    Increments are generated step by step; paths are never stored.
     """
     d, r, n = model.d, model.r, model.n
-    if orders is None:
-        orders = (n,) if n else ()
-    max_order = max(orders) if orders else 0
     h = t / steps
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -290,17 +286,16 @@ def simulate_functionals(
 
     traces, transport_step = _step_generator(model, n_paths)
     has_potential = bool(np.any(model.potential))
-    specs = model.perturbations[:max_order]
     s_planes = [_planes(spec.first_order) if np.any(spec.first_order) else None
-                for spec in specs]
+                for spec in model.perturbations]
     hv = [h * spec.zeroth_order[..., None] if np.any(spec.zeroth_order) else None
-          for spec in specs]
+          for spec in model.perturbations]
     e_w = linalg.expm(-h * model.potential)[..., None] if has_potential else None
     # without a connection or a potential Y_0 = G stays the identity
     dressed = transport_step is not None or has_potential
 
     shape = (r, r, n_paths)
-    rows = [np.zeros(shape, dtype=complex) for _ in range(max_order + 1)]
+    rows = [np.zeros(shape, dtype=complex) for _ in range(n + 1)]
     for i in range(r):
         rows[0][i, i] = 1.0
     tmp, spare, prod, local_buf, m_buf, em_buf = (
@@ -315,7 +310,7 @@ def simulate_functionals(
                 em = _plane_mul(e_w, em, em_buf, tmp)
         else:
             em = e_w
-        for i in range(max_order, 0, -1):
+        for i in range(n, 0, -1):
             if s_planes[i - 1] is not None:
                 local = _combine(s_planes[i - 1], db, local_buf, tmp)
                 if hv[i - 1] is not None:
@@ -334,15 +329,13 @@ def simulate_functionals(
 
     if traces.any():
         phase = np.exp(traces @ (z - x[:, None]))  # the per-path phase
-        for m in {0, *orders}:
-            rows[m] *= phase
-
-    def paths_first(a):
-        return np.moveaxis(a, -1, 0)
+        rows[0] *= phase
+        if n:
+            rows[n] *= phase
 
     return FunctionalState(
-        paths_first(rows[0]),
-        {m: paths_first(rows[m]) for m in orders},
+        np.moveaxis(rows[0], -1, 0),
+        np.moveaxis(rows[n], -1, 0),
         dressed or bool(traces.any()),
     )
 
@@ -358,8 +351,7 @@ def _fk_chunk(model, x, y, t, steps, seed, chunk_index, chunk_paths):
     """``_chunk_moments`` of Y_n(t) = I_n(t) G(t) over one chunk."""
     rng = _chunk_rng(seed, chunk_index)
     state = simulate_functionals(model, x, y, t, steps, rng, chunk_paths)
-    f = state.rows[model.n] if model.n else state.full_transport
-    return _chunk_moments(np.moveaxis(f, 0, -1))  # over the (r, r, P) planes
+    return _chunk_moments(np.moveaxis(state.row, 0, -1))  # over the (r, r, P) planes
 
 
 def fk_estimate(
@@ -463,19 +455,20 @@ def moment_scaling_probe(
     paths: int,
     steps: int,
     seed: int = 0,
-    x=None,
 ):
-    """Fit the growth exponent of E|I_m(t)|^b against t.
+    """Fit the growth exponent of E|I_m(t)|^b against t, on loops at x = 0.
 
     Returns (slope, diagnostics); the expected slope is (b/2) (m + |nu|)
     for pure patterns.  A pattern that cannot follow it on a loop (nu = (0,),
-    or a vanishing kept part) raises ``ValueError`` (``_check_moment_pattern``).  On a dressed model each chunk recovers
-    I_m = Y_m G(t)^-1 with one batched solve; otherwise Y_m = I_m.
+    or a vanishing kept part) raises ``ValueError`` (``_check_moment_pattern``).
+    The pattern keeps m = len(nu) perturbations, so the engine's top row is
+    Y_m.  On a dressed model each chunk recovers I_m = Y_m G(t)^-1 with one
+    batched solve; otherwise Y_m = I_m.
     """
     m = len(tuple(nu))
     probe_model = apply_moment_pattern(model, nu)
     _check_moment_pattern(probe_model, nu)
-    x = np.zeros(model.d) if x is None else np.asarray(x, dtype=float)
+    x = np.zeros(model.d)
     chunks = _chunks(paths)
     if len(chunks) > _PROBE_KEY_STRIDE:
         raise ValueError(
@@ -487,10 +480,8 @@ def moment_scaling_probe(
         total = 0.0
         for idx, take in chunks:
             rng = _chunk_rng(seed, _PROBE_KEY_STRIDE * ti + idx)
-            state = simulate_functionals(
-                probe_model, x, x, float(t), steps, rng, take, orders=(m,)
-            )
-            mats = state.iterated(m)
+            state = simulate_functionals(probe_model, x, x, float(t), steps, rng, take)
+            mats = state.iterated()
             total += float(
                 np.sum(np.linalg.norm(mats, axis=(1, 2)) ** b)
             )

@@ -5,10 +5,10 @@ Standard Euclidean bridges Y on [0, 1] drive the Ito accumulator
     J = - sum_{ij} Omega_ij int_0^1 Y_j dY_i    (left-endpoint),
 
 and exp(J) is averaged in the nilpotent even exterior algebra.  The exact
-law gives E[exp(c J)] = det^{1/2}((c Omega)/sinh(c Omega)); with the unit
-weight used here the mean therefore matches the characteristic power
-series evaluated at 2 Omega, and the halved accumulator matches it at
-Omega.  Over d = 2 both reduce to 1 plus a mean-zero top term.
+law gives E[exp(c J)] = det^{1/2}((c Omega)/sinh(c Omega)), so the mean
+matches the characteristic power series evaluated at 2 Omega; J is linear
+in Omega, so passing Omega/2 matches it at Omega.  Over d = 2 both reduce
+to 1 plus a mean-zero top term.
 
 The bridges stream from ``bridge._bridge_steps`` in the engine's chunk
 schedule and Philox streams; the pair areas accumulate step by step into
@@ -83,13 +83,11 @@ def levy_area_estimate(
     paths: int,
     steps: int,
     seed: int = 0,
-    weight: float = 1.0,
 ) -> LevyAreaResult:
-    """Average exp(weight * J) over simulated bridges.
+    """Average exp(J) over simulated bridges.
 
     ``omega`` is a d x d antisymmetric matrix of constant 2-forms over d
-    generators.  ``weight`` scales the area accumulator (1 by default; 1/2
-    recovers the characteristic series at Omega itself).
+    generators.
     """
     if d % 2:
         raise ValueError("d must be even")
@@ -121,7 +119,7 @@ def levy_area_estimate(
             for i, blk in enumerate(blocks):
                 area[blk] += pos[i + 1:] * inc[i] - pos[i] * inc[i + 1:]
         # J = -sum_{i<j} Omega_ij (int Y_j dY_i - int Y_i dY_j)
-        e_j = exp_dense_batch((weight * area).T @ forms, d)
+        e_j = exp_dense_batch(area.T @ forms, d)
         parts.append(_chunk_moments(e_j.T))
     _, mean, m2 = _merge_moments(parts)
     top_mean = mean[top_mask]
@@ -129,5 +127,5 @@ def levy_area_estimate(
         MultiVector.from_dense(d, mean),
         complex(top_mean),
         float(np.sqrt(m2[top_mask] / paths / paths)),
-        {"paths": paths, "steps": steps, "seed": seed, "weight": weight},
+        {"paths": paths, "steps": steps, "seed": seed},
     )

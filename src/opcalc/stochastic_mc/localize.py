@@ -1,17 +1,19 @@
 """Flat-model localization functional through the exact spectral mode sum.
 
-Evaluates, deterministically and per point (homogeneity makes the point
-irrelevant),
+Evaluates, deterministically and at the point x = 0 (homogeneity makes the
+point irrelevant),
 
     F(t) = (t/2)^(-n/2 + sum_j deg(w_j')/2)
            * Str( sum_m (-2)^m sum_I c(w_0')
                   Phi^{D^2/2}_t(P(w_{I_1}), ..., P(w_{I_m}))(x, x) )
 
-with the kernels of the flat-torus spin model, extrapolates t -> 0, and
-compares against the localization target with unit characteristic class.
-The partition sum is ``jlo.partition_blocks``, the assembly ``chern_eval``
-uses, so partitions with a vanishing block are dropped; one spin-torus model
-per surviving partition is built once per call.  The spin-torus models have
+with the kernels of the flat-torus spin model, extrapolates t -> 0 along
+the line through the last two times of the grid (``jlo.richardson``; the
+two must differ), and compares against the localization target with unit
+characteristic class.  The partition sum is ``jlo.partition_blocks``, the
+assembly ``chern_eval`` uses, so partitions with a vanishing block are
+dropped; one spin-torus model per surviving partition is built once per
+call.  The spin-torus models have
 no connection and no potential, so H_k = |k|^2/2 is scalar and each kernel
 is the factorised moment sum of ``model._truncated_kernel`` (a model with a
 connection or a non-scalar potential would take its per-mode
@@ -105,19 +107,21 @@ class LocalizationResult:
         return abs(self.extrapolated - self.target) / max(scale, 1e-300)
 
 
-def _localize(chain, t_sequence, kernel, truncation, x=None, volume=1.0,
-              richardson_order=1.0, mc=None) -> LocalizationResult:
+def _localize(chain, t_sequence, kernel, truncation, volume=1.0, mc=None) -> LocalizationResult:
     """The body of every entry point: partition models; F(t) times
     ``volume`` per time, from the kernels ``kernel(model, t, x, x,
-    truncation)``; Richardson; the target.  ``mc`` = (paths, steps, seed)
-    adds a Monte Carlo check of the first time."""
+    truncation)`` at x = 0; Richardson through the last two times; the
+    target.  ``mc`` = (paths, steps, seed) adds a Monte Carlo check of the
+    first time."""
     chain = tuple(chain)
     d = chain[0].d
     if any(w.prime.n != d or w.doubleprime.n != d for w in chain):
         raise ValueError("chain forms must share the model dimension")
     if any(t <= 0 for t in t_sequence):
         raise ValueError("t must be positive")
-    x = np.zeros(d) if x is None else np.asarray(x, dtype=float)
+    if len(t_sequence) > 1 and t_sequence[-1] == t_sequence[-2]:
+        raise ValueError("the last two times must differ")
+    x = np.zeros(d)
     rep = build_spinor_rep(d)
     c0 = clifford_quantize(rep, chain[0].prime)
     models = _partition_models(chain)
@@ -129,18 +133,18 @@ def _localize(chain, t_sequence, kernel, truncation, x=None, volume=1.0,
     mc_check = None
     if mc is not None:
         mc_check = _mc_check(chain, rep, c0, models, sweep[0], x, truncation, *mc)
-    extrapolated = richardson([value for _, value, _ in sweep], richardson_order)
+    extrapolated = richardson(t_sequence, [value for _, value, _ in sweep])
     target = localization_target(chain, d, volume)
     return LocalizationResult(extrapolated, target, tuple(sweep), mc_check)
 
 
-def localization_value(chain, t: float, truncation: int, x=None) -> complex:
-    """The deterministic localization functional at one time and point.
+def localization_value(chain, t: float, truncation: int) -> complex:
+    """The deterministic localization functional at one time.
 
     Uses the guarded spectral oracle, so a truncation whose tail estimate
     exceeds 1e-10 raises ValueError.
     """
-    return _localize(chain, (t,), spectral_phi_kernel, truncation, x).sweep[0][1]
+    return _localize(chain, (t,), spectral_phi_kernel, truncation).sweep[0][1]
 
 
 def localization_check(
@@ -150,7 +154,6 @@ def localization_check(
     mc_paths: int = 0,
     mc_steps: int = 256,
     seed: int = 0,
-    richardson_order: float = 1.0,
 ) -> LocalizationResult:
     """Extrapolated flat-model localization value against the h-map target.
 
@@ -160,32 +163,21 @@ def localization_check(
     bound (``tail_bound``), in standard errors floored at 1e-12 of its
     Cauchy-Schwarz bound.
     """
-    return _localize(
-        chain, t_sequence, spectral_phi_kernel, truncation, richardson_order=richardson_order,
-        mc=(mc_paths, mc_steps, seed) if mc_paths > 0 else None,
-    )
+    return _localize(chain, t_sequence, spectral_phi_kernel, truncation,
+                     mc=(mc_paths, mc_steps, seed) if mc_paths > 0 else None)
 
 
-def small_time_limit(
-    chain,
-    t_sequence=(1.6, 0.8),
-    truncation: int = 6,
-    richardson_order: float = 1.0,
-) -> LocalizationResult:
+def small_time_limit(chain, t_sequence=(1.6, 0.8), truncation: int = 6) -> LocalizationResult:
     """Extrapolate the K-truncated flat-model functional toward t = 0.
 
     Each value is exact for the model truncated to the modes |k|_inf <= K,
     with the supertrace over the whole torus: (2 pi)^d times the mode sum,
-    with no tail check, since the truncated model is what is studied.
-    ``t_sequence`` must decrease geometrically by factor 2.  The target is
-    the h-map pairing with unit characteristic class and the full torus
-    volume.
+    with no tail check, since the truncated model is what is studied.  The
+    target is the h-map pairing with unit characteristic class and the full
+    torus volume.
     """
     chain = tuple(chain)
-    return _localize(
-        chain, t_sequence, _truncated_kernel, truncation,
-        volume=TWO_PI ** chain[0].d, richardson_order=richardson_order,
-    )
+    return _localize(chain, t_sequence, _truncated_kernel, truncation, volume=TWO_PI ** chain[0].d)
 
 
 def _mc_check(chain, rep, c0, models, row, x, truncation, paths, steps, seed) -> dict:

@@ -515,6 +515,38 @@ def test_localize_subcommand(tmp_path):
     assert report["verdicts"]["within_2_percent"] is True
 
 
+def _chain1_config(tmp_path):
+    """Criterion 8's chain1: w0' = e1, w1'' = e2."""
+    path = tmp_path / "chain1.json"
+    path.write_text(json.dumps({"d": 2, "chain": [
+        {"prime": [{"indices": [1], "re": 1.0}]},
+        {"doubleprime": [{"indices": [2], "re": 1.0}]},
+    ]}))
+    return str(path)
+
+
+def test_jlo_extrapolates_along_the_line_through_its_rows(tmp_path):
+    """On a grid that does not halve, the extrapolated value is the t = 0
+    value of the line through the sweep's two rows."""
+    out = tmp_path / "jlo.json"
+    assert run_cli(["jlo", "--config", _chain1_config(tmp_path), "--t-grid", "1.6,0.5",
+                    "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    (t1, v1), (t2, v2) = (
+        (row["t"], complex(row["value_re"], row["value_im"])) for row in results["rows"]
+    )
+    line = (t1 * v2 - t2 * v1) / (t1 - t2)
+    got = complex(results["extrapolated"]["re"], results["extrapolated"]["im"])
+    assert abs(got - line) <= 1e-12 * abs(line)
+
+
+@pytest.mark.parametrize("command", ["jlo", "localize"])
+def test_equal_last_grid_times_exit_2(tmp_path, capsys, command):
+    """Two equal last times define no line to extrapolate along."""
+    assert run_cli([command, "--config", _chain1_config(tmp_path), "--t-grid", "0.8,0.8"]) == 2
+    assert "--t-grid" in capsys.readouterr().err
+
+
 def test_localize_mc_check_uses_the_requested_truncation(tmp_path):
     """The Monte Carlo cross-check's spectral reference runs at --truncation.
 

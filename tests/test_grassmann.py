@@ -112,14 +112,6 @@ def test_monomial_matrices_linearly_independent():
     assert rank == dim
 
 
-def test_contract_interior_product():
-    n = 3
-    t12 = theta(n, 1).wedge(theta(n, 2))
-    assert t12.contract(1).coefficient(0b010) == 1.0
-    assert t12.contract(2).coefficient(0b001) == -1.0
-    assert t12.contract(3).is_zero()
-
-
 def test_exp_even_terminates_and_matches_series():
     n = 4
     nu = MultiVector(n, {0b0011: 0.7, 0b1100: -0.4})

@@ -16,7 +16,7 @@ def rep4():
 @pytest.fixture(scope="module")
 def module4(rep4):
     rng = np.random.default_rng(0)
-    return jlo.spinor_module(rep4, jlo.random_odd_dirac(rep4, rng))
+    return jlo.FredholmModule(rep4, jlo.random_odd_dirac(rep4, rng))
 
 
 def elem(d, prime=None, doubleprime=None):
@@ -61,10 +61,10 @@ def test_module_validation(rep4):
     rng = np.random.default_rng(1)
     bad = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     with pytest.raises(ValueError):
-        jlo.spinor_module(rep4, bad)  # not self-adjoint
+        jlo.FredholmModule(rep4, bad)  # not self-adjoint
     even = rep4.chirality  # commutes with the grading, so not odd
     with pytest.raises(ValueError):
-        jlo.spinor_module(rep4, even)
+        jlo.FredholmModule(rep4, even)
 
 
 def test_p_of_cases(module4, rep4):
@@ -185,7 +185,7 @@ def test_mckean_singer_invertible_dirac(rep4):
         dirac = jlo.random_odd_dirac(rep4, rng)
         if np.abs(np.linalg.eigvalsh(dirac)).min() > 1e-3:
             break
-    module = jlo.spinor_module(rep4, dirac)
+    module = jlo.FredholmModule(rep4, dirac)
     values, spread, sig = jlo.mckean_singer(module.grading, module.dirac, np.linspace(0.1, 2.0, 7))
     assert sig == 0
     assert spread <= 1e-9
@@ -193,7 +193,7 @@ def test_mckean_singer_invertible_dirac(rep4):
 
 
 def test_mckean_singer_zero_dirac(rep4):
-    module = jlo.spinor_module(rep4, np.zeros((4, 4)))
+    module = jlo.FredholmModule(rep4, np.zeros((4, 4)))
     values, spread, sig = jlo.mckean_singer(module.grading, module.dirac, [0.5, 1.0])
     assert sig == 0 and spread == 0 and np.all(values == 0)
 
@@ -306,3 +306,11 @@ def test_truncation_stability():
     v5 = small_time_limit(chain, t_sequence=(0.8,), truncation=5).sweep[0][1]
     v6 = small_time_limit(chain, t_sequence=(0.8,), truncation=6).sweep[0][1]
     assert abs(v5 - v6) < 1e-5 * max(1.0, abs(v6))
+
+
+def test_equal_last_times_raise():
+    d = 2
+    e1, e2 = MultiVector.generator(d, 1), MultiVector.generator(d, 2)
+    chain = (DGAElement.of(e1.wedge(e2), None, d),)
+    with pytest.raises(ValueError, match="last two times"):
+        small_time_limit(chain, t_sequence=(1.6, 0.8, 0.8), truncation=4)

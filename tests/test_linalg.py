@@ -192,22 +192,6 @@ def test_frac_power_monotone_in_exponent():
     assert np.all(vals_b <= vals_a + 1e-15)
 
 
-def test_relative_bound_probe():
-    rng = np.random.default_rng(4)
-    h = linalg.hermitian(random_hermitian_psd(rng, 6, scale=4.0), require_nonneg=True)
-    p = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    eps_prev = None
-    for lam in (1.0, 10.0, 100.0):
-        eps, c_eps, holds = linalg.relative_bound_probe(h, p, 0.5, lam, samples=64, seed=0)
-        assert holds
-        if eps_prev is not None:
-            assert eps < eps_prev
-        eps_prev = eps
-    # P = identity holds with C_eps >= 1
-    _, c_eps, holds = linalg.relative_bound_probe(h, np.eye(6), 0.5, 5.0)
-    assert holds and c_eps >= 1.0
-
-
 def test_op_norm_diagonal():
     assert linalg.op_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, abs=1e-12)
 

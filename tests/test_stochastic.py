@@ -31,8 +31,6 @@ from opcalc.stochastic_mc.engine import CHUNK_SIZE, _chunk_rng
 from opcalc.stochastic_mc.localize import _partition_models
 from opcalc.stochastic_mc.model import TWO_PI, _truncated_kernel
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 
 def skew(rng, r):
     m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
@@ -462,6 +460,16 @@ def test_w_functional_scalar_exact():
     assert np.allclose(state.full_transport, np.exp(-w * 0.7) * np.eye(2), atol=1e-12)
 
 
+def first_two_orders(model, x, y, t, steps, seed, paths):
+    """The states of the order-1 truncation of ``model`` and of ``model``
+    itself on the same paths: the windings and bridge draws do not depend on
+    the model, so fresh copies of one chunk stream drive both."""
+    return tuple(
+        simulate_functionals(m, x, y, t, steps, _chunk_rng(seed, 0), paths)
+        for m in (model.with_perturbations(model.perturbations[:1]), model)
+    )
+
+
 def test_psi_deterministic_zeroth_order():
     """A = 0, S = 0: Psi(t) = V t exactly, I_n = V^n t^n / n!  up to O(1/steps)."""
     rng0 = np.random.default_rng(6)
@@ -476,14 +484,11 @@ def test_psi_deterministic_zeroth_order():
         ),
     )
     t, steps = 0.8, 512
-    rng = _chunk_rng(15, 0)
-    state = simulate_functionals(
-        model, np.zeros(1), np.zeros(1), t, steps, rng, 8, orders=(1, 2)
-    )
-    assert np.allclose(state.iterated(1), v1 * t, atol=1e-12)
+    s1, s2 = first_two_orders(model, np.zeros(1), np.zeros(1), t, steps, 15, 8)
+    assert np.allclose(s1.iterated(), v1 * t, atol=1e-12)
     # left-endpoint Riemann sum of int_0^t s ds = t^2/2 with error t^2/(2 steps)
     expect = v1 @ v2 * t**2 / 2
-    err = np.abs(state.iterated(2) - expect).max()
+    err = np.abs(s2.iterated() - expect).max()
     assert err < 2.5 * np.abs(v1 @ v2).max() * t**2 / (2 * steps)
 
 
@@ -503,8 +508,8 @@ def test_psi_gaussian_law_first_order():
     t, steps, paths = 0.6, 16, 200000
     rng = _chunk_rng(16, 0)
     x = np.zeros(2)
-    state = simulate_functionals(model, x, x, t, steps, rng, paths, orders=(1,))
-    vals = state.iterated(1)[:, 0, 0].real
+    state = simulate_functionals(model, x, x, t, steps, rng, paths)
+    vals = state.iterated()[:, 0, 0].real
     # B_t - B_0 = 2 pi w with the winding class w, so Psi = sum_j s_j 2 pi w_j
     assert abs(vals.mean()) < 0.02
     # variance: sum_j s_j^2 * Var(2 pi w_j); compare against the empirical winding law
@@ -529,11 +534,10 @@ def test_iterated_ito_quadratic_variation_identity():
         ),
     )
     t, steps, paths = 0.5, 256, 4096
-    rng = _chunk_rng(17, 0)
     x = np.zeros(1)
-    state = simulate_functionals(model, x, x, t, steps, rng, paths, orders=(1, 2))
-    psi = state.iterated(1)[:, 0, 0]
-    i2 = state.iterated(2)[:, 0, 0]
+    s1, s2 = first_two_orders(model, x, x, t, steps, 17, paths)
+    psi = s1.iterated()[:, 0, 0]
+    i2 = s2.iterated()[:, 0, 0]
     # reconstruct the quadratic variation from the same increments
     rng2 = _chunk_rng(17, 0)
     _, pos = sample_bridge_batch(rng2, 1, x, x, t, steps, paths)
@@ -572,14 +576,11 @@ def test_generic_plane_code_reproduces_the_2x2_fast_path():
         ),
     )
     x, y, t = np.array([0.3, 1.9]), np.array([2.2, 0.4]), 0.6
-    s2, s3 = (
-        simulate_functionals(m, x, y, t, 32, _chunk_rng(18, 0), 64, orders=(1, 2))
-        for m in (model2, model3)
-    )
-    assert np.abs(s2.full_transport - s3.full_transport[:, :2, :2]).max() < 1e-12
-    for order in (1, 2):
-        assert np.abs(s2.rows[order] - s3.rows[order][:, :2, :2]).max() < 1e-12
-    assert np.abs(s3.full_transport[:, 2, 2] - np.exp(-0.7 * t)).max() < 1e-12
+    states2, states3 = (first_two_orders(m, x, y, t, 32, 18, 64) for m in (model2, model3))
+    for s2, s3 in zip(states2, states3):  # orders 1 and 2
+        assert np.abs(s2.full_transport - s3.full_transport[:, :2, :2]).max() < 1e-12
+        assert np.abs(s2.row - s3.row[:, :2, :2]).max() < 1e-12
+        assert np.abs(s3.full_transport[:, 2, 2] - np.exp(-0.7 * t)).max() < 1e-12
 
 
 def test_engine_matches_a_per_step_expm_reference_stepper():
@@ -596,7 +597,7 @@ def test_engine_matches_a_per_step_expm_reference_stepper():
     )
     model = TorusModel(2, 2, a, w, perts)
     x, y, t, steps, paths = np.array([0.3, 1.9]), np.array([2.2, 0.4]), 0.6, 24, 12
-    state = simulate_functionals(model, x, y, t, steps, _chunk_rng(21, 0), paths, orders=(1, 2))
+    s1, s2 = first_two_orders(model, x, y, t, steps, 21, paths)
 
     rng = _chunk_rng(21, 0)
     z = (y + TWO_PI * sample_winding(rng, 2, x, y, t, paths)).T
@@ -617,11 +618,12 @@ def test_engine_matches_a_per_step_expm_reference_stepper():
             m = scipy.linalg.expm(sum(aj * db[j, p] for j, aj in enumerate(a)))
             g[p] = g[p] @ e_w @ m
     for got, expect in (
-        (state.full_transport, g),
-        (state.rows[1], i1 @ g),
-        (state.rows[2], i2 @ g),
-        (state.iterated(1), i1),
-        (state.iterated(2), i2),
+        (s1.full_transport, g),
+        (s2.full_transport, g),
+        (s1.row, i1 @ g),
+        (s2.row, i2 @ g),
+        (s1.iterated(), i1),
+        (s2.iterated(), i2),
     ):
         assert np.abs(got - expect).max() < 1e-12
 
@@ -716,7 +718,7 @@ def test_fk_stderr_stable_for_large_mean_and_tiny_spread():
     for idx, start in enumerate(range(0, paths, CHUNK_SIZE)):
         take = min(CHUNK_SIZE, paths - start)
         state = simulate_functionals(model, x, x, t, steps, _chunk_rng(seed, idx), take)
-        f.append(state.iterated(2)[:, 0, 0])
+        f.append(state.iterated()[:, 0, 0])
     f = np.concatenate(f)
     p = heat_kernel(1, t, x, x)
     assert np.std(f) < 1e-10 * abs(f.mean())
@@ -884,8 +886,9 @@ def test_levy_d4_matches_doubled_series_identity():
     top = (1 << d) - 1
     oracle = clifford.a_hat_series(om2, d).coefficient(top)
     assert abs(res.top_mean - oracle) < max(4 * res.top_stderr, 0.01 * abs(oracle) + 0.002)
-    # the halved accumulator recovers the series at Omega itself
-    res_half = levy_area_estimate(om, d, paths=60000, steps=256, seed=3, weight=0.5)
+    # J is linear in Omega: Omega/2 recovers the series at Omega itself
+    om_half = [[0.5 * e for e in row] for row in om]
+    res_half = levy_area_estimate(om_half, d, paths=60000, steps=256, seed=3)
     oracle_half = clifford.a_hat_series(om, d).coefficient(top)
     assert abs(res_half.top_mean - oracle_half) < max(
         4 * res_half.top_stderr, 0.01 * abs(oracle_half) + 0.002
