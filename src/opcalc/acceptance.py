@@ -1,14 +1,19 @@
 """Acceptance criteria, shared by ``tests/test_acceptance.py`` and the CLI
 ``selftest`` subcommand.
 
-Every criterion returns a :class:`CriterionResult` with the measured
-quantities, the pinned tolerance, and a verdict.  Seeds are fixed; the
-reproducibility criterion compares canonical digests of repeated runs with
-different worker counts.
+Every criterion is a body ``criterion_N(seed) -> (passed, details)``
+registered once by :func:`_criterion`, which times it and returns a
+:class:`CriterionResult` with the measured quantities, the pinned tolerance,
+and a verdict.  Seeds are fixed; the reproducibility criterion compares
+canonical digests of repeated runs with different worker counts.  The
+Feynman-Kac and Levy-area criteria decide by the same comparisons as
+``opcalc fk`` and ``opcalc levy-area``: :func:`fk_against_oracle` and
+:func:`levy_against_series`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -33,6 +38,7 @@ from .stochastic_mc import (
     spectral_phi_kernel,
 )
 from .stochastic_mc.engine import _chunk_rng
+from .stochastic_mc.model import _oracle_z, _truncation_tail
 
 
 @dataclass
@@ -46,6 +52,28 @@ class CriterionResult:
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return f"[{verdict}] criterion {self.number:2d}: {self.title}"
+
+
+CRITERIA = {}
+
+
+def _criterion(number: int, title: str, seconds: float | None = None):
+    """Register ``body(seed) -> (passed, details)`` as criterion ``number``,
+    timed, and failed if it takes longer than ``seconds``."""
+
+    def register(body):
+        @functools.wraps(body)
+        def run(seed: int = 0) -> CriterionResult:
+            start = time.time()
+            passed, details = body(seed)
+            elapsed = time.time() - start
+            ok = bool(passed and (seconds is None or elapsed <= seconds))
+            return CriterionResult(number, title, ok, details, elapsed)
+
+        CRITERIA[number] = run
+        return run
+
+    return register
 
 
 def _random_nonneg_hermitian(rng, dim, scale=1.0):
@@ -81,9 +109,9 @@ def pairwise_relative_deviation(values: dict) -> dict:
     }
 
 
-def criterion_1(seed: int = 0) -> CriterionResult:
+@_criterion(1, "cross-evaluator agreement <= 1e-6 within 60 s", seconds=60.0)
+def criterion_1(seed: int = 0):
     """Four-way agreement of phi_block and its three oracles on 20 seeded families."""
-    start = time.time()
     rng = np.random.default_rng(seed)
     t_cycle = (0.1, 0.5, 1.0)
     worst = 0.0
@@ -99,22 +127,14 @@ def criterion_1(seed: int = 0) -> CriterionResult:
             "ode": phi_core.phi_ode(fam, t, 4096).value,
         })
         worst = max(worst, *devs.values())
-    elapsed = time.time() - start
-    passed = worst <= 1e-6 and elapsed <= 60.0
-    return CriterionResult(
-        1,
-        "cross-evaluator agreement <= 1e-6 within 60 s",
-        passed,
-        {"max_pairwise_relative_deviation": worst, "tolerance": 1e-6},
-        elapsed,
-    )
+    return worst <= 1e-6, {"max_pairwise_relative_deviation": worst, "tolerance": 1e-6}
 
 
 # --- criterion 2 -----------------------------------------------------------
 
 
-def criterion_2(seed: int = 0) -> CriterionResult:
-    start = time.time()
+@_criterion(2, "closed-form exactness (scalar and 2x2) <= 1e-10")
+def criterion_2(seed: int = 0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in (1, 2, 3):
@@ -137,45 +157,31 @@ def criterion_2(seed: int = 0) -> CriterionResult:
     worst = max(
         worst, np.abs(phi_core.phi_fermionic(fam2, t).value - expect).max()
     )
-    passed = worst <= 1e-10
-    return CriterionResult(
-        2,
-        "closed-form exactness (scalar and 2x2) <= 1e-10",
-        passed,
-        {"max_abs_error": worst, "tolerance": 1e-10},
-        time.time() - start,
-    )
+    return worst <= 1e-10, {"max_abs_error": worst, "tolerance": 1e-10}
 
 
 # --- criterion 3 -----------------------------------------------------------
 
 
-def criterion_3(seed: int = 0) -> CriterionResult:
-    start = time.time()
+@_criterion(3, "lifted repeated-perturbation integral vanishes at order n+1")
+def criterion_3(seed: int = 0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n, dim in ((1, 4), (2, 3), (3, 2)):
         fam = _random_family(rng, dim, n)
-        lift_p_norm = linalg.op_norm(phi_core.build_lift(fam).p_part)
+        lift_p_norm = np.linalg.norm(phi_core.build_lift(fam).p_part, 2)
         t = 0.7
         scale = max(1.0, (lift_p_norm * t) ** (n + 1))
         value = phi_core.nilpotency_check(fam, t, n + 1)
         worst = max(worst, value / scale)
-    passed = worst <= 1e-10
-    return CriterionResult(
-        3,
-        "lifted repeated-perturbation integral vanishes at order n+1",
-        passed,
-        {"max_scaled_norm": worst, "tolerance": 1e-10},
-        time.time() - start,
-    )
+    return worst <= 1e-10, {"max_scaled_norm": worst, "tolerance": 1e-10}
 
 
 # --- criterion 4 -----------------------------------------------------------
 
 
-def criterion_4(seed: int = 0) -> CriterionResult:
-    start = time.time()
+@_criterion(4, "alternating-sum tail bound holds; simplex constant matches MC (3 SE)")
+def criterion_4(seed: int = 0):
     rng = np.random.default_rng(seed)
     bound_ok = True
     worst_margin = 0.0
@@ -207,25 +213,18 @@ def criterion_4(seed: int = 0) -> CriterionResult:
         z = abs(mc - closed) / max(se, 1e-300)
         mc_worst_z = max(mc_worst_z, z)
         mc_ok = mc_ok and z <= 3.0
-    passed = bound_ok and mc_ok
-    return CriterionResult(
-        4,
-        "alternating-sum tail bound holds; simplex constant matches MC (3 SE)",
-        passed,
-        {
-            "worst_error_over_bound": worst_margin,
-            "worst_mc_z": mc_worst_z,
-            "samples": 10**6,
-        },
-        time.time() - start,
-    )
+    return bound_ok and mc_ok, {
+        "worst_error_over_bound": worst_margin,
+        "worst_mc_z": mc_worst_z,
+        "samples": 10**6,
+    }
 
 
 # --- criterion 5 -----------------------------------------------------------
 
 
-def criterion_5(seed: int = 0) -> CriterionResult:
-    start = time.time()
+@_criterion(5, "derivative-recursion residual is O(h^2) (halving ratio in [3.5, 4.5])")
+def criterion_5(seed: int = 0):
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(10):
@@ -237,14 +236,8 @@ def criterion_5(seed: int = 0) -> CriterionResult:
         r2 = phi_core.derivative_check(fam, t, h / 2)
         ratios.append(r1 / r2)
     ratios = np.array(ratios)
-    passed = bool(np.all((ratios >= 3.5) & (ratios <= 4.5)))
-    return CriterionResult(
-        5,
-        "derivative-recursion residual is O(h^2) (halving ratio in [3.5, 4.5])",
-        passed,
-        {"ratios": [float(v) for v in ratios]},
-        time.time() - start,
-    )
+    passed = np.all((ratios >= 3.5) & (ratios <= 4.5))
+    return passed, {"ratios": [float(v) for v in ratios]}
 
 
 # --- criterion 6 -----------------------------------------------------------
@@ -277,8 +270,8 @@ def patodi_residuals(rep, rng, words: int):
     return worst_vanish, worst_top
 
 
-def criterion_6(seed: int = 0) -> CriterionResult:
-    start = time.time()
+@_criterion(6, "filtration vanishing and top supertrace identity (d in {2,4,6})")
+def criterion_6(seed: int = 0):
     rng = np.random.default_rng(seed)
     worst_vanish = 0.0
     worst_top = 0.0
@@ -287,20 +280,14 @@ def criterion_6(seed: int = 0) -> CriterionResult:
         worst_vanish = max(worst_vanish, vanish)
         worst_top = max(worst_top, top)
     passed = worst_vanish <= 1e-10 and worst_top <= 1e-10
-    return CriterionResult(
-        6,
-        "filtration vanishing and top supertrace identity (d in {2,4,6})",
-        passed,
-        {"worst_vanishing": worst_vanish, "worst_top_residual": worst_top},
-        time.time() - start,
-    )
+    return passed, {"worst_vanishing": worst_vanish, "worst_top_residual": worst_top}
 
 
 # --- criterion 7 -----------------------------------------------------------
 
 
-def criterion_7(seed: int = 0) -> CriterionResult:
-    start = time.time()
+@_criterion(7, "heat supertrace constant and equal to the graded kernel signature")
+def criterion_7(seed: int = 0):
     rng = np.random.default_rng(seed)
     t_grid = np.linspace(0.1, 2.0, 9)
     worst_spread = 0.0
@@ -323,14 +310,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
             vals, spread, sig = jlo.mckean_singer(grading, dirac, t_grid)
         worst_spread = max(worst_spread, spread)
         all_match = all_match and bool(np.abs(vals - sig).max() <= 1e-9)
-    passed = worst_spread <= 1e-9 and all_match
-    return CriterionResult(
-        7,
-        "heat supertrace constant and equal to the graded kernel signature",
-        passed,
-        {"worst_spread": worst_spread},
-        time.time() - start,
-    )
+    return worst_spread <= 1e-9 and all_match, {"worst_spread": worst_spread}
 
 
 # --- criterion 8 -----------------------------------------------------------
@@ -346,29 +326,21 @@ def _spec_chains():
     return chain0, chain1
 
 
-def criterion_8(seed: int = 0) -> CriterionResult:
-    start = time.time()
+@_criterion(8, "graded-cocycle small-time limit hits the localization target (2%)",
+            seconds=120.0)
+def criterion_8(seed: int = 0):
     chain0, chain1 = _spec_chains()
     res0 = small_time_limit(chain0, t_sequence=(1.6, 0.8), truncation=6)
     res1 = small_time_limit(chain1, t_sequence=(1.6, 0.8), truncation=6)
-    elapsed = time.time() - start
-    passed = (
-        res0.relative_error <= 0.02 and res1.relative_error <= 0.02 and elapsed <= 120
-    )
-    return CriterionResult(
-        8,
-        "graded-cocycle small-time limit hits the localization target (2%)",
-        passed,
-        {
-            "n0_relative_error": res0.relative_error,
-            "n1_relative_error": res1.relative_error,
-            "n0_value": res0.extrapolated,
-            "n0_target": res0.target,
-            "n1_value": res1.extrapolated,
-            "n1_target": res1.target,
-        },
-        elapsed,
-    )
+    passed = res0.relative_error <= 0.02 and res1.relative_error <= 0.02
+    return passed, {
+        "n0_relative_error": res0.relative_error,
+        "n1_relative_error": res1.relative_error,
+        "n0_value": res0.extrapolated,
+        "n0_target": res0.target,
+        "n1_value": res1.extrapolated,
+        "n1_target": res1.target,
+    }
 
 
 # --- criterion 9 -----------------------------------------------------------
@@ -392,41 +364,42 @@ def acceptance_fk_model() -> TorusModel:
     return TorusModel(2, 2, (a1, a2), w, (pert,))
 
 
-def criterion_9(seed: int = 0, workers: int = 2) -> CriterionResult:
-    start = time.time()
+# criterion 9's time and end points, also run by criterion 13
+FK_T, FK_X, FK_Y = 0.5, np.array([0.4, 2.1]), np.array([1.3, 5.6])
+
+
+def fk_against_oracle(model, t, x, y, paths, steps, seed, workers, truncation):
+    """The path estimate of the kernel at (x, y) against the spectral oracle:
+    (estimate, oracle, z-scores by ``model._oracle_z``)."""
+    oracle = spectral_phi_kernel(model, t, x, y, truncation)
+    res = fk_estimate(model, t, x, y, paths, steps, seed=seed, workers=workers)
+    tail = _truncation_tail(model, t, truncation)
+    z = _oracle_z(np.abs(res.estimate - oracle), res.stderr, tail, float(np.abs(oracle).max()))
+    return res, oracle, z
+
+
+@_criterion(9, "path estimator matches the spectral oracle (3 SE and 2% relative)",
+            seconds=300.0)
+def criterion_9(seed: int = 0):
     model = acceptance_fk_model()
-    x = np.array([0.4, 2.1])
-    y = np.array([1.3, 5.6])
-    t = 0.5
     detail = {}
     passed = True
     for label, m in (("n0", model.with_perturbations(())), ("n1", model)):
-        oracle = spectral_phi_kernel(m, t, x, y, 16)
-        res = fk_estimate(m, t, x, y, paths=10**5, steps=512, seed=seed, workers=workers)
+        res, oracle, z = fk_against_oracle(m, FK_T, FK_X, FK_Y, 10**5, 512, seed, 2, 16)
         err = np.abs(res.estimate - oracle)
-        z = err / np.maximum(res.stderr, 1e-300)
-        scale = linalg.op_norm(oracle)
-        big = np.abs(oracle) > 0.05 * scale
+        big = np.abs(oracle) > 0.05 * np.linalg.norm(oracle, 2)
         rel_ok = bool(np.all(err[big] <= 0.02 * np.abs(oracle)[big]))
         detail[f"{label}_max_z"] = float(z.max())
         detail[f"{label}_rel_ok"] = rel_ok
-        passed = passed and bool(np.all(z <= 3.0)) and rel_ok
-    elapsed = time.time() - start
-    passed = passed and elapsed <= 300
-    return CriterionResult(
-        9,
-        "path estimator matches the spectral oracle (3 SE and 2% relative)",
-        passed,
-        detail,
-        elapsed,
-    )
+        passed = passed and np.all(z <= 3.0) and rel_ok
+    return passed, detail
 
 
 # --- criterion 10 ----------------------------------------------------------
 
 
-def criterion_10(seed: int = 0) -> CriterionResult:
-    start = time.time()
+@_criterion(10, "iterated-integral moment exponents match (b/2)(m+|nu|) within 0.15")
+def criterion_10(seed: int = 0):
     s1 = np.array([[0.8, 0.0], [0.0, 0.6]], dtype=complex)
     s2 = np.array([[0.5, 0.2], [0.2, 0.7]], dtype=complex)
     v = np.array([[0.9, 0.1], [0.1, 0.7]], dtype=complex)
@@ -447,45 +420,41 @@ def criterion_10(seed: int = 0) -> CriterionResult:
         expected = diag["expected_slope"]
         detail[f"nu={nu}"] = {"slope": slope, "expected": expected}
         passed = passed and abs(slope - expected) <= 0.15
-    return CriterionResult(
-        10,
-        "iterated-integral moment exponents match (b/2)(m+|nu|) within 0.15",
-        passed,
-        detail,
-        time.time() - start,
-    )
+    return passed, detail
 
 
 # --- criterion 11 ----------------------------------------------------------
 
 
-def criterion_11(seed: int = 0) -> CriterionResult:
-    start = time.time()
-    d = 2
-    theta = 0.9
-    e12 = MultiVector(d, {0b11: theta})
-    zero = MultiVector.zero(d)
-    omega = [[zero, e12], [-1.0 * e12, zero]]
-    res = levy_area_estimate(omega, d, paths=10**5, steps=512, seed=seed)
-    oracle = clifford.a_hat_series(omega, d)
-    top_mask = (1 << d) - 1
-    diff = abs(res.top_mean - oracle.coefficient(top_mask))
-    tol = 0.01 * max(1.0, abs(oracle.coefficient(top_mask)))
+def levy_against_series(omega, d, paths, steps, seed):
+    """The averaged area exponential's top coefficient against the curvature
+    series at 2 Omega, the law it follows: (estimate, oracle_top,
+    difference, tolerance), the tolerance 1% of max(1, |oracle_top|)."""
+    res = levy_area_estimate(omega, d, paths, steps, seed=seed)
+    oracle = clifford.a_hat_series([[2.0 * e for e in row] for row in omega], d)
+    oracle_top = oracle.coefficient((1 << d) - 1)
+    diff = abs(res.top_mean - oracle_top)
+    return res, oracle_top, diff, 0.01 * max(1.0, abs(oracle_top))
+
+
+# criterion 11's curvature, Omega_12 = 0.9 e1 e2 = -Omega_21, also run by criterion 13
+_E12 = MultiVector(2, {0b11: 0.9})
+AREA_OMEGA = [[MultiVector.zero(2), _E12], [-1.0 * _E12, MultiVector.zero(2)]]
+
+
+@_criterion(11, "stochastic-area exponential matches the curvature series (1%)")
+def criterion_11(seed: int = 0):
+    _, _, diff, tol = levy_against_series(AREA_OMEGA, 2, 10**5, 512, seed)
+    zero = MultiVector.zero(2)
     zero_case = levy_area_estimate(
-        [[zero, zero], [zero, zero]], d, paths=10, steps=8, seed=seed
+        [[zero, zero], [zero, zero]], 2, paths=10, steps=8, seed=seed
     )
     exact_one = (
         zero_case.mean_form.coefficient(0) == 1.0
-        and zero_case.mean_form.coefficient(top_mask) == 0.0
+        and zero_case.mean_form.coefficient(0b11) == 0.0
     )
     passed = diff <= tol and exact_one
-    return CriterionResult(
-        11,
-        "stochastic-area exponential matches the curvature series (1%)",
-        passed,
-        {"top_difference": diff, "tolerance": tol, "zero_case_exact": exact_one},
-        time.time() - start,
-    )
+    return passed, {"top_difference": diff, "tolerance": tol, "zero_case_exact": exact_one}
 
 
 # --- criterion 12 ----------------------------------------------------------
@@ -527,31 +496,20 @@ def bridge_midpoint_chi2(d: int, t: float, samples: int, bins: int, seed: int = 
     return chi2, float(scipy.stats.chi2.ppf(0.99, bins - 1)), endpoints_exact
 
 
-def criterion_12(seed: int = 0) -> CriterionResult:
-    start = time.time()
+@_criterion(12, "bridge midpoint law passes chi-squared at 1%; endpoints pinned exactly")
+def criterion_12(seed: int = 0):
     chi2, crit, endpoints_exact = bridge_midpoint_chi2(1, 0.7, 10**5, 40, seed)
     passed = chi2 <= crit and endpoints_exact
-    return CriterionResult(
-        12,
-        "bridge midpoint law passes chi-squared at 1%; endpoints pinned exactly",
-        passed,
-        {"chi2": chi2, "critical": crit, "endpoints_exact": endpoints_exact},
-        time.time() - start,
-    )
+    return passed, {"chi2": chi2, "critical": crit, "endpoints_exact": endpoints_exact}
 
 
 # --- criterion 13 ----------------------------------------------------------
 
 
 def _reproducibility_payload(seed: int, workers: int) -> dict:
-    model = acceptance_fk_model()
-    x = np.array([0.4, 2.1])
-    y = np.array([1.3, 5.6])
-    res = fk_estimate(model, 0.5, x, y, paths=2 * 16384 + 100, steps=64, seed=seed, workers=workers)
-    d = 2
-    e12 = MultiVector(d, {0b11: 0.9})
-    zero = MultiVector.zero(d)
-    levy = levy_area_estimate([[zero, e12], [-1.0 * e12, zero]], d, paths=20000, steps=64, seed=seed)
+    res = fk_estimate(acceptance_fk_model(), FK_T, FK_X, FK_Y, paths=2 * 16384 + 100,
+                      steps=64, seed=seed, workers=workers)
+    levy = levy_area_estimate(AREA_OMEGA, 2, paths=20000, steps=64, seed=seed)
     return {
         "fk_estimate": [[repr(v) for v in row] for row in res.estimate],
         "fk_stderr": [[repr(v) for v in row] for row in res.stderr],
@@ -566,38 +524,14 @@ def digest_of(payload: dict) -> str:
     ).hexdigest()
 
 
-def criterion_13(seed: int = 0) -> CriterionResult:
-    start = time.time()
+@_criterion(13, "seeded reruns are bitwise identical on 1 and 4 workers")
+def criterion_13(seed: int = 0):
     digests = {
         workers: digest_of(_reproducibility_payload(seed, workers))
         for workers in (1, 4)
     }
     rerun = digest_of(_reproducibility_payload(seed, 1))
-    passed = digests[1] == digests[4] == rerun
-    return CriterionResult(
-        13,
-        "seeded reruns are bitwise identical on 1 and 4 workers",
-        passed,
-        {"digests": digests, "rerun": rerun},
-        time.time() - start,
-    )
-
-
-CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-    13: criterion_13,
-}
+    return digests[1] == digests[4] == rerun, {"digests": digests, "rerun": rerun}
 
 
 def run_criteria(numbers=None, seed: int = 0):

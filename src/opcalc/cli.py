@@ -27,15 +27,8 @@ from .jsonio import (
     point_from_json,
     torus_model_from_json,
 )
-from .stochastic_mc import (
-    fk_estimate,
-    levy_area_estimate,
-    localization_check,
-    small_time_limit,
-    spectral_phi_kernel,
-)
+from .stochastic_mc import localization_check, small_time_limit
 from .stochastic_mc.localize import _partition_models
-from .stochastic_mc.model import _oracle_z, _truncation_tail
 
 EXIT_PASS, EXIT_NUMERIC, EXIT_USAGE = 0, 1, 2
 
@@ -211,14 +204,7 @@ def cmd_fk(args):
     seed = _seed(args.seed, cfg)
     k = _count(args.truncation, cfg, "K", 14, "--truncation")
     workers = _count(args.workers, {}, "workers", 1, "--workers")
-    oracle = spectral_phi_kernel(model, t, x, y, k)
-    res = fk_estimate(model, t, x, y, paths, steps, seed=seed, workers=workers)
-    z = _oracle_z(
-        np.abs(res.estimate - oracle),
-        res.stderr,
-        _truncation_tail(model, t, k),
-        float(np.abs(oracle).max()),
-    )
+    res, oracle, z = acceptance.fk_against_oracle(model, t, x, y, paths, steps, seed, workers, k)
     results = {
         "estimate": matrix_to_json(res.estimate),
         "stderr": matrix_to_json(res.stderr + 0j),
@@ -238,16 +224,11 @@ def cmd_levy_area(args):
     paths = _count(args.paths, cfg, "paths", 10**5, "--paths")
     steps = _count(args.steps, cfg, "steps", 512, "--steps")
     seed = _seed(args.seed, cfg)
-    res = levy_area_estimate(omega, d, paths, steps, seed=seed)
-    # the area exponential follows the series at 2 Omega
-    oracle = clifford.a_hat_series([[2.0 * e for e in row] for row in omega], d)
-    top_mask = (1 << d) - 1
-    diff = abs(res.top_mean - oracle.coefficient(top_mask))
-    tol = 0.01 * max(1.0, abs(oracle.coefficient(top_mask)))
+    res, oracle_top, diff, tol = acceptance.levy_against_series(omega, d, paths, steps, seed)
     results = {
         "estimate_top": res.top_mean,
         "stderr_top": res.top_stderr,
-        "oracle_top": oracle.coefficient(top_mask),
+        "oracle_top": oracle_top,
         "difference": diff,
         "tolerance": tol,
         "diagnostics": res.diagnostics,

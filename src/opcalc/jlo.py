@@ -23,7 +23,10 @@ which ``richardson`` approaches along the line through the last two grid
 times.  Plain cocycle evaluation (chern_eval on the ``FredholmModule`` of a
 spinor rep and an odd D, unit coefficients, rescaled by t) is exposed
 separately; its small-t limit differs from the localization target by
-2^(2n), see the package notes.
+2^(2n), see the package notes.  ``chern_eval``, ``p_of`` and
+``FredholmModule`` are the finite-module oracle that the flat-torus
+``partition_blocks`` route is checked against: no command, acceptance
+criterion or benchmark job calls them, only the tests do.
 """
 
 from __future__ import annotations

@@ -74,9 +74,8 @@ def family_from_json(obj, location: str = "family") -> OperatorFamily:
     perts = []
     for i, p in enumerate(obj.get("P", [])):
         perts.append(matrix_from_json(p, f"{location}.P[{i}]"))
-    exps = tuple(obj.get("a", ()))
     try:
-        return OperatorFamily(h, tuple(perts), exps)
+        return OperatorFamily(h, tuple(perts))
     except ValueError as exc:
         raise ConfigError(location, str(exc)) from None
 

@@ -228,26 +228,3 @@ def frac_power_inv(h: HermitianOperator, a: float) -> np.ndarray:
     if not 0.0 < a < 1.0:
         raise ValueError(f"exponent must lie in (0,1), got {a}")
     return h.apply_function(lambda lam: (lam + 1.0) ** (-a))
-
-
-def op_norm(m: np.ndarray) -> float:
-    """Largest singular value; RuntimeError if the power iteration used
-    above dimension 1024 has not converged in 500 iterations."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0.0
-    if max(m.shape) <= 1024:
-        return float(np.linalg.norm(m, 2))
-    # power iteration on M*M with deterministic start for large matrices
-    v = np.ones(m.shape[1], dtype=complex) / np.sqrt(m.shape[1])
-    prev = 0.0
-    for _ in range(500):
-        w = m.conj().T @ (m @ v)
-        cur = np.linalg.norm(w)
-        if cur == 0.0:
-            return 0.0
-        v = w / cur
-        if abs(cur - prev) <= 1e-12 * cur:
-            return float(np.sqrt(cur))
-        prev = cur
-    raise RuntimeError("op_norm power iteration did not converge in 500 iterations")

@@ -42,35 +42,22 @@ import numpy as np
 
 from . import linalg
 from .grassmann import theta_hat_matrix
-from .linalg import HermitianOperator, herm_exp, op_norm
+from .linalg import HermitianOperator, herm_exp
 
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """Nonnegative Hermitian H with perturbations P_1..P_n and exponents a_j.
-
-    The exponents enter only through norm bounds; they default to 1/2,
-    matching the first-order-operator regime where P (H+1)^{-1/2} is
-    order zero.
-    """
+    """Nonnegative Hermitian H with perturbations P_1..P_n."""
 
     h: HermitianOperator
     perturbations: tuple = ()
-    exponents: tuple = ()
 
     def __post_init__(self):
         perts = tuple(np.asarray(p, dtype=complex) for p in self.perturbations)
         for p in perts:
             if p.shape != self.h.matrix.shape:
                 raise ValueError("every perturbation must share H's dimension")
-        exps = tuple(self.exponents) if self.exponents else (0.5,) * len(perts)
-        if len(exps) != len(perts):
-            raise ValueError("need one exponent per perturbation")
-        for a in exps:
-            if not 0.0 < a < 1.0:
-                raise ValueError(f"exponent {a} outside (0,1)")
         object.__setattr__(self, "perturbations", perts)
-        object.__setattr__(self, "exponents", exps)
 
     @property
     def n(self) -> int:
@@ -412,28 +399,29 @@ def simplex_constant_mc(exponents, samples: int = 10**6, seed: int = 0):
 
 
 def perturbation_constant(family: OperatorFamily) -> float:
-    """prod_j ||P_j (H+1)^(-a_j)||."""
+    """prod_j ||P_j (H+1)^(-1/2)||, the exponent 1/2 of the first-order
+    regime where P (H+1)^(-1/2) is order zero."""
     out = 1.0
-    for p, a in zip(family.perturbations, family.exponents):
-        out *= op_norm(p @ linalg.frac_power_inv(family.h, a))
+    for p in family.perturbations:
+        out *= np.linalg.norm(p @ linalg.frac_power_inv(family.h, 0.5), 2)
     return out
 
 
 def norm_bound_check(family: OperatorFamily, t: float):
     """Check ||Phi_t|| against the simplex bound.
 
-    rhs = prod_j ||P_j (H+1)^(-a_j)|| * simplex_constant * e^{nt} * t^{n - sum a_j}.
+    rhs = prod_j ||P_j (H+1)^(-1/2)|| * simplex_constant * e^{nt} * t^{n/2},
+    every P_j taking the first-order exponent a_j = 1/2.
     Returns (lhs, rhs, holds).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     n = family.n
-    lhs = op_norm(phi_block(family.h.matrix, family.perturbations, t))
-    power = n - sum(family.exponents)
-    t_pow = 0.0 if (t == 0.0 and power > 0) else t**power
+    lhs = np.linalg.norm(phi_block(family.h.matrix, family.perturbations, t), 2)
+    t_pow = 0.0 if (t == 0.0 and n > 0) else t ** (n / 2)
     rhs = (
         perturbation_constant(family)
-        * simplex_constant(family.exponents)
+        * simplex_constant((0.5,) * n)
         * np.exp(n * t)
         * t_pow
     )
@@ -459,7 +447,7 @@ def nilpotency_check(family: OperatorFamily, t: float, l: int):
         (lift.p_part,) * l,
     )
     res = phi_quadrature(lifted_family, t, 4)
-    return op_norm(res.value)
+    return np.linalg.norm(res.value, 2)
 
 
 def derivative_check(family: OperatorFamily, t: float, h: float) -> float:
@@ -477,7 +465,7 @@ def derivative_check(family: OperatorFamily, t: float, h: float) -> float:
     rhs = -hmat @ phi_block(hmat, perts, t)
     if family.n >= 1:
         rhs = rhs + perts[0] @ phi_block(hmat, perts[1:], t)
-    return op_norm((plus - minus) / (2 * h) - rhs)
+    return np.linalg.norm((plus - minus) / (2 * h) - rhs, 2)
 
 
 @dataclass(frozen=True)
@@ -488,7 +476,7 @@ class DysonResult:
 
     @property
     def error(self) -> float:
-        return op_norm(self.approx - self.true_value)
+        return np.linalg.norm(self.approx - self.true_value, 2)
 
     @property
     def holds(self) -> bool:
@@ -510,7 +498,7 @@ def dyson_partial_sum(
     approx = sum((-1.0) ** l * phi_block(h.matrix, (p,) * l, t) for l in range(order + 1))
     true_value = linalg.expm(-t * (h.matrix + p))
 
-    c = op_norm(p @ linalg.frac_power_inv(h, a))
+    c = np.linalg.norm(p @ linalg.frac_power_inv(h, a), 2)
     bound = 0.0
     l = order + 1
     while l < order + 400:

@@ -5,6 +5,8 @@ lines; the same checks back the CLI ``selftest`` subcommand.  The full
 suite takes a few minutes, dominated by the 10^5-path estimator runs.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,30 @@ def test_criterion_12_bridge_law():
 
 def test_criterion_13_reproducibility():
     _run(13)
+
+
+def test_criterion_time_limit(monkeypatch):
+    """A body registered with ``seconds`` fails when it takes longer, and
+    reports the time it took; the same body registered without a limit
+    passes.  Either verdict is a plain bool."""
+    ticks = itertools.count(0.0, 2.0)  # every body appears to take 2 s
+    monkeypatch.setattr(acceptance.time, "time", lambda: next(ticks))
+    for number in (98, 99):
+        monkeypatch.setitem(acceptance.CRITERIA, number, None)  # undone afterwards
+
+    def body(seed=0):
+        return np.bool_(True), {"seed": seed}
+
+    limited = acceptance._criterion(99, "limited", seconds=1.0)(body)
+    unlimited = acceptance._criterion(98, "unlimited")(body)
+    assert acceptance.CRITERIA[99] is limited and acceptance.CRITERIA[98] is unlimited
+
+    slow = acceptance.CRITERIA[99](seed=5)
+    assert slow.passed is False
+    assert (slow.number, slow.title, slow.details, slow.elapsed) == (99, "limited", {"seed": 5}, 2.0)
+    free = acceptance.CRITERIA[98](seed=5)
+    assert free.passed is True
+    assert free.elapsed == 2.0
 
 
 def test_fk_step_drift_invariant():
