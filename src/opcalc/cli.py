@@ -100,6 +100,8 @@ def cmd_phi(args):
     cfg = load_config(args.config)
     fam = family_from_json(cfg)
     t = _time(args.t, cfg)
+    nodes = _count(args.nodes, {}, "nodes", 32, "--nodes", minimum=4)
+    steps = _count(args.steps, {}, "steps", 4096, "--steps", minimum=16)
     methods = (
         ("fermionic", "quadrature", "ode") if args.method == "all" else (args.method,)
     )
@@ -109,9 +111,9 @@ def cmd_phi(args):
         if method == "fermionic":
             res = phi_core.phi_fermionic(fam, t)
         elif method == "quadrature":
-            res = phi_core.phi_quadrature(fam, t, args.nodes)
+            res = phi_core.phi_quadrature(fam, t, nodes)
         else:
-            res = phi_core.phi_ode(fam, t, args.steps)
+            res = phi_core.phi_ode(fam, t, steps)
         vals[method] = res.value
         results[method] = {
             "t": t,
@@ -335,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--method", choices=("quadrature", "fermionic", "ode", "all"), default="all")
     p.add_argument("--t", type=float)
-    p.add_argument("--nodes", type=int, default=32, help="quadrature nodes per dim")
-    p.add_argument("--steps", type=int, default=4096, help="ode steps")
+    p.add_argument("--nodes", type=int, help="quadrature nodes per dim")
+    p.add_argument("--steps", type=int, help="ode steps")
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("jlo", help="flat-model small-time cocycle study")

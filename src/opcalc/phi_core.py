@@ -15,7 +15,10 @@ the perturbed semigroup).
 The nested quadrature and the midpoint ODE are built from the semigroup
 alone, so both run in H's eigenbasis: each P_j is transformed once to
 U* P_j U, every e^{-sH} is a row or column scaling by e^{-s lambda}, and the
-result returns to the original basis once.  The lift is exponentiated
+result returns to the original basis once.  The ODE never stores its top
+level (the empty suffix): that level's value is one fixed matrix scaled
+entrywise by a real decay recurrence, which the level below reads through
+real lanes, one per block of its scan.  The lift is exponentiated
 with no eigendecomposition, so it cross-checks the other two through an
 independent route.  Its perturbation only moves (slot q, mask S) to
 (slot q+1, S + {j}), so the generator is a permuted direct sum of n 2^(n-1)
@@ -229,18 +232,30 @@ def phi_ode(family: OperatorFamily, t: float, steps: int = 4096) -> PhiResult:
 
     The system is integrated in H's eigenbasis: with P~_k = U* P_k U each
     propagator is the vector e^{-h lambda}, so a step is a row scaling plus
-    the level's forcing term.  At the top level (empty suffix) the midpoint
-    values are the vectors e^{-(i+1/2) h lambda} and each forcing term is a
-    column scaling of h e^{-(h/2) lambda} P~_n; below it, each is the
-    product of h e^{-(h/2) lambda} P~_k with a kept suffix value.  A level
-    k > 1 keeps only its odd-index grid values, the midpoints the level
-    below reads; level 1 keeps only its end point, which returns to the
-    original basis as U Phi~ U*.
+    the level's forcing term, the product of p^_k = h e^{-(h/2) lambda} P~_k
+    with the suffix value at the step's midpoint.
 
-    Each level's N steps run as a blocked scan (:func:`_midpoint_scan`):
+    The top level (k = n, empty suffix, N = steps 2^(n-1) steps of size h)
+    is never stored.  Its midpoint values are the vectors
+    e^{-(i+1/2) h lambda}, so each of its forcing terms is a column scaling
+    of the fixed p^_n, and its value after m steps is p^_n (.) g_m, where g
+    is the real dim x dim recurrence
+        g_{m+1} = e^{-h lambda} (.) g_m + mu_m,   mu_m[c] = e^{-(m+1/2) h lambda_c},
+    g_0 = 0: a row scaling plus one broadcast row.  For n = 1 the result is
+    U (p^_1 (.) g_N) U*, with g_N one contraction of two decay tables
+    (:func:`_decay_sum`).  For n >= 2, level n-1's forcing terms read g at
+    the odd top indices through real lanes, one per block of its scan
+    (:func:`_top_lanes`).  A lower level k < n-1 reads the complex
+    odd-index values that level k+1 keeps: every level 2 <= k < n keeps its
+    odd-index grid values, the midpoints the level below reads, and level 1
+    keeps only its end point, which returns to the original basis as
+    U Phi~ U*.
+
+    Each level k < n runs its N_k steps as a blocked scan
+    (:func:`_midpoint_scan`):
       * within blocks: the steps split into nb blocks of an even length b
-        near sqrt(N) (longer for large matrices, so that nb of them stay in
-        cache).  Each of b iterations advances every block by one
+        near sqrt(N_k) (longer for large matrices, so that nb of them stay
+        in cache).  Each of b iterations advances every block by one
         step from a zero start, and writes the even-step values into the
         kept array as they appear;
       * carry pass: one sequential pass over the nb block ends gives each
@@ -252,9 +267,10 @@ def phi_ode(family: OperatorFamily, t: float, steps: int = 4096) -> PhiResult:
         point is the last carry, stepped through the fewer than 2 nb steps
         left after the last full block;
       * the forcing terms are formed on the fly, one block step (nb terms)
-        at a time, so a lower level holds its suffix and kept values
-        (1.5 N matrices) but never all N forcing terms.
-    Python iterations per level fall from N to about 2.5 sqrt(N) (2.5 b
+        at a time, so a level below n-1 holds its suffix and kept values
+        (1.5 N_k matrices) but never all N_k forcing terms, and level n-1
+        holds only its kept values.
+    Python iterations per level fall from N_k to about 2.5 sqrt(N_k) (2.5 b
     where the block count is held down).  The scan evaluates the per-step
     rule's recurrence exactly; only the order of summation differs, and
     every decay power is at most 1, so nothing is rescaled by an inverse
@@ -271,21 +287,93 @@ def phi_ode(family: OperatorFamily, t: float, steps: int = 4096) -> PhiResult:
         raise ValueError("step underflow")
     lam, u, ps = _to_eigenbasis(family)
 
-    suffix = None  # odd-index values of level k+1, the midpoints of level k
-    for k in range(n, 0, -1):
+    def level(k: int):
+        """(steps, step size, h e^{-(h/2) lambda} P~_k) of level k."""
         nsteps = steps * 2 ** (k - 1)
         h = t / nsteps
-        decay = np.exp(-h * lam)[:, None]
-        p = (h * np.exp(-h / 2.0 * lam))[:, None] * ps[k - 1]
-        if k == n:
-            mids = np.exp(-np.multiply.outer((np.arange(nsteps) + 0.5) * h, lam))
-            forcing = lambda sl, out: np.multiply(p, mids[sl, None, :], out=out)
+        return nsteps, h, (h * np.exp(-h / 2.0 * lam))[:, None] * ps[k - 1]
+
+    top_steps, top_h, top = level(n)
+    if n == 1:
+        cur = top * _decay_sum(top_h, lam, 0, top_steps)
+    suffix = None  # odd-index values of level k+1, the midpoints of level k
+    for k in range(n - 1, 0, -1):
+        nsteps, h, p = level(k)
+        if k == n - 1:
+            forcing = _top_lanes(top_h, lam, top, p, nsteps)
         else:
             forcing = lambda sl, out: np.matmul(p, suffix[sl], out=out)
         kept = np.empty((nsteps // 2, dim, dim), dtype=complex) if k > 1 else None
-        cur = _midpoint_scan(decay, forcing, nsteps, kept)
+        cur = _midpoint_scan(np.exp(-h * lam)[:, None], forcing, nsteps, kept)
         suffix, kept = kept, None  # suffix holds the only reference
     return PhiResult(u @ cur @ u.conj().T, {"steps": steps, "step_size": t / steps})
+
+
+def _decay_sum(h: float, lam, start: int, count: int) -> np.ndarray:
+    """Real (dim, dim) sum over l < count of
+    e^{-(count-1-l) h lambda_a} e^{-(start+l+1/2) h lambda_c}: the top-level
+    recurrence g <- e^{-h lambda} (.) g + mu_m of :func:`phi_ode` stepped from
+    zero through m = start, ..., start + count - 1, as one contraction of
+    two (count, dim) decay tables.  The row factors are powers of the
+    rounded step decay e^{-h lambda}, as the per-step recurrence applies it;
+    every power is at most 1.  The contraction is einsum's own loop, not a
+    BLAS product: on a 2-vCPU host a threaded (32 x 2048) @ (2048 x 32)
+    product at times took 50-150 ms per call, the einsum 0.7-0.9 ms."""
+    l = np.arange(count)
+    rows = np.exp(-h * lam) ** (count - 1 - l)[:, None]
+    cols = np.exp(-np.multiply.outer((start + l + 0.5) * h, lam))
+    return np.einsum("la,lc->ac", rows, cols)
+
+
+def _top_lanes(h: float, lam, top, p, nsteps: int):
+    """Forcing terms of level n-1 in :func:`phi_ode`, p @ (top (.) g_{2i+1})
+    for its step i, as a ``forcing`` callable for :func:`_midpoint_scan`.
+
+    ``h`` is the top level's step and g its real recurrence; ``top`` is
+    p^_n, ``p`` is p^_{n-1} and ``nsteps`` the step count of level n-1.
+    g is read through nb real lanes, one per block of level n-1's scan
+    (the shared :func:`_scan_geometry`): at block step j lane q holds
+    g_{2(qb+j)+1}, the midpoint that step needs, and after each read it
+    advances two top-level steps.  The tail steps after the last full block
+    continue the last lane.  Lane q starts at g_{2qb+1}: lane 0 at
+    g_1 = mu_0, and lane q+1 = e^{-2bh lambda} (.) lane q + E_q, one carry
+    pass, where E_q, the zero-start sum over top steps 2qb+1 ... 2qb+2b, is
+    E_0 = _decay_sum(h, lam, 1, 2b) scaled by the columns
+    e^{-2qbh lambda_c}.  Every power is at most 1, and the row powers are
+    powers of the rounded step decay, as in the per-step recurrence.
+    Calls must come in the scan's documented order; any other call raises
+    RuntimeError.
+    """
+    dim = len(lam)
+    nb, b = _scan_geometry(nsteps, dim)
+    full = nb * b
+    # mu_m for m = 0 ... 2 nsteps, one (1, dim) row each: the only top-level table
+    mu = np.exp(-np.multiply.outer((np.arange(2 * nsteps + 1) + 0.5) * h, lam))[:, None, :]
+    decay = np.exp(-h * lam)[:, None]
+    lanes = np.empty((nb, dim, dim))
+    lanes[0] = mu[0]
+    e0 = _decay_sum(h, lam, 1, 2 * b)
+    for q in range(nb - 1):
+        lanes[q + 1] = decay ** (2 * b) * lanes[q] + e0 * np.exp(-(2 * q * b * h) * lam)
+    scaled = np.empty((nb, dim, dim), dtype=complex)
+    calls = 0
+
+    def forcing(sl, out):
+        nonlocal calls
+        i = full + calls - b  # the tail step this call should ask for
+        expected = slice(calls, full, b) if calls < b else slice(i, i + 1)
+        if sl != expected or i >= nsteps:
+            raise RuntimeError(f"lane read {sl} out of order: expected {expected}")
+        calls += 1
+        start, stop, step = sl.indices(nsteps)
+        g = lanes[nb - len(out) :]  # all lanes, or the last one in the tail
+        np.matmul(p, np.multiply(top, g, out=scaled[: len(out)]), out=out)
+        for r in (1, 2):  # g_{2i+1} -> g_{2i+3} through mu_{2i+1}, mu_{2i+2}
+            g *= decay
+            g += mu[2 * start + r : 2 * stop - 1 + r : 2 * step]
+        return out
+
+    return forcing
 
 
 # Upper bound on the bytes of one stack of nb block matrices in
@@ -296,6 +384,16 @@ def phi_ode(family: OperatorFamily, t: float, steps: int = 4096) -> PhiResult:
 _SCAN_STACK_BYTES = 1 << 18
 
 
+def _scan_geometry(nsteps: int, dim: int):
+    """(nb, b) of :func:`_midpoint_scan` over ``nsteps`` >= 2 steps of
+    (dim, dim) matrices: nb is about sqrt(nsteps), or fewer where nb
+    matrices would exceed ``_SCAN_STACK_BYTES``, and b is the longest even
+    block length of which nb fit."""
+    sqrt_b = max(2, 2 * int(np.sqrt(nsteps) / 2))
+    nb = min(nsteps // sqrt_b, max(1, _SCAN_STACK_BYTES // (16 * dim * dim)))
+    return nb, 2 * (nsteps // (2 * nb))
+
+
 def _midpoint_scan(decay, forcing, nsteps: int, kept):
     """End value of cur_{i+1} = decay * cur_i + forcing_i, cur_0 = 0, over
     ``nsteps`` steps, by the blocked scan described in :func:`phi_ode`;
@@ -303,16 +401,16 @@ def _midpoint_scan(decay, forcing, nsteps: int, kept):
 
     ``decay`` is a (dim, 1) row scaling with entries in [0, 1], and
     ``forcing(sl, out)`` writes the terms of the steps in slice ``sl`` into
-    ``out``, a (len, dim, dim) buffer, and returns it.  nb is about
-    sqrt(nsteps), or fewer where nb matrices would exceed
-    ``_SCAN_STACK_BYTES``, and b is even, so a step's parity within its
-    block is its global parity.  The nsteps - nb b < 2 nb steps after the
-    last full block run one at a time from the last carry.
+    ``out``, a (len, dim, dim) buffer, and returns it.  The blocks are
+    :func:`_scan_geometry`'s nb blocks of even length b, so a step's parity
+    within its block is its global parity.  The call order is part of this
+    contract: ``forcing`` is called with slice(j, nb b, b) for the block
+    steps j = 0, ..., b - 1 in turn, then with slice(i, i + 1) for the
+    nsteps - nb b < 2 nb tail steps i = nb b, ..., nsteps - 1 in turn, which
+    run one at a time from the last carry.
     """
     dim = decay.shape[0]
-    sqrt_b = max(2, 2 * int(np.sqrt(nsteps) / 2))
-    nb = min(nsteps // sqrt_b, max(1, _SCAN_STACK_BYTES // (16 * dim * dim)))
-    b = 2 * (nsteps // (2 * nb))  # the longest even blocks of which nb fit
+    nb, b = _scan_geometry(nsteps, dim)
     full = nb * b
     blocks = None if kept is None else kept[: full // 2].reshape(nb, b // 2, dim, dim)
     local = np.zeros((nb, dim, dim), dtype=complex)

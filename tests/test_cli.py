@@ -221,6 +221,10 @@ SEED_LIMIT = 2**64  # Philox keys are unsigned 64-bit words
         ("bridge-test", ["--seed", str(SEED_LIMIT)], {}, "--seed"),
         ("patodi", ["--seed", str(SEED_LIMIT)], {}, "--seed"),
         ("selftest", ["--criteria", "2", "--seed", str(SEED_LIMIT)], {}, "--seed"),
+        ("phi", ["--steps", "8"], {}, "--steps"),
+        ("phi", ["--steps", "0"], {}, "--steps"),
+        ("phi", ["--nodes", "3"], {}, "--nodes"),
+        ("phi", ["--method", "fermionic", "--steps", "8"], {}, "--steps"),
     ],
 )
 def test_non_positive_counts_exit_2_without_a_report(
@@ -231,7 +235,9 @@ def test_non_positive_counts_exit_2_without_a_report(
     localize, jlo, patodi and bridge-test read their counts from the command
     line only; localize's --paths may be 0 (no cross-check) and jlo's
     --truncation 0 (one mode), but neither may be negative.  bridge-test
-    needs at least 2 bins and a positive time, fk a positive time.  A seed
+    needs at least 2 bins and a positive time, fk a positive time.  phi
+    needs at least 16 ODE steps and 4 quadrature nodes, whichever method
+    runs, and reads both from the command line only.  A seed
     may be 0 but not negative, on every command that takes one, and every
     Philox key it makes must fit in 64 bits: localize keys partition i of
     its Monte Carlo check with seed + i."""
