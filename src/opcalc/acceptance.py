@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from math import factorial
@@ -25,7 +24,7 @@ import numpy as np
 from . import clifford, jlo, linalg, phi_core
 from .grassmann import MultiVector
 from .jlo import DGAElement
-from .jsonio import _json_default
+from .jsonio import canonical_json
 from .stochastic_mc import (
     PerturbationSpec,
     TorusModel,
@@ -465,8 +464,11 @@ def bridge_midpoint_chi2(d: int, t: float, samples: int, bins: int, seed: int = 
     (2.9, ...): the first coordinate of the wrapped midpoint against its
     product-of-kernels marginal, plus exact endpoint pinning.
 
+    The bins expecting fewer than 5 counts are pooled into one bin, which
+    also takes the next-smallest bins while it expects fewer than 5 itself,
+    so the chi-squared law with (kept bins - 1) degrees of freedom holds.
     Draws from ``_chunk_rng(seed, 0)``; returns (chi2, 1% critical value,
-    endpoints_exact).
+    degrees of freedom, endpoints_exact).
     """
     import scipy.stats  # ~0.2 s to import; only this check needs it
 
@@ -492,15 +494,28 @@ def bridge_midpoint_chi2(d: int, t: float, samples: int, bins: int, seed: int = 
         probs.append(np.trapezoid(dens, grid))
     probs = np.asarray(probs) / np.sum(probs)  # normalizes out p(t, x1, y1)
     expected = probs * samples
+    order = np.argsort(expected)
+    pooled = int(np.count_nonzero(expected < 5.0))
+    while 0 < pooled < bins and expected[order[:pooled]].sum() < 5.0:
+        pooled += 1
+    if pooled:
+        small, kept = order[:pooled], order[pooled:]
+        counts = np.append(counts[kept], counts[small].sum())
+        expected = np.append(expected[kept], expected[small].sum())
+    dof = len(expected) - 1
+    if dof < 1:
+        raise ValueError(f"{samples} samples leave no two bins expecting 5 or more counts")
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    return chi2, float(scipy.stats.chi2.ppf(0.99, bins - 1)), endpoints_exact
+    return chi2, float(scipy.stats.chi2.ppf(0.99, dof)), dof, endpoints_exact
 
 
 @_criterion(12, "bridge midpoint law passes chi-squared at 1%; endpoints pinned exactly")
 def criterion_12(seed: int = 0):
-    chi2, crit, endpoints_exact = bridge_midpoint_chi2(1, 0.7, 10**5, 40, seed)
+    chi2, crit, dof, endpoints_exact = bridge_midpoint_chi2(1, 0.7, 10**5, 40, seed)
     passed = chi2 <= crit and endpoints_exact
-    return passed, {"chi2": chi2, "critical": crit, "endpoints_exact": endpoints_exact}
+    return passed, {
+        "chi2": chi2, "critical": crit, "dof": dof, "endpoints_exact": endpoints_exact,
+    }
 
 
 # --- criterion 13 ----------------------------------------------------------
@@ -519,9 +534,7 @@ def _reproducibility_payload(seed: int, workers: int) -> dict:
 
 def digest_of(payload: dict) -> str:
     """SHA-256 of the canonical JSON of ``payload``, encoded as reports are."""
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=_json_default).encode()
-    ).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 @_criterion(13, "seeded reruns are bitwise identical on 1 and 4 workers")

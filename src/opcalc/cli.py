@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import time
 
@@ -20,12 +21,12 @@ from .jsonio import (
     ConfigError,
     chain_from_json,
     curvature_from_json,
-    dump_json,
     family_from_json,
     load_config,
     matrix_to_json,
     point_from_json,
     torus_model_from_json,
+    write_report,
 )
 from .stochastic_mc import localization_check, small_time_limit
 from .stochastic_mc.localize import _partition_models
@@ -277,16 +278,17 @@ def cmd_localize(args):
 def cmd_bridge_test(args):
     args.d = _count(args.d, {}, "d", 1, "--d")
     args.samples = _count(args.samples, {}, "samples", 10**5, "--samples")
-    args.bins = _count(args.bins, {}, "bins", 40, "--bins", minimum=2)  # chi^2 has bins - 1 dof
+    args.bins = _count(args.bins, {}, "bins", 40, "--bins", minimum=2)
     args.seed = _seed(args.seed, {})
     if not args.t > 0:
         raise ConfigError("--t", "t must be positive")
-    chi2, crit, endpoints_exact = acceptance.bridge_midpoint_chi2(
+    chi2, crit, dof, endpoints_exact = acceptance.bridge_midpoint_chi2(
         args.d, args.t, args.samples, args.bins, args.seed
     )
     results = {
         "chi2": chi2,
         "critical_1pct": crit,
+        "dof": dof,
         "bins": args.bins,
         "samples": args.samples,
         "endpoints_exact": endpoints_exact,
@@ -319,7 +321,10 @@ def cmd_selftest(args):
 # --- argument parsing -------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each ``parse_args``
+    call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="opcalc",
         description="Iterated semigroup integrals, graded supertraces, and "
@@ -405,9 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code) if exc.code else 0
@@ -433,9 +437,8 @@ def main(argv=None) -> int:
         "verdicts": verdicts,
         "timings": timings,
         "versions": versions,
-        "results_digest": acceptance.digest_of({"results": results, "verdicts": verdicts}),
     }
-    text = dump_json(report, args.out)
+    text = write_report(report, args.out)
     print(f"report written to {args.out}" if args.out else text)
     return EXIT_PASS if all(verdicts.values()) else EXIT_NUMERIC
 

@@ -7,6 +7,7 @@ which the CLI maps to exit code 2.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -31,8 +32,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "re": [float(v) for v in m.real.ravel()],
-        "im": [float(v) for v in m.imag.ravel()],
+        "re": m.real.ravel().tolist(),
+        "im": m.imag.ravel().tolist(),
     }
 
 
@@ -191,14 +192,33 @@ def point_from_json(obj, d: int, location: str) -> np.ndarray:
         raise ConfigError(location, "entries must be numeric") from None
 
 
-def load_config(path: str) -> dict:
+class Config(dict):
+    """A config object as parsed, plus ``text``: the file's own JSON text,
+    which a report echoes verbatim instead of encoding the object again."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, obj: dict, text: str):
+        super().__init__(obj)
+        self.text = text
+
+
+def load_config(path: str) -> Config:
+    """The JSON object in the UTF-8 file ``path``."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise ConfigError(path, "file not found") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(path, f"not UTF-8 text: {exc.reason}") from None
+    try:
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "expected a JSON object")
+    return Config(obj, text.strip())
 
 
 def _json_default(o):
@@ -214,9 +234,30 @@ def _json_default(o):
     raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
-def dump_json(obj, path: str | None):
-    text = json.dumps(obj, indent=2, default=_json_default, sort_keys=True)
+def canonical_json(obj) -> str:
+    """The canonical JSON text of ``obj``: sorted keys, the default
+    separators, ``_json_default`` for the values reports carry, and no
+    indent, so ``json`` runs its C encoder.  Reports and digests both encode
+    through here."""
+    return json.dumps(obj, sort_keys=True, default=_json_default)
+
+
+def write_report(fields: dict, path: str | None) -> str:
+    """The report of ``fields`` with its ``results_digest``, as one line of
+    JSON, written as UTF-8 to ``path`` when given.
+
+    Each field is encoded once: a :class:`Config` by its own text, any other
+    value by :func:`canonical_json`.  The digest hashes the canonical text of
+    {"results": ..., "verdicts": ...}, spliced from those two fields' texts.
+    """
+    texts = {
+        key: value.text if isinstance(value, Config) else canonical_json(value)
+        for key, value in fields.items()
+    }
+    payload = '{"results": ' + texts["results"] + ', "verdicts": ' + texts["verdicts"] + "}"
+    texts["results_digest"] = json.dumps(hashlib.sha256(payload.encode()).hexdigest())
+    text = "{" + ", ".join(f"{json.dumps(key)}: {texts[key]}" for key in sorted(texts)) + "}"
     if path:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return text

@@ -496,38 +496,6 @@ def simplex_constant_mc(exponents, samples: int = 10**6, seed: int = 0):
     return mean * scale, np.sqrt(var / samples) * scale
 
 
-def perturbation_constant(family: OperatorFamily) -> float:
-    """prod_j ||P_j (H+1)^(-1/2)||, the exponent 1/2 of the first-order
-    regime where P (H+1)^(-1/2) is order zero."""
-    out = 1.0
-    for p in family.perturbations:
-        out *= np.linalg.norm(p @ linalg.frac_power_inv(family.h, 0.5), 2)
-    return out
-
-
-def norm_bound_check(family: OperatorFamily, t: float):
-    """Check ||Phi_t|| against the simplex bound.
-
-    rhs = prod_j ||P_j (H+1)^(-1/2)|| * simplex_constant * e^{nt} * t^{n/2},
-    every P_j taking the first-order exponent a_j = 1/2.
-    Returns (lhs, rhs, holds).
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    n = family.n
-    lhs = np.linalg.norm(phi_block(family.h.matrix, family.perturbations, t), 2)
-    t_pow = 0.0 if (t == 0.0 and n > 0) else t ** (n / 2)
-    rhs = (
-        perturbation_constant(family)
-        * simplex_constant((0.5,) * n)
-        * np.exp(n * t)
-        * t_pow
-    )
-    if n == 0:
-        rhs = 1.0  # ||e^{-tH}|| <= 1 for H >= 0
-    return lhs, rhs, bool(lhs <= rhs * (1 + 1e-8) + 1e-300)
-
-
 def nilpotency_check(family: OperatorFamily, t: float, l: int):
     """Norm of the l-fold repeated lifted-perturbation integral, by
     ``phi_quadrature`` with 4 nodes per dimension.

@@ -71,6 +71,19 @@ def test_criterion_12_bridge_law():
     _run(12)
 
 
+def test_criterion_12_gate_false_fail_rate_is_near_nominal():
+    """Criterion 12's chi-squared gate at its t and 40 bins, at 5000 samples,
+    over seeds 0-199: the sampler is exact, so the 1% gate should fail at
+    about 2 seeds.  Unpooled, the 40-bin chi2(39) law fails 30 of them,
+    since most bins expect fewer than 5 counts; pooling those bins fails 3."""
+    fails = 0
+    for seed in range(200):
+        chi2, critical, dof, _ = acceptance.bridge_midpoint_chi2(1, 0.7, 5000, 40, seed)
+        fails += chi2 > critical
+    assert dof < 39
+    assert fails <= 6  # P(Binomial(200, 0.01) > 6) < 0.5%
+
+
 def test_criterion_13_reproducibility():
     _run(13)
 

@@ -9,7 +9,7 @@ import pytest
 
 import opcalc
 from opcalc import acceptance, cli
-from opcalc.jsonio import matrix_to_json
+from opcalc.jsonio import matrix_to_json, write_report
 
 
 @pytest.fixture()
@@ -57,6 +57,17 @@ def test_phi_invalid_json_exits_2(tmp_path, capsys):
     path.write_text("{ not json")
     assert run_cli(["phi", "--config", str(path)]) == 2
     assert ":1:" in capsys.readouterr().err  # line-referenced location
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[1, 2]", "expected a JSON object"),
+    (b'{"H": "\xff"}', "not UTF-8"),
+])
+def test_config_must_be_a_utf8_json_object(tmp_path, capsys, content, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert run_cli(["phi", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_jlo_subcommand_sweep(tmp_path, capsys):
@@ -225,6 +236,7 @@ SEED_LIMIT = 2**64  # Philox keys are unsigned 64-bit words
         ("phi", ["--steps", "0"], {}, "--steps"),
         ("phi", ["--nodes", "3"], {}, "--nodes"),
         ("phi", ["--method", "fermionic", "--steps", "8"], {}, "--steps"),
+        ("bridge-test", ["--samples", "9"], {}, "9 samples"),
     ],
 )
 def test_non_positive_counts_exit_2_without_a_report(
@@ -235,7 +247,8 @@ def test_non_positive_counts_exit_2_without_a_report(
     localize, jlo, patodi and bridge-test read their counts from the command
     line only; localize's --paths may be 0 (no cross-check) and jlo's
     --truncation 0 (one mode), but neither may be negative.  bridge-test
-    needs at least 2 bins and a positive time, fk a positive time.  phi
+    needs at least 2 bins, a positive time, and enough samples that two
+    bins expect 5 or more counts after pooling; fk needs a positive time.  phi
     needs at least 16 ODE steps and 4 quadrature nodes, whichever method
     runs, and reads both from the command line only.  A seed
     may be 0 but not negative, on every command that takes one, and every
@@ -331,24 +344,79 @@ def test_unseeded_commands_reject_seed(tmp_path, capsys, command):
 
 def test_results_digest_is_recomputable_from_the_report(family_config, tmp_path):
     """results_digest is the SHA-256 of the report's results and verdicts as
-    written, so a reader recomputes it from the file alone."""
+    written, so a reader recomputes it from the file alone.  A --config
+    command echoes the config file's own JSON value, indented or not."""
     chain = tmp_path / "chain.json"
-    chain.write_text(json.dumps(LOCALIZE_CHAIN_CONFIG))
+    # an indented UTF-8 file with a key no schema reads
+    chain.write_text(json.dumps({**LOCALIZE_CHAIN_CONFIG, "note": "\u03a6_t"}, indent=2,
+                                ensure_ascii=False), encoding="utf-8")
     levy = tmp_path / "levy.json"
     levy.write_text(json.dumps(LEVY_COUNTS_CONFIG))
+    fk = tmp_path / "fk.json"
+    fk.write_text(json.dumps(FK_COUNTS_CONFIG))
+    omega = tmp_path / "omega.json"
+    omega.write_text(json.dumps({k: LEVY_COUNTS_CONFIG[k] for k in ("d", "omega")}) + "\n\n")
     runs = [
         ["phi", "--config", family_config],
         ["localize", "--config", str(chain), "--paths", "64", "--steps", "8"],
+        ["jlo", "--config", str(chain), "--truncation", "2"],
         ["levy-area", "--config", str(levy)],
+        ["fk", "--config", str(fk)],
+        ["ahat", "--config", str(omega)],
         ["patodi", "--words", "5"],
+        ["bridge-test", "--samples", "2000", "--bins", "24"],
         ["selftest", "--criteria", "2"],
     ]
     for argv in runs:
         out = tmp_path / "report.json"
         assert run_cli(argv + ["--out", str(out)]) in (0, 1)
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         payload = {"results": report["results"], "verdicts": report["verdicts"]}
         assert acceptance.digest_of(payload) == report["results_digest"], argv[0]
+        if argv[1] == "--config":
+            config = json.loads(Path(argv[2]).read_text(encoding="utf-8"))
+            assert report["config"] == config, argv[0]
+
+
+def test_report_digest_equals_digest_of_the_payload(tmp_path):
+    """The report writer digests the texts it writes; on every kind of value
+    a report carries, that equals ``digest_of`` of the same payload."""
+    results = {
+        "z": 1.5 - 2j,
+        "matrix": np.array([[1.0, 2j], [-0.5, 3.25]]),
+        "vector": np.arange(3.0),
+        "scalars": [np.float64(0.1), np.int64(7), np.bool_(True), np.complex128(1j)],
+        "nested": {"b": [1, None], "a": "text"},
+    }
+    verdicts = {"ok": True, "numpy_ok": np.bool_(False)}
+    out = tmp_path / "report.json"
+    fields = {"command": "x", "config": {}, "results": results, "verdicts": verdicts}
+    text = write_report(fields, str(out))
+    assert out.read_text() == text + "\n"
+    assert "\n" not in text
+    report = json.loads(text)
+    assert report["results_digest"] == acceptance.digest_of(
+        {"results": results, "verdicts": verdicts}
+    )
+    assert list(report) == sorted(report)
+
+
+def test_parser_keeps_no_state_between_calls(family_config, tmp_path):
+    """The parser is built once per process; a second call that omits the
+    options the first one set gets the defaults."""
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    argv = ["phi", "--config", family_config, "--out"]
+    assert run_cli([*argv, str(first), "--method", "ode", "--steps", "64", "--t", "0.3"]) == 0
+    assert run_cli([*argv, str(second)]) == 0
+    first, second = json.loads(first.read_text()), json.loads(second.read_text())
+    assert list(first["results"]) == ["ode"]
+    assert first["results"]["ode"]["diagnostics"]["steps"] == 64
+    assert sorted(second["results"]) == [
+        "fermionic", "ode", "pairwise_relative_deviation", "quadrature"
+    ]
+    assert second["results"]["ode"]["diagnostics"]["steps"] == 4096
+    assert second["results"]["ode"]["t"] == 0.5
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_cli_runs_leave_scipy_unloaded(family_config, tmp_path):
@@ -596,7 +664,9 @@ def test_bridge_test_defaults_report_criterion_12(tmp_path):
     out = tmp_path / "bridge.json"
     assert run_cli(["bridge-test", "--seed", "0", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["results"]["chi2"] == acceptance.criterion_12(seed=0).details["chi2"]
+    details = acceptance.criterion_12(seed=0).details
+    assert report["results"]["chi2"] == details["chi2"]
+    assert report["results"]["dof"] == details["dof"] == 21
 
 
 def test_selftest_has_no_workers_option():

@@ -309,7 +309,7 @@ def test_bridge_short_time_concentration():
 
 
 def test_bridge_midpoint_cylinder_law_chi2():
-    chi2, critical, endpoints_exact = bridge_midpoint_chi2(1, 0.7, 60000, 32, seed=9)
+    chi2, critical, _, endpoints_exact = bridge_midpoint_chi2(1, 0.7, 60000, 32, seed=9)
     assert endpoints_exact
     assert chi2 <= critical
 
