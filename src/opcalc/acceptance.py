@@ -14,7 +14,6 @@ Feynman-Kac and Levy-area criteria decide by the same comparisons as
 from __future__ import annotations
 
 import functools
-import hashlib
 import time
 from dataclasses import dataclass, field
 from math import factorial
@@ -24,7 +23,7 @@ import numpy as np
 from . import clifford, jlo, linalg, phi_core
 from .grassmann import MultiVector
 from .jlo import DGAElement
-from .jsonio import canonical_json
+from .jsonio import digest_of
 from .stochastic_mc import (
     PerturbationSpec,
     TorusModel,
@@ -530,11 +529,6 @@ def _reproducibility_payload(seed: int, workers: int) -> dict:
         "fk_stderr": [[repr(v) for v in row] for row in res.stderr],
         "levy_top": repr(levy.top_mean),
     }
-
-
-def digest_of(payload: dict) -> str:
-    """SHA-256 of the canonical JSON of ``payload``, encoded as reports are."""
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 @_criterion(13, "seeded reruns are bitwise identical on 1 and 4 workers")

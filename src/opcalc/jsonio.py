@@ -192,33 +192,20 @@ def point_from_json(obj, d: int, location: str) -> np.ndarray:
         raise ConfigError(location, "entries must be numeric") from None
 
 
-class Config(dict):
-    """A config object as parsed, plus ``text``: the file's own JSON text,
-    which a report echoes verbatim instead of encoding the object again."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, obj: dict, text: str):
-        super().__init__(obj)
-        self.text = text
-
-
-def load_config(path: str) -> Config:
+def load_config(path: str) -> dict:
     """The JSON object in the UTF-8 file ``path``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            obj = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(path, "file not found") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(path, f"not UTF-8 text: {exc.reason}") from None
-    try:
-        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected a JSON object")
-    return Config(obj, text.strip())
+    return obj
 
 
 def _json_default(o):
@@ -236,27 +223,39 @@ def _json_default(o):
 
 def canonical_json(obj) -> str:
     """The canonical JSON text of ``obj``: sorted keys, the default
-    separators, ``_json_default`` for the values reports carry, and no
-    indent, so ``json`` runs its C encoder.  Reports and digests both encode
-    through here."""
+    separators, ``_json_default`` for the values reports carry, ASCII only,
+    and no indent, so ``json`` runs its C encoder."""
     return json.dumps(obj, sort_keys=True, default=_json_default)
+
+
+def _object_text(texts: dict) -> str:
+    """The canonical JSON text of an object whose values are given as their
+    canonical texts: ``canonical_json`` of the object, without encoding the
+    values again."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {texts[key]}" for key in sorted(texts)) + "}"
+
+
+def _digest(texts: dict) -> str:
+    return hashlib.sha256(_object_text(texts).encode()).hexdigest()
+
+
+def digest_of(payload: dict) -> str:
+    """SHA-256 of the canonical JSON of ``payload``, encoded as reports are."""
+    return _digest({key: canonical_json(value) for key, value in payload.items()})
 
 
 def write_report(fields: dict, path: str | None) -> str:
     """The report of ``fields`` with its ``results_digest``, as one line of
-    JSON, written as UTF-8 to ``path`` when given.
+    JSON, written to ``path`` when given.
 
-    Each field is encoded once: a :class:`Config` by its own text, any other
-    value by :func:`canonical_json`.  The digest hashes the canonical text of
-    {"results": ..., "verdicts": ...}, spliced from those two fields' texts.
+    Each field is encoded once, by :func:`canonical_json`; the digest is
+    :func:`digest_of` {"results": ..., "verdicts": ...}, taken from those
+    two fields' texts.
     """
-    texts = {
-        key: value.text if isinstance(value, Config) else canonical_json(value)
-        for key, value in fields.items()
-    }
-    payload = '{"results": ' + texts["results"] + ', "verdicts": ' + texts["verdicts"] + "}"
-    texts["results_digest"] = json.dumps(hashlib.sha256(payload.encode()).hexdigest())
-    text = "{" + ", ".join(f"{json.dumps(key)}: {texts[key]}" for key in sorted(texts)) + "}"
+    texts = {key: canonical_json(value) for key, value in fields.items()}
+    digest = _digest({key: texts[key] for key in ("results", "verdicts")})
+    texts["results_digest"] = json.dumps(digest)
+    text = _object_text(texts)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -344,8 +345,9 @@ def test_unseeded_commands_reject_seed(tmp_path, capsys, command):
 
 def test_results_digest_is_recomputable_from_the_report(family_config, tmp_path):
     """results_digest is the SHA-256 of the report's results and verdicts as
-    written, so a reader recomputes it from the file alone.  A --config
-    command echoes the config file's own JSON value, indented or not."""
+    written, so a reader recomputes it from the file alone, by the rule
+    docs/formats.md gives.  A --config command echoes the config file's JSON
+    value, and a report is ASCII even when its config is not."""
     chain = tmp_path / "chain.json"
     # an indented UTF-8 file with a key no schema reads
     chain.write_text(json.dumps({**LOCALIZE_CHAIN_CONFIG, "note": "\u03a6_t"}, indent=2,
@@ -370,9 +372,12 @@ def test_results_digest_is_recomputable_from_the_report(family_config, tmp_path)
     for argv in runs:
         out = tmp_path / "report.json"
         assert run_cli(argv + ["--out", str(out)]) in (0, 1)
+        assert out.read_bytes().isascii(), argv[0]
         report = json.loads(out.read_text(encoding="utf-8"))
         payload = {"results": report["results"], "verdicts": report["verdicts"]}
         assert acceptance.digest_of(payload) == report["results_digest"], argv[0]
+        canonical = json.dumps(payload, sort_keys=True).encode()
+        assert hashlib.sha256(canonical).hexdigest() == report["results_digest"], argv[0]
         if argv[1] == "--config":
             config = json.loads(Path(argv[2]).read_text(encoding="utf-8"))
             assert report["config"] == config, argv[0]
