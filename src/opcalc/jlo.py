@@ -72,7 +72,8 @@ class FredholmModule:
     an odd self-adjoint D and the rep's Clifford map.
 
     The rep's checks already make the grading square to one.  The
-    differential of the constant-form model is identically zero.
+    differential of the constant-form model is identically zero.  Part of
+    the finite-module test oracle (module docstring): only the tests use it.
     """
 
     rep: SpinorRep
@@ -150,6 +151,8 @@ def p_of(module: FredholmModule, omega: DGAElement) -> np.ndarray:
     """P(w) = [D, c(w')] - c(dw') + c(w'') with the graded commutator.
 
     The constant-form differential vanishes.  w' must have pure degree.
+    Part of the finite-module test oracle (module docstring): only the
+    tests call it.
     """
     commutator, zeroth = _graded_commutators((module.dirac,), module.quantize, omega)
     return commutator + zeroth
@@ -204,7 +207,9 @@ def chern_eval(module: FredholmModule, chain, t: float) -> complex:
     every block P picks up the t-power of its arguments and the semigroup
     becomes exp(-t D^2); the terms of ``partition_blocks`` carry (-1)^m and
     run in partition order.  n = 0 yields Str(c_t(w_0') exp(-t D^2)).  Every
-    Phi is one ``phi_block`` call; ``phi_block`` checks t D^2 >= 0.
+    Phi is one ``phi_block`` call; ``phi_block`` checks t D^2 >= 0.  The
+    finite-module test oracle (module docstring) that the flat-torus route
+    is checked against: only the tests call it.
     """
     if t <= 0:
         raise ValueError("t must be positive")

@@ -9,10 +9,15 @@ lift bitwise.
 ``_bridge_steps`` holds the one copy of the conditional-Gaussian recurrence.
 It streams (position, increment) pairs step by step, so the path-functional
 engine and the Levy-area estimator never store paths; ``sample_bridge_batch``
-fills its position array from the same stepper.
+fills its position array from the same stepper.  A one-worker thread owned
+by the stepper draws the next step's normal block while the caller works on
+the current step; numpy releases the interpreter lock inside both the draw
+and the caller's array arithmetic, so the two overlap.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,24 +50,38 @@ def _bridge_steps(rng: np.random.Generator, x, z, t: float, steps: int):
     except the last, which is deterministic: its increment lands exactly on
     ``z``.  Yielded arrays are read-only to the caller and are overwritten
     by the next step.
+
+    Prefetch contract.  Block k + 1 is drawn from ``rng``, on the stepper's
+    own worker thread, while the caller holds step k.  Exactly ``steps - 1``
+    blocks are drawn, in step order, so every bridge and the generator's
+    final state are those of drawing each block at its step.  The caller
+    must not draw from ``rng`` while iterating.  A stepper closed before its
+    last random step (k = steps - 2) has drawn one block ahead of the steps
+    it yielded.
     """
     h = t / steps
     d, n_paths = z.shape
     cur, nxt, inc = (np.empty((d, n_paths)) for _ in range(3))
     cur[...] = np.asarray(x, dtype=float)[:, None]
-    normals = np.empty((n_paths, d))
-    for k in range(steps - 1):
-        tau = t - k * h
-        std = np.sqrt(h * (tau - h) / tau)
-        # nxt = cur + (z - cur) (h / tau) + std n, in this order
-        np.subtract(z, cur, out=nxt)
-        nxt *= h / tau
-        nxt += cur
-        np.multiply(rng.standard_normal(out=normals).T, std, out=inc)
-        nxt += inc
-        np.subtract(nxt, cur, out=inc)
-        yield cur, inc
-        cur, nxt = nxt, cur
+    blocks = np.empty((2, n_paths, d))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if steps > 1:
+            draw = pool.submit(rng.standard_normal, out=blocks[0])
+        for k in range(steps - 1):
+            normals = draw.result()
+            if k + 1 < steps - 1:
+                draw = pool.submit(rng.standard_normal, out=blocks[(k + 1) % 2])
+            tau = t - k * h
+            std = np.sqrt(h * (tau - h) / tau)
+            # nxt = cur + (z - cur) (h / tau) + std n, in this order
+            np.subtract(z, cur, out=nxt)
+            nxt *= h / tau
+            nxt += cur
+            np.multiply(normals.T, std, out=inc)
+            nxt += inc
+            np.subtract(nxt, cur, out=inc)
+            yield cur, inc
+            cur, nxt = nxt, cur
     np.subtract(z, cur, out=inc)
     yield cur, inc
 

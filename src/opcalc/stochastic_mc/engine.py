@@ -38,25 +38,33 @@ increments telescope to z - x, so the loop steps with M'_k alone and every
 Y_m is multiplied once, after the loop, by the per-path phase
 exp(sum_j a_j (z_j - x_j)).
 
-Step exponential.  For r = 2 the traceless planes are projected once to
-exactly skew-Hermitian and kept as three real coordinate rows
-(Im a00, Re a01, Im a01) of shape (3, d); a step's generator is then
-[[i x, y + i w], [-y + i w, -i x]] with (x, y, w) = coords @ dB, and
-its exponential is the SU(2) form cos(theta) I + (sin(theta)/theta) B,
-theta^2 = x^2 + y^2 + w^2, in real arithmetic (``_su2_expm``).  r >= 3
-uses the per-matrix Pade kernel ``linalg._pade_expm``.  Either way a path's
-step does not depend on the other paths of the stack.
+Step factor.  Each step multiplies every row by one right factor E M'_k,
+E = expm(-h W), built by ``_step_generator``.  For r = 2 the traceless
+planes are projected once to exactly skew-Hermitian and kept as three real
+coordinate rows (Im a00, Re a01, Im a01) of shape (3, d); a step's
+generator is then B = [[i x, y + i w], [-y + i w, -i x]] = x i sigma_3 +
+y i sigma_2 + w i sigma_1 with (x, y, w) = coords @ dB, and exp(B) =
+cos(theta) I + (sin(theta)/theta) B, theta^2 = x^2 + y^2 + w^2.  Each
+path's real coefficients (cos, sinc x, sinc y, sinc w) are contracted with
+a table of E, E i sigma_3, E i sigma_2, E i sigma_1 built once per call,
+so the step yields E M'_k directly, in real arithmetic (``_su2_expm``).  r >= 3
+exponentiates the generator with the per-matrix Pade kernel
+``linalg._pade_expm`` and multiplies by E.  Either way a path's factor does
+not depend on the other paths of the stack.
 
 Plane layout.  Inside the step loop every per-path stack (the rows Y_m and
-the step matrices) is a C-contiguous (r, r, P) array: entry (i, j) of all P
-paths is one contiguous plane.  A product of two stacks is r broadcast
-multiply-adds of (r, 1, P) by (1, r, P) planes (``_plane_mul``), and the
-constant factors expm(-hW) and hV enter as (r, r, 1) arrays that broadcast
-over the paths.  A step forms E M_k once (one product) and multiplies every
-row by it.  The generator sum_j S^j dB^j is d broadcast multiply-adds of
-(r, r, 1) coefficient planes by the contiguous (P,) rows of the (d, P)
-increments (``_combine``).  Products write into buffers allocated once per
-call.  ``FunctionalState`` exposes the final planes as (P, r, r) views.
+the step factors) is a C-contiguous (r, r, P) complex array: entry (i, j)
+of all P paths is one contiguous plane.  A product of two stacks is r
+broadcast multiply-adds of (r, 1, P) by (1, r, P) planes (``_plane_mul``),
+and the constant factors E and hV enter as (r, r, 1) arrays that broadcast
+over the paths.  A step multiplies every row by its factor E M'_k, one
+product per row.  A linear combination sum_q C_q c_q of constant (r, r)
+planes with per-path real rows c_q (the generators sum_j S^j dB^j and
+sum_j A'_j dB^j, and the r = 2 factor) is one real matmul of the (P, q)
+rows by an (r r, q, 2) real table of the planes, written through the float
+view of the complex output (``_combine``).  Products write into buffers
+allocated once per call.  ``FunctionalState`` exposes the final planes as
+(P, r, r) views.
 """
 
 from __future__ import annotations
@@ -96,23 +104,71 @@ def _plane_mul(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
 
 # Taylor coefficients of cos(theta) = sum s^k / (2k)! and sin(theta)/theta =
 # sum s^k / (2k+1)! in s = -theta^2, highest power first (Horner order).
-# Ten terms leave a truncation error below 1/20! < 1e-18 for |s| <= 1.
+# Five terms leave a truncation error below 0.01^5 / 10! < 2.8e-17 where
+# |s| <= _SERIES_BOUND.
+_SERIES_BOUND = 0.01
 _EVEN_SERIES = np.array(
-    [[[1.0 / factorial(2 * k)], [1.0 / factorial(2 * k + 1)]] for k in range(9, -1, -1)]
+    [[[1.0 / factorial(2 * k)], [1.0 / factorial(2 * k + 1)]] for k in range(4, -1, -1)]
+)
+# I, i sigma_3, i sigma_2, i sigma_1: B = x i sigma_3 + y i sigma_2 + w i sigma_1
+_SU2_BASIS = np.array(
+    [np.eye(2), [[1j, 0], [0, -1j]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]]
 )
 
 
-def _su2_expm(xyw: np.ndarray, out=None) -> np.ndarray:
-    """exp(B) for B = [[i x, y + i w], [-y + i w, -i x]], one per column of
-    the real (3, P) rows (x, y, w); returns the (2, 2, P) complex planes.
+def _real_table(planes: np.ndarray) -> np.ndarray:
+    """The (r, r, q) complex coefficient planes as the C-contiguous real
+    (r r, q, 2) table that ``_combine`` contracts."""
+    r, _, q = planes.shape
+    return np.ascontiguousarray(np.stack([planes.real, planes.imag], axis=-1).reshape(r * r, q, 2))
 
-    B^2 = s I with s = -(x^2 + y^2 + w^2), so exp(B) = cos(theta) I +
-    sinc(theta) B, theta^2 = -s.  Where |s| <= 1, cos and sinc are the real
-    Horner polynomials ``_EVEN_SERIES`` in s; paths with |s| > 1 take sqrt,
-    cos and sin.  The choice is made per path, so a path's value does not
-    depend on the other paths of the stack.  ``xyw`` is overwritten.
+
+def _contract(rows: np.ndarray, table: np.ndarray, out) -> np.ndarray:
+    """np.matmul(rows.T, table, out=out) for the real (q, P) rows of P
+    paths and a real (K, q, c) table; returns ``out``, of shape (K, P, c).
+
+    BLAS forms each entry the same way for every path of a stack of two or
+    more, but picks another kernel, which rounds differently, for a lone
+    path; one path is therefore contracted as a doubled row, so that a
+    path's value never depends on the other paths of the stack.
     """
-    x, y, w = xyw
+    if rows.shape[1] == 1:
+        out[...] = np.matmul(np.repeat(rows, 2, axis=1).T, table)[:, :1]
+    else:
+        np.matmul(rows.T, table, out=out)
+    return out
+
+
+def _combine(table: np.ndarray, rows: np.ndarray, out) -> np.ndarray:
+    """sum_q planes[:, :, q] rows[q] into the complex (r, r, P) planes
+    ``out``, for the (r r, q, 2) ``_real_table`` of the planes: one real
+    contraction written through the float view of ``out``; returns ``out``."""
+    _contract(rows, table, out.view(float).reshape(table.shape[0], -1, 2))
+    return out
+
+
+def _su2_table(e: np.ndarray) -> np.ndarray:
+    """The ``_real_table`` of E, E i sigma_3, E i sigma_2, E i sigma_1 for a
+    2 x 2 factor E: contracted with the coefficients (cos, sinc x, sinc y,
+    sinc w) it gives E exp(B) (``_su2_expm``)."""
+    return _real_table(np.moveaxis(e @ _SU2_BASIS, 0, -1))
+
+
+def _su2_expm(coef: np.ndarray, table: np.ndarray, out) -> np.ndarray:
+    """E exp(B) for B = [[i x, y + i w], [-y + i w, -i x]], one per row of
+    the real (P, 4) ``coef`` whose columns 1..3 hold (x, y, w); ``table``
+    is ``_su2_table(E)``.  Returns the (2, 2, P) complex planes ``out``.
+
+    B = x i sigma_3 + y i sigma_2 + w i sigma_1 and B^2 = s I with s =
+    -(x^2 + y^2 + w^2), so E exp(B) = cos(theta) E + sinc(theta) E B,
+    theta^2 = -s: the coefficient rows are contracted with the table, and
+    no complex plane is formed.  Where |s| <= ``_SERIES_BOUND``, cos and
+    sinc are the real Horner polynomials ``_EVEN_SERIES`` in s; other paths
+    take sqrt, cos and sin.  The choice is made per path, so a path's value
+    does not depend on the other paths of the stack.  ``coef`` is
+    overwritten with the columns (cos, sinc x, sinc y, sinc w).
+    """
+    x, y, w = xyw = coef[:, 1:].T
     s = x * x
     s += y * y
     s += w * w
@@ -123,24 +179,15 @@ def _su2_expm(xyw: np.ndarray, out=None) -> np.ndarray:
         even *= s
         even += c
     cos, sinc = even
-    big = np.flatnonzero(s < -1.0)
+    big = np.flatnonzero(s < -_SERIES_BOUND)
     if big.size:
         theta = np.sqrt(-s[big])
         cos[big] = np.cos(theta)
         sinc[big] = np.sin(theta) / theta
-    xyw *= sinc
-    if out is None:
-        out = np.empty((2, 2, xyw.shape[1]), dtype=complex)
-    re, im = out.real, out.imag
-    re[0, 0] = cos
-    re[1, 1] = cos
-    im[0, 0] = x
-    np.negative(x, out=im[1, 1])
-    re[0, 1] = y
-    np.negative(y, out=re[1, 0])
-    im[0, 1] = w
-    im[1, 0] = w
-    return out
+    for row in xyw:  # row by row: numpy would run the (P, 3) view 3 wide
+        row *= sinc
+    coef[:, 0] = cos
+    return _combine(table, coef.T, out)
 
 
 def _expm_planes(m: np.ndarray, out=None) -> np.ndarray:
@@ -225,40 +272,45 @@ def _planes(matrices) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(np.asarray(matrices, dtype=complex), 0, -1))
 
 
-def _combine(coeffs: np.ndarray, db: np.ndarray, out, tmp) -> np.ndarray:
-    """sum_j coeffs[:, :, j] db[j] into ``out``: d broadcast multiply-adds of
-    the (r, r, 1) coefficient planes by the (P,) increment rows of ``db``."""
-    np.multiply(coeffs[:, :, :1], db[0], out=out)
-    for j in range(1, db.shape[0]):
-        np.multiply(coeffs[:, :, j:j + 1], db[j], out=tmp)
-        out += tmp
-    return out
-
-
-def _step_generator(model: TorusModel, n_paths: int):
-    """Set-up of the step exponential: (traces, step) with the (d,) scalar
-    parts tr(A_j)/r and ``step(db, out, tmp)`` -> M'_k for the (d, P)
-    increments, or step = None when every traceless part vanishes (module
-    docstring)."""
+def _step_generator(model: TorusModel, h: float, n_paths: int):
+    """Set-up of a step's right factor E M'_k, E = expm(-h W): (traces,
+    step) with the (d,) scalar parts tr(A_j)/r and ``step(db)`` -> E M'_k
+    for the (d, P) increments (module docstring).  ``step`` returns (r, r,
+    P) planes that the next call overwrites, or the constant (r, r, 1) E
+    when every traceless part vanishes; it is None when E M'_k is the
+    identity."""
     r = model.r
     a_planes = _planes(model.connection)  # (r, r, d)
     traces = np.trace(a_planes) / r
     for i in range(r):
         a_planes[i, i] -= traces
+    e_w = linalg.expm(-h * model.potential) if np.any(model.potential) else None
     if not np.any(a_planes):
-        return traces, None
+        if e_w is None:
+            return traces, None
+        e_planes = e_w[..., None]
+        return traces, lambda db: e_planes
+    out = np.empty((r, r, n_paths), dtype=complex)
     if r != 2:
-        def step(db, out, tmp):
-            return _expm_planes(_combine(a_planes, db, tmp, out), out)
+        table = _real_table(a_planes)
+        e_planes = None if e_w is None else e_w[..., None]
+        m_buf, tmp = np.empty_like(out), np.empty_like(out)
+
+        def step(db):
+            m = _expm_planes(_combine(table, db, tmp), m_buf)
+            return m if e_planes is None else _plane_mul(e_planes, m, out, tmp)
         return traces, step
     # the exactly skew-Hermitian, traceless (A' - A'^*)/2 by its coordinate
     # rows (Im a00, Re a01, Im a01)
     a01 = 0.5 * (a_planes[0, 1] - np.conj(a_planes[1, 0]))
     coords = np.stack([0.5 * (a_planes[0, 0].imag - a_planes[1, 1].imag), a01.real, a01.imag])
-    xyw = np.empty((3, n_paths))
+    coords = coords.T[None]  # (1, d, 3): a table for ``_contract``
+    table = _su2_table(np.eye(2) if e_w is None else e_w)
+    coef = np.empty((n_paths, 4))
 
-    def step(db, out, tmp):
-        return _su2_expm(np.matmul(coords, db, out=xyw), out)
+    def step(db):
+        _contract(db, coords, coef[None, :, 1:])
+        return _su2_expm(coef, table, out)
     return traces, step
 
 
@@ -284,35 +336,26 @@ def simulate_functionals(
     windings = sample_winding(rng, d, x, y, t, n_paths)
     z = np.ascontiguousarray((y + TWO_PI * windings).T)  # (d, P)
 
-    traces, transport_step = _step_generator(model, n_paths)
-    has_potential = bool(np.any(model.potential))
-    s_planes = [_planes(spec.first_order) if np.any(spec.first_order) else None
+    traces, step = _step_generator(model, h, n_paths)
+    s_tables = [_real_table(_planes(spec.first_order)) if np.any(spec.first_order) else None
                 for spec in model.perturbations]
     hv = [h * spec.zeroth_order[..., None] if np.any(spec.zeroth_order) else None
           for spec in model.perturbations]
-    e_w = linalg.expm(-h * model.potential)[..., None] if has_potential else None
     # without a connection or a potential Y_0 = G stays the identity
-    dressed = transport_step is not None or has_potential
+    dressed = step is not None
 
     shape = (r, r, n_paths)
     rows = [np.zeros(shape, dtype=complex) for _ in range(n + 1)]
     for i in range(r):
         rows[0][i, i] = 1.0
-    tmp, spare, prod, local_buf, m_buf, em_buf = (
-        np.empty(shape, dtype=complex) for _ in range(6)
-    )
+    tmp, spare, prod, local_buf = (np.empty(shape, dtype=complex) for _ in range(4))
 
     for _, db in _bridge_steps(rng, x, z, t, steps):
         # the right factor E M_k of this step (None when it is the identity)
-        if transport_step is not None:
-            em = transport_step(db, m_buf, tmp)
-            if has_potential:
-                em = _plane_mul(e_w, em, em_buf, tmp)
-        else:
-            em = e_w
+        em = None if step is None else step(db)
         for i in range(n, 0, -1):
-            if s_planes[i - 1] is not None:
-                local = _combine(s_planes[i - 1], db, local_buf, tmp)
+            if s_tables[i - 1] is not None:
+                local = _combine(s_tables[i - 1], db, local_buf)
                 if hv[i - 1] is not None:
                     local += hv[i - 1]
             else:

@@ -11,9 +11,10 @@ in Omega, so passing Omega/2 matches it at Omega.  Over d = 2 both reduce
 to 1 plus a mean-zero top term.
 
 The bridges stream from ``bridge._bridge_steps`` in the engine's chunk
-schedule and Philox streams; the pair areas accumulate step by step into
-one (n_pairs, P) array, one contiguous slice of pairs (i, j > i) per
-coordinate i, so no path is stored.  The mean and the top
+schedule and Philox streams; the pair areas accumulate step by step, in
+place through two preallocated (d - 1, P) buffers, into one (n_pairs, P)
+array, one contiguous slice of pairs (i, j > i) per coordinate i, so no
+path is stored.  The mean and the top
 coefficient's error bar come from per-chunk centred moments merged in
 chunk order (``engine._merge_moments``).
 """
@@ -115,9 +116,14 @@ def levy_area_estimate(
         rng = _chunk_rng(seed, idx)
         # pair areas int Y_j dY_i - int Y_i dY_j with left endpoints
         area = np.zeros((len(forms), take))
+        left, right = np.empty((d - 1, take)), np.empty((d - 1, take))
         for pos, inc in _bridge_steps(rng, np.zeros(d), np.zeros((d, take)), 1.0, steps):
             for i, blk in enumerate(blocks):
-                area[blk] += pos[i + 1:] * inc[i] - pos[i] * inc[i + 1:]
+                a, b = left[:d - 1 - i], right[:d - 1 - i]
+                np.multiply(pos[i + 1:], inc[i], out=a)
+                np.multiply(pos[i], inc[i + 1:], out=b)
+                a -= b
+                area[blk] += a
         # J = -sum_{i<j} Omega_ij (int Y_j dY_i - int Y_i dY_j)
         e_j = exp_dense_batch(area.T @ forms, d)
         parts.append(_chunk_moments(e_j.T))

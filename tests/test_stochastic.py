@@ -1,4 +1,6 @@
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -368,6 +370,59 @@ def test_bridge_steps_are_bitwise_the_allocating_recurrence(d):
     assert rng.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("steps", [1, 2, 17])
+def test_prefetching_bridge_steps_match_the_sequential_stepper(steps, d):
+    """The stepper draws the next normal block on its worker thread while
+    the caller holds a step.  It yields bitwise the (position, increment)
+    pairs of drawing each block at its own step, from the same generator in
+    the same order, and leaves the generator where the sequential stepper
+    does: exactly steps - 1 blocks drawn."""
+    x = np.linspace(0.7, -0.2, d)
+    z = np.random.default_rng(steps).normal(size=(d, 23)) - 1.0
+    rng, twin = _chunk_rng(41, steps), _chunk_rng(41, steps)
+    got = [(pos.copy(), inc.copy()) for pos, inc in _bridge_steps(rng, x, z, 0.6, steps)]
+    ref = list(_bridge_steps_allocating(twin, x, z, 0.6, steps))
+    assert len(got) == len(ref) == steps
+    for (pos, inc), (ref_pos, ref_inc) in zip(got, ref):
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(inc, ref_inc)
+    assert rng.standard_normal() == twin.standard_normal()
+
+
+def test_prefetching_bridge_steps_under_forced_thread_switches():
+    """Four consumer threads, more than the cores, each with its own
+    prefetching stepper, and a 1 us switch interval: every stream stays
+    bitwise the sequential one."""
+    def run(key):
+        rng, twin = _chunk_rng(43, key), _chunk_rng(43, key)
+        z = np.zeros((2, 64))
+        got = [inc.copy() for _, inc in _bridge_steps(rng, np.zeros(2), z, 1.0, 33)]
+        ref = [inc for _, inc in _bridge_steps_allocating(twin, np.zeros(2), z, 1.0, 33)]
+        return all(np.array_equal(a, b) for a, b in zip(got, ref)) and rng.random() == twin.random()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 8
+
+
+def test_bridge_steps_closed_early_have_drawn_one_block_ahead():
+    """Closing the stepper after its first step waits for the block it is
+    prefetching: two blocks drawn, none in flight."""
+    z = np.zeros((2, 5))
+    rng, twin = _chunk_rng(42, 0), _chunk_rng(42, 0)
+    stepper = _bridge_steps(rng, np.zeros(2), z, 1.0, 8)
+    next(stepper)
+    stepper.close()
+    twin.standard_normal((2, 5, 2))
+    assert rng.standard_normal() == twin.standard_normal()
+
+
 def test_winding_distribution_matches_weights():
     rng = _chunk_rng(10, 0)
     x, y, t = np.array([0.0]), np.array([0.5]), 2.0
@@ -407,6 +462,37 @@ def test_expm_planes_r3_is_the_same_alone_and_in_a_stack():
     stacked = engine._expm_planes(np.moveaxis(m, 0, -1))
     for i in range(6):
         assert np.array_equal(stacked[..., i], engine._expm_planes(m[i][..., None])[..., 0])
+
+
+def test_r2_step_factor_is_e_times_the_exponential():
+    """The r = 2 step factor E M'_k against E scipy.linalg.expm(sum_j A'_j
+    dB_j), A'_j the traceless parts, to 1e-15 normwise relative error, on
+    paths with theta^2 = -s just below and above the polynomial switch at
+    0.01, above 1 and tiny.  Each path's factor is bitwise the same alone
+    and inside the stack."""
+    rng = np.random.default_rng(12)
+    a = (skew(rng, 2) + 0.3j * np.eye(2), skew(rng, 2))
+    w = herm(rng, 2, shift=2.0)
+    model = TorusModel(2, 2, a, w)
+    h = 0.02
+    traceless = [aj - 0.5 * np.trace(aj) * np.eye(2) for aj in a]
+    e = scipy.linalg.expm(-h * w)
+    dirs = rng.standard_normal((2, 8))
+    theta2 = np.array([1e-12, 1e-4, 0.0099, 0.00999999, 0.0100001, 0.0101, 1.7, 9.0])
+    gen = sum(traceless[j][..., None] * dirs[j] for j in range(2))  # (2, 2, P)
+    # B^2 = -theta^2 I, so tr(B^2) = -2 theta^2
+    scale = np.sqrt(-2.0 * theta2 / np.einsum("ijp,jip->p", gen, gen).real)
+    db = np.ascontiguousarray(dirs * scale)
+    _, step = engine._step_generator(model, h, db.shape[1])
+    stacked = step(db).copy()
+    for p in range(db.shape[1]):
+        b = sum(traceless[j] * db[j, p] for j in range(2))
+        assert np.isclose(-np.trace(b @ b).real / 2, theta2[p], rtol=1e-12)
+        expect = e @ scipy.linalg.expm(b)
+        got = stacked[..., p]
+        assert np.linalg.norm(got - expect) <= 1e-15 * np.linalg.norm(expect), (theta2[p], got - expect)
+        _, lone = engine._step_generator(model, h, 1)
+        assert np.array_equal(lone(np.ascontiguousarray(db[:, p:p + 1]))[..., 0], got)
 
 
 def test_transport_identity_without_connection():
@@ -635,11 +721,12 @@ def test_simulate_reproducible_streams():
     assert np.array_equal(a.full_transport, b.full_transport)
 
 
-@pytest.mark.parametrize("n, per_step", [(0, 2), (1, 4)])
+@pytest.mark.parametrize("n, per_step", [(0, 1), (1, 3)])
 def test_step_loop_plane_products(monkeypatch, n, per_step):
-    """On the criterion-9 model (A and W both non-zero) a step makes one
-    plane product for the right factor E M_k and one per row Y_m for it,
-    plus one for each Y_{m-1} local_m; nothing else is multiplied."""
+    """On the criterion-9 model (r = 2, A and W both non-zero) the step
+    factor E M'_k comes out of one real contraction, so a step makes one
+    plane product per row Y_m for it, plus one for each Y_{m-1} local_m;
+    nothing else is multiplied."""
     model = acceptance_fk_model()
     if n == 0:
         model = model.with_perturbations(())
