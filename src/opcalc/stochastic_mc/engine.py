@@ -47,8 +47,8 @@ y i sigma_2 + w i sigma_1 with (x, y, w) = coords @ dB, and exp(B) =
 cos(theta) I + (sin(theta)/theta) B, theta^2 = x^2 + y^2 + w^2.  Each
 path's real coefficients (cos, sinc x, sinc y, sinc w) are contracted with
 a table of E, E i sigma_3, E i sigma_2, E i sigma_1 built once per call,
-so the step yields E M'_k directly, in real arithmetic (``_su2_expm``).  r >= 3
-exponentiates the generator with the per-matrix Pade kernel
+so the step yields E M'_k directly, in real arithmetic (``_su2_expm``).
+r >= 3 exponentiates the generator with the per-matrix Pade kernel
 ``linalg._pade_expm`` and multiplies by E.  Either way a path's factor does
 not depend on the other paths of the stack.
 

@@ -490,7 +490,8 @@ def test_r2_step_factor_is_e_times_the_exponential():
         assert np.isclose(-np.trace(b @ b).real / 2, theta2[p], rtol=1e-12)
         expect = e @ scipy.linalg.expm(b)
         got = stacked[..., p]
-        assert np.linalg.norm(got - expect) <= 1e-15 * np.linalg.norm(expect), (theta2[p], got - expect)
+        err = np.linalg.norm(got - expect)
+        assert err <= 1e-15 * np.linalg.norm(expect), (theta2[p], err)
         _, lone = engine._step_generator(model, h, 1)
         assert np.array_equal(lone(np.ascontiguousarray(db[:, p:p + 1]))[..., 0], got)
 
