@@ -29,9 +29,10 @@ from .jsonio import (
     write_report,
 )
 from .stochastic_mc import localization_check, small_time_limit
-from .stochastic_mc.localize import _partition_models
 
 EXIT_PASS, EXIT_NUMERIC, EXIT_USAGE = 0, 1, 2
+# a time t must satisfy 0 < t <= _MAX_FLOAT: positive, finite, and not NaN
+_MAX_FLOAT = sys.float_info.max
 
 
 def _args_echo(args) -> dict:
@@ -50,8 +51,8 @@ def _parse_t_grid(text: str):
         vals = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ConfigError("--t-grid", "expected comma-separated reals") from None
-    if not vals or any(v <= 0 for v in vals):
-        raise ConfigError("--t-grid", "need positive times")
+    if not all(0 < v <= _MAX_FLOAT for v in vals):
+        raise ConfigError("--t-grid", "need positive and finite times")
     if len(vals) > 1 and vals[-1] == vals[-2]:
         raise ConfigError("--t-grid", "the last two times must differ")
     return vals
@@ -72,22 +73,21 @@ def _count(value, cfg: dict, key: str, default: int, flag: str, minimum: int = 1
     return value
 
 
-def _seed(value, cfg: dict, streams: int = 1) -> int:
+def _seed(value, cfg: dict) -> int:
     """The seed: the command-line ``value`` if given, else the config's
-    ``seed``, else 0.  The path engine keys Philox streams with unsigned
-    64-bit words, and a command that keys ``streams`` of them uses seed, ...,
-    seed + streams - 1; every command takes seeds in the same range."""
-    return _count(value, cfg, "seed", 0, "--seed", minimum=0, maximum=2**64 - streams)
+    ``seed``, else 0.  It is one unsigned 64-bit word of the path engine's
+    Philox key, and every command takes seeds in that range."""
+    return _count(value, cfg, "seed", 0, "--seed", minimum=0, maximum=2**64 - 1)
 
 
 def _time(value, cfg: dict):
-    """The positive time t: the command-line ``value`` if given, else the
-    config's ``t``, else 0.5."""
+    """The positive and finite time t: the command-line ``value`` if given,
+    else the config's ``t``, else 0.5."""
     where = "--t"
     if value is None:
         value, where = cfg.get("t", 0.5), "config.t"
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-        raise ConfigError(where, f"t must be positive, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= _MAX_FLOAT:
+        raise ConfigError(where, f"t must be positive and finite, got {value!r}")
     return value
 
 
@@ -245,16 +245,13 @@ def cmd_localize(args):
     d, chain = chain_from_json(cfg)
     t_grid = _parse_t_grid(args.t_grid)
     # command-line counts only: the empty config adds no config keys
-    paths = _count(args.paths, {}, "paths", 0, "--paths", minimum=0)
-    # the Monte Carlo check keys surviving partition i with seed + i
-    streams = len(_partition_models(chain)) if paths else 1
     res = localization_check(
         chain,
         t_sequence=t_grid,
         truncation=_count(args.truncation, {}, "K", 14, "--truncation"),
-        mc_paths=paths,
+        mc_paths=_count(args.paths, {}, "paths", 0, "--paths", minimum=0),
         mc_steps=_count(args.steps, {}, "steps", 256, "--steps"),
-        seed=_seed(args.seed, {}, streams),
+        seed=_seed(args.seed, {}),
     )
     results = {
         "sweep": [{"t": t, "value": v} for t, v, _ in res.sweep],
@@ -280,8 +277,7 @@ def cmd_bridge_test(args):
     args.samples = _count(args.samples, {}, "samples", 10**5, "--samples")
     args.bins = _count(args.bins, {}, "bins", 40, "--bins", minimum=2)
     args.seed = _seed(args.seed, {})
-    if not args.t > 0:
-        raise ConfigError("--t", "t must be positive")
+    args.t = _time(args.t, {})
     chi2, crit, dof, endpoints_exact = acceptance.bridge_midpoint_chi2(
         args.d, args.t, args.samples, args.bins, args.seed
     )

@@ -187,9 +187,12 @@ def point_from_json(obj, d: int, location: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != d:
         raise ConfigError(location, f"expected a list of {d} reals")
     try:
-        return np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(location, "entries must be numeric") from None
+        point = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        point = None
+    if point is None or not np.all(np.isfinite(point)):
+        raise ConfigError(location, "entries must be finite reals")
+    return point
 
 
 def load_config(path: str) -> dict:

@@ -1,14 +1,16 @@
 """Vectorized path-functional engine and the Feynman-Kac estimator.
 
-Per-path randomness comes from counter-based Philox streams keyed by
-(seed, chunk index) with a fixed chunk size, so any path's stream is a
-deterministic function of (seed, path index) alone.  Worker threads only
-map chunks; per-chunk means and centred second moments are merged in chunk
-order, making every estimate bitwise independent of the worker count.  The
-chunk schedule (``_chunks``) and the moment merge (``_merge_moments``) are
-the ones every Monte Carlo estimator here uses: the FK estimator, the
-moment probe and the Levy area.  Bridge increments come step by step from
-``bridge._bridge_steps``.
+Per-path randomness comes from counter-based Philox streams keyed by the
+three words (seed, chunk index, stream) with a fixed chunk size
+(``_chunk_rng``), so any path's draws are a deterministic function of
+(seed, stream, path index) alone.  Every Monte Carlo estimator here runs
+through one chunk map, ``_map_chunks``: the FK estimator (stream 0, or the
+partition index of a localization check), the moment probe (the grid time's
+index) and the Levy area (stream 0).  Worker threads only map chunks; the
+per-chunk results come back in chunk order, and per-chunk means and centred
+second moments are merged in that order (``_merge_moments``), making every
+estimate bitwise independent of the worker count.  Bridge increments come
+step by step from ``bridge._bridge_steps``.
 
 Path functionals.  The kernel estimate is p(t,x,y) E[I_n(t) G(t)], where G
 is the dressed transport and I_m the iterated Ito integrals of the
@@ -80,8 +82,6 @@ from .bridge import _bridge_steps, sample_winding
 from .model import TWO_PI, TorusModel, heat_kernel
 
 CHUNK_SIZE = 16384
-# moment_scaling_probe keys chunk idx of grid time ti as stride * ti + idx
-_PROBE_KEY_STRIDE = 10_000
 
 
 def _plane_mul(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
@@ -225,19 +225,29 @@ class FunctionalState:
         ).swapaxes(1, 2)
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
-    )
+def _chunk_rng(seed: int, chunk_index: int, stream: int = 0) -> np.random.Generator:
+    """Philox keyed by the 64-bit words (seed, chunk_index), its 256-bit
+    counter started at [0, 0, 0, stream]: draws advance the low word only,
+    so streams never overlap, and stream 0 is the key's own generator."""
+    return np.random.Generator(np.random.Philox(
+        counter=np.array([0, 0, 0, stream], dtype=np.uint64),
+        key=np.array([seed, chunk_index], dtype=np.uint64),
+    ))
 
 
-def _chunks(paths: int) -> list:
-    """The chunk schedule [(chunk_index, path_count), ...] of ``paths`` paths:
-    full chunks of ``CHUNK_SIZE`` and one partial chunk last."""
-    return [
-        (idx, min(CHUNK_SIZE, paths - start))
-        for idx, start in enumerate(range(0, paths, CHUNK_SIZE))
-    ]
+def _map_chunks(fn, paths: int, seed: int, stream: int = 0, workers: int = 1) -> list:
+    """[fn(rng, count), ...] over the chunks of ``paths`` paths, in chunk
+    order: full chunks of ``CHUNK_SIZE`` and one partial chunk last, chunk
+    idx drawing from ``_chunk_rng(seed, idx, stream)``.  With ``workers`` > 1
+    the chunks run on a thread pool; the list is the same."""
+    def run(idx):
+        return fn(_chunk_rng(seed, idx, stream), min(CHUNK_SIZE, paths - idx * CHUNK_SIZE))
+
+    indices = range(-(-paths // CHUNK_SIZE))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, indices))
+    return [run(idx) for idx in indices]
 
 
 def _chunk_moments(samples: np.ndarray):
@@ -390,13 +400,6 @@ class FkResult:
     diagnostics: dict
 
 
-def _fk_chunk(model, x, y, t, steps, seed, chunk_index, chunk_paths):
-    """``_chunk_moments`` of Y_n(t) = I_n(t) G(t) over one chunk."""
-    rng = _chunk_rng(seed, chunk_index)
-    state = simulate_functionals(model, x, y, t, steps, rng, chunk_paths)
-    return _chunk_moments(np.moveaxis(state.row, 0, -1))  # over the (r, r, P) planes
-
-
 def fk_estimate(
     model: TorusModel,
     t: float,
@@ -406,6 +409,7 @@ def fk_estimate(
     steps: int,
     seed: int = 0,
     workers: int = 1,
+    stream: int = 0,
 ) -> FkResult:
     """p(t,x,y) times the Monte Carlo mean of Y_n(t) = I_n(t) G(t).
 
@@ -416,20 +420,17 @@ def fk_estimate(
     from the per-entry sample variance of real and imaginary parts
     combined, merged from per-chunk centred moments in chunk order
     (Chan, Golub & LeVeque), so no E[x^2] - mean^2 cancellation occurs.
+    The paths draw from Philox stream ``stream`` of ``seed``
+    (``_map_chunks``); each worker's bridge adds its own prefetch thread.
     """
     if paths < 1:
         raise ValueError("need at least one path")
 
-    def run(chunk):
-        return _fk_chunk(model, x, y, t, steps, seed, *chunk)
+    def chunk(rng, count):
+        state = simulate_functionals(model, x, y, t, steps, rng, count)
+        return _chunk_moments(np.moveaxis(state.row, 0, -1))  # over the (r, r, P) planes
 
-    chunks = _chunks(paths)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(chunk) for chunk in chunks]
-    _, mean, m2 = _merge_moments(parts)
+    _, mean, m2 = _merge_moments(_map_chunks(chunk, paths, seed, stream, workers))
     var = m2 / paths
     p = heat_kernel(model.d, t, x, y)
     return FkResult(
@@ -506,29 +507,20 @@ def moment_scaling_probe(
     or a vanishing kept part) raises ``ValueError`` (``_check_moment_pattern``).
     The pattern keeps m = len(nu) perturbations, so the engine's top row is
     Y_m.  On a dressed model each chunk recovers I_m = Y_m G(t)^-1 with one
-    batched solve; otherwise Y_m = I_m.
+    batched solve; otherwise Y_m = I_m.  Grid time ``t_grid[ti]`` draws from
+    Philox stream ti of ``seed`` (``_map_chunks``).
     """
     m = len(tuple(nu))
     probe_model = apply_moment_pattern(model, nu)
     _check_moment_pattern(probe_model, nu)
     x = np.zeros(model.d)
-    chunks = _chunks(paths)
-    if len(chunks) > _PROBE_KEY_STRIDE:
-        raise ValueError(
-            f"{len(chunks)} chunks per grid time exceed the {_PROBE_KEY_STRIDE} "
-            "distinct stream keys of one time"
-        )
     means = []
     for ti, t in enumerate(t_grid):
-        total = 0.0
-        for idx, take in chunks:
-            rng = _chunk_rng(seed, _PROBE_KEY_STRIDE * ti + idx)
-            state = simulate_functionals(probe_model, x, x, float(t), steps, rng, take)
-            mats = state.iterated()
-            total += float(
-                np.sum(np.linalg.norm(mats, axis=(1, 2)) ** b)
-            )
-        means.append(total / paths)
+        def chunk(rng, count, t=float(t)):
+            state = simulate_functionals(probe_model, x, x, t, steps, rng, count)
+            return float(np.sum(np.linalg.norm(state.iterated(), axis=(1, 2)) ** b))
+
+        means.append(sum(_map_chunks(chunk, paths, seed, stream=ti), 0.0) / paths)
     logs_t = np.log(np.asarray(t_grid, dtype=float))
     logs_m = np.log(np.asarray(means))
     slope, intercept = np.polyfit(logs_t, logs_m, 1)

@@ -10,11 +10,12 @@ matches the characteristic power series evaluated at 2 Omega; J is linear
 in Omega, so passing Omega/2 matches it at Omega.  Over d = 2 both reduce
 to 1 plus a mean-zero top term.
 
-The bridges stream from ``bridge._bridge_steps`` in the engine's chunk
-schedule and Philox streams; the pair areas accumulate step by step, in
-place through two preallocated (d - 1, P) buffers, into one (n_pairs, P)
-array, one contiguous slice of pairs (i, j > i) per coordinate i, so no
-path is stored.  The mean and the top
+The bridges stream from ``bridge._bridge_steps``, one chunk at a time
+through the engine's chunk map ``engine._map_chunks``, drawing from stream 0
+of the three-word Philox key (seed, chunk index, stream).  The pair areas
+accumulate step by step, in place through two preallocated (d - 1, P)
+buffers, into one (n_pairs, P) array, one contiguous slice of pairs
+(i, j > i) per coordinate i, so no path is stored.  The mean and the top
 coefficient's error bar come from per-chunk centred moments merged in
 chunk order (``engine._merge_moments``).
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from ..grassmann import MultiVector, _merge_sign
 from .bridge import _bridge_steps
-from .engine import _chunk_moments, _chunk_rng, _chunks, _merge_moments
+from .engine import _chunk_moments, _map_chunks, _merge_moments
 
 
 @lru_cache(maxsize=None)
@@ -111,9 +112,8 @@ def levy_area_estimate(
     # block i of the area rows, the pairs (i, j > i), is one slice
     blocks = [slice(i * d - i * (i + 1) // 2, (i + 1) * d - (i + 1) * (i + 2) // 2)
               for i in range(d - 1)]
-    parts = []
-    for idx, take in _chunks(paths):
-        rng = _chunk_rng(seed, idx)
+
+    def chunk(rng, take):
         # pair areas int Y_j dY_i - int Y_i dY_j with left endpoints
         area = np.zeros((len(forms), take))
         left, right = np.empty((d - 1, take)), np.empty((d - 1, take))
@@ -125,9 +125,9 @@ def levy_area_estimate(
                 a -= b
                 area[blk] += a
         # J = -sum_{i<j} Omega_ij (int Y_j dY_i - int Y_i dY_j)
-        e_j = exp_dense_batch(area.T @ forms, d)
-        parts.append(_chunk_moments(e_j.T))
-    _, mean, m2 = _merge_moments(parts)
+        return _chunk_moments(exp_dense_batch(area.T @ forms, d).T)
+
+    _, mean, m2 = _merge_moments(_map_chunks(chunk, paths, seed))
     top_mean = mean[top_mask]
     return LevyAreaResult(
         MultiVector.from_dense(d, mean),

@@ -182,10 +182,11 @@ def small_time_limit(chain, t_sequence=(1.6, 0.8), truncation: int = 6) -> Local
 
 def _mc_check(chain, rep, c0, models, row, x, truncation, paths, steps, seed) -> dict:
     """The functional at the sweep row (t, value, bound) from one path
-    estimate per partition model, against that row's value."""
+    estimate per partition model, against that row's value; partition i
+    draws from Philox stream i of ``seed``."""
     t, det_value, det_bound = row
     results = [
-        fk_estimate(model, t, x, x, paths, steps, seed=seed + i)
+        fk_estimate(model, t, x, x, paths, steps, seed=seed, stream=i)
         for i, (_, model) in enumerate(models)
     ]
     mc_value, _ = _functional(chain, rep, c0, models, [res.estimate for res in results], t)

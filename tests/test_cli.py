@@ -172,7 +172,7 @@ LEVY_COUNTS_CONFIG = {
 LOCALIZE_CHAIN_CONFIG = {"d": 2, "chain": [{"prime": [{"indices": [1, 2], "re": 1.0}]}]}
 PHI_FAMILY_CONFIG = {"H": matrix_to_json(np.diag([0.0, 1.3]).astype(complex))}
 # w0' = e1e2, w1' = w2' = e1: both partitions (1)(2) and (12) survive, so the
-# Monte Carlo check keys two streams, seed and seed + 1
+# Monte Carlo check draws streams 0 and 1 of the seed
 TWO_PARTITION_CHAIN = [
     {"prime": [{"indices": [1, 2], "re": 1.0}]},
     {"prime": [{"indices": [1], "re": 1.0}]},
@@ -228,7 +228,7 @@ SEED_LIMIT = 2**64  # Philox keys are unsigned 64-bit words
         ("levy-area", ["--seed", str(SEED_LIMIT)], {}, "--seed"),
         ("levy-area", [], {"seed": SEED_LIMIT}, "config.seed"),
         ("localize", ["--seed", str(SEED_LIMIT)], {}, "--seed"),
-        ("localize", ["--paths", "64", "--steps", "8", "--seed", str(SEED_LIMIT - 1)],
+        ("localize", ["--paths", "64", "--steps", "8", "--seed", str(SEED_LIMIT)],
          {"chain": TWO_PARTITION_CHAIN}, "--seed"),
         ("bridge-test", ["--seed", str(SEED_LIMIT)], {}, "--seed"),
         ("patodi", ["--seed", str(SEED_LIMIT)], {}, "--seed"),
@@ -238,6 +238,18 @@ SEED_LIMIT = 2**64  # Philox keys are unsigned 64-bit words
         ("phi", ["--nodes", "3"], {}, "--nodes"),
         ("phi", ["--method", "fermionic", "--steps", "8"], {}, "--steps"),
         ("bridge-test", ["--samples", "9"], {}, "9 samples"),
+        ("fk", ["--t", "inf"], {}, "--t"),
+        ("fk", [], {"t": float("inf")}, "config.t"),
+        ("fk", [], {"t": float("nan")}, "config.t"),
+        ("phi", ["--t", "nan"], {}, "--t"),
+        ("bridge-test", ["--t", "inf"], {}, "--t"),
+        ("bridge-test", ["--t", "nan"], {}, "--t"),
+        ("jlo", ["--t-grid", "nan,0.8"], {}, "--t-grid"),
+        ("localize", ["--t-grid", "nan,0.8"], {}, "--t-grid"),
+        ("localize", ["--t-grid", "0.8,inf"], {}, "--t-grid"),
+        ("fk", [], {"x": [float("inf")]}, "config.x"),
+        ("fk", [], {"y": [float("nan")]}, "config.y"),
+        ("fk", [], {"x": [10**400]}, "config.x"),
     ],
 )
 def test_non_positive_counts_exit_2_without_a_report(
@@ -249,12 +261,14 @@ def test_non_positive_counts_exit_2_without_a_report(
     line only; localize's --paths may be 0 (no cross-check) and jlo's
     --truncation 0 (one mode), but neither may be negative.  bridge-test
     needs at least 2 bins, a positive time, and enough samples that two
-    bins expect 5 or more counts after pooling; fk needs a positive time.  phi
-    needs at least 16 ODE steps and 4 quadrature nodes, whichever method
-    runs, and reads both from the command line only.  A seed
-    may be 0 but not negative, on every command that takes one, and every
-    Philox key it makes must fit in 64 bits: localize keys partition i of
-    its Monte Carlo check with seed + i."""
+    bins expect 5 or more counts after pooling.  Every time (--t, config.t,
+    each --t-grid entry) must be positive and finite, and fk's points
+    finite: a config's Infinity or NaN parses to a float, and 10^400 to an
+    int no float holds.  phi needs at least 16 ODE steps and 4 quadrature
+    nodes, whichever method runs, and reads both from the command line
+    only.  A seed
+    may be 0 but not negative, on every command that takes one, and must
+    fit in one 64-bit Philox key word, however many streams it keys."""
     base = {"fk": FK_COUNTS_CONFIG, "levy-area": LEVY_COUNTS_CONFIG,
             "localize": LOCALIZE_CHAIN_CONFIG, "jlo": LOCALIZE_CHAIN_CONFIG,
             "phi": PHI_FAMILY_CONFIG}.get(command)
@@ -270,15 +284,16 @@ def test_non_positive_counts_exit_2_without_a_report(
 
 
 def test_largest_seeds_run(tmp_path):
-    """2^64 - 1 keys a Philox stream: fk runs on it, and localize on the
-    largest seed whose partition keys seed + i all fit."""
+    """2^64 - 1 keys a Philox stream: fk runs on it, and so does localize's
+    Monte Carlo check of two partitions, which draws streams 0 and 1 of
+    that seed."""
     fk = tmp_path / "fk.json"
     fk.write_text(json.dumps(FK_COUNTS_CONFIG))
     assert run_cli(["fk", "--config", str(fk), "--seed", str(SEED_LIMIT - 1)]) == 0
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps({**LOCALIZE_CHAIN_CONFIG, "chain": TWO_PARTITION_CHAIN}))
     out = tmp_path / "report.json"
-    argv = ["--paths", "64", "--steps", "8", "--seed", str(SEED_LIMIT - 2)]
+    argv = ["--paths", "64", "--steps", "8", "--seed", str(SEED_LIMIT - 1)]
     # 8 steps leave an O(h) bias the 3 SE verdict may flag: a report, not a usage error
     assert run_cli(["localize", "--config", str(chain), "--out", str(out), *argv]) in (0, 1)
     assert json.loads(out.read_text())["results"]["mc_check"] is not None

@@ -878,21 +878,41 @@ def test_moment_probe_rejects_patterns_without_the_power_law(monkeypatch, dresse
         moment_scaling_probe(model, (0, 0), 2.0, (0.1, 0.2), paths=100, steps=4)
 
 
-def test_moment_probe_rejects_colliding_chunk_keys(monkeypatch):
-    """Chunk idx of grid time ti is keyed 10_000 ti + idx, so more than
-    10_000 chunks per time would share streams across times."""
+def test_moment_probe_keys_each_grid_time_as_its_own_stream(monkeypatch):
+    """Grid time ti draws chunk idx from _chunk_rng(seed, idx, ti): with one
+    path per chunk and 10_001 chunks per time, every (ti, idx) starts a
+    distinct Philox state, and ti = 0 draws _chunk_rng(seed, idx) itself."""
     one = np.array([[1.0]], dtype=complex)
     model = TorusModel(1, 1, perturbations=(PerturbationSpec.zeroth(one, 1),))
+    seed, paths = 3, 10_001
+    states = []
 
-    def no_draws(*args, **kwargs):
-        raise AssertionError("paths were simulated")
+    def record(model, x, y, t, steps, rng, n_paths):
+        state = rng.bit_generator.state["state"]
+        states.append((tuple(state["counter"]), tuple(state["key"]), rng.integers(2**63)))
+        ones = np.ones((n_paths, 1, 1), dtype=complex)
+        return engine.FunctionalState(ones, ones, False)
 
     monkeypatch.setattr(engine, "CHUNK_SIZE", 1)
-    monkeypatch.setattr(engine, "simulate_functionals", no_draws)
-    with pytest.raises(ValueError, match="10000 distinct stream keys"):
-        moment_scaling_probe(model, (1,), 2.0, (0.1, 0.2), paths=10_001, steps=4)
-    with pytest.raises(AssertionError, match="simulated"):  # 10_000 keys fit
-        moment_scaling_probe(model, (1,), 2.0, (0.1, 0.2), paths=10_000, steps=4)
+    monkeypatch.setattr(engine, "simulate_functionals", record)
+    moment_scaling_probe(model, (1,), 2.0, (0.1, 0.2), paths=paths, steps=4, seed=seed)
+    assert len(states) == 2 * paths
+    assert len({s[:2] for s in states}) == len({s[2] for s in states}) == 2 * paths
+    for idx in (0, 1, paths - 1):
+        assert states[idx][2] == _chunk_rng(seed, idx).integers(2**63)
+        assert states[paths + idx][2] == _chunk_rng(seed, idx, 1).integers(2**63)
+
+
+def test_chunk_rng_stream_zero_is_the_philox_key_alone():
+    """Stream 0 of (seed, idx) is Philox(key=[seed, idx]) bitwise; stream 1
+    of the same key draws other numbers, also at the largest seed."""
+    for seed, idx in ((0, 0), (7, 3), (2**64 - 1, 2)):
+        plain = np.random.Generator(np.random.Philox(key=np.array([seed, idx], dtype=np.uint64)))
+        expect = plain.standard_normal(1000)
+        assert np.array_equal(_chunk_rng(seed, idx).standard_normal(1000), expect)
+        assert np.array_equal(_chunk_rng(seed, idx, 0).standard_normal(1000), expect)
+        other = _chunk_rng(seed, idx, 1).standard_normal(1000)
+        assert not np.any(other == expect)
 
 
 def test_levy_streamed_areas_match_stored_paths(monkeypatch):
