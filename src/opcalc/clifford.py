@@ -259,6 +259,19 @@ class FormMatrix:
         return acc
 
 
+def curvature_defect(entries):
+    """The first entry (i, j, reason), row by row, at which the square matrix
+    ``entries`` of multivectors is not antisymmetric or not made of
+    degree-2 forms; None when it is a curvature matrix."""
+    for i, row in enumerate(entries):
+        for j, entry in enumerate(row):
+            if not (entry + entries[j][i]).is_zero(1e-14):
+                return i, j, "curvature matrix must be antisymmetric"
+            if not entry.is_zero() and entry.degrees() != {2}:
+                return i, j, "curvature entries must be degree-2 forms"
+    return None
+
+
 def a_hat_series(omega, d: int) -> MultiVector:
     """det^(1/2)((Omega/2) / sinh(Omega/2)) as a finite even power series.
 
@@ -269,13 +282,9 @@ def a_hat_series(omega, d: int) -> MultiVector:
     """
     entries = [[_as_form(e, d) for e in row] for row in omega]
     size = len(entries)
-    for i in range(size):
-        for j in range(size):
-            diff = entries[i][j] + entries[j][i]
-            if not diff.is_zero(1e-14):
-                raise ValueError("curvature matrix must be antisymmetric")
-            if not entries[i][j].is_zero() and entries[i][j].degrees() != {2}:
-                raise ValueError("curvature entries must be degree-2 forms")
+    defect = curvature_defect(entries)
+    if defect:
+        raise ValueError(defect[2])
     half = FormMatrix(entries).scale(0.5)
     half_sq = half @ half
 

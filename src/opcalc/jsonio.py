@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from .clifford import curvature_defect
 from .grassmann import MultiVector
 from .jlo import DGAElement
 from .linalg import hermitian
@@ -102,7 +103,7 @@ def form_from_json(obj, d: int, location: str = "form") -> MultiVector:
 
 def curvature_from_json(obj, location: str = "config"):
     """(d, omega) from {"d": positive even int, "omega": square list of
-    lists of forms-or-null}."""
+    lists of forms-or-null}, an antisymmetric matrix of degree-2 forms."""
     if not isinstance(obj, dict) or "d" not in obj or "omega" not in obj:
         raise ConfigError(location, "expected an object with 'd' and 'omega'")
     d, rows = obj["d"], obj["omega"]
@@ -112,10 +113,15 @@ def curvature_from_json(obj, location: str = "config"):
         not isinstance(row, list) or len(row) != len(rows) for row in rows
     ):
         raise ConfigError(f"{location}.omega", "expected a square list of lists")
-    return d, [
+    omega = [
         [form_from_json(e, d, f"{location}.omega[{i}][{j}]") for j, e in enumerate(row)]
         for i, row in enumerate(rows)
     ]
+    defect = curvature_defect(omega)
+    if defect:
+        i, j, reason = defect
+        raise ConfigError(f"{location}.omega[{i}][{j}]", reason)
+    return d, omega
 
 
 def chain_from_json(obj, location: str = "chain"):

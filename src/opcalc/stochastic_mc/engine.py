@@ -250,6 +250,21 @@ def _map_chunks(fn, paths: int, seed: int, stream: int = 0, workers: int = 1) ->
     return [run(idx) for idx in indices]
 
 
+def _check_counts(paths: int, steps: int) -> None:
+    """The guard of every Monte Carlo entry point: at least one path and one
+    step, or ``ValueError``."""
+    if paths < 1:
+        raise ValueError("need at least one path")
+    if steps < 1:
+        raise ValueError("need at least one step")
+
+
+def _abs2(x):
+    """|x|^2 entrywise; a real x is squared as it is, since ``.imag`` of a
+    real array allocates a zero array."""
+    return x.real**2 + x.imag**2 if np.iscomplexobj(x) else x**2
+
+
 def _chunk_moments(samples: np.ndarray):
     """(count, mean, centred second moment) over the last axis.
 
@@ -257,7 +272,7 @@ def _chunk_moments(samples: np.ndarray):
     """
     mean = samples.mean(axis=-1)
     dev = samples - mean[..., None]
-    return samples.shape[-1], mean, (dev.real**2 + dev.imag**2).sum(axis=-1)
+    return samples.shape[-1], mean, _abs2(dev).sum(axis=-1)
 
 
 def _merge_moments(parts):
@@ -272,7 +287,7 @@ def _merge_moments(parts):
         total = count + n_b
         delta = mean_b - mean
         mean = mean + delta * (n_b / total)
-        m2 = m2 + m2_b + (delta.real**2 + delta.imag**2) * (count * n_b / total)
+        m2 = m2 + m2_b + _abs2(delta) * (count * n_b / total)
         count = total
     return count, mean, m2
 
@@ -423,8 +438,7 @@ def fk_estimate(
     The paths draw from Philox stream ``stream`` of ``seed``
     (``_map_chunks``); each worker's bridge adds its own prefetch thread.
     """
-    if paths < 1:
-        raise ValueError("need at least one path")
+    _check_counts(paths, steps)
 
     def chunk(rng, count):
         state = simulate_functionals(model, x, y, t, steps, rng, count)
@@ -510,6 +524,7 @@ def moment_scaling_probe(
     batched solve; otherwise Y_m = I_m.  Grid time ``t_grid[ti]`` draws from
     Philox stream ti of ``seed`` (``_map_chunks``).
     """
+    _check_counts(paths, steps)
     m = len(tuple(nu))
     probe_model = apply_moment_pattern(model, nu)
     _check_moment_pattern(probe_model, nu)

@@ -491,15 +491,35 @@ def test_levy_area_subcommand(tmp_path):
     assert report["verdicts"]["within_tolerance"] is True
 
 
+# antisymmetric, but of degree 1
+DEGREE_1_OMEGA = {"d": 2, "omega": [[None, [{"indices": [1], "re": 0.3}]],
+                                    [[{"indices": [1], "re": -0.3}], None]]}
+# degree 2, but Omega_21 is missing
+ONE_SIDED_OMEGA = {"d": 2, "omega": [[None, [{"indices": [1, 2], "re": 0.9}]], [None, None]]}
+
+
 @pytest.mark.parametrize(
     "command, cfg, location",
     [
         ("levy-area", {"d": 2, "omega": [[None]]}, "config.omega"),
         ("levy-area", {"d": 0, "omega": []}, "config.d"),
         ("ahat", {"d": 2, "omega": [[None], [None]]}, "config.omega"),
+        ("levy-area", DEGREE_1_OMEGA, "config.omega[0][1]: curvature entries must be degree-2"),
+        ("ahat", DEGREE_1_OMEGA, "config.omega[0][1]: curvature entries must be degree-2"),
+        ("levy-area", ONE_SIDED_OMEGA, "config.omega[0][1]: curvature matrix must be antisym"),
+        ("ahat", ONE_SIDED_OMEGA, "config.omega[0][1]: curvature matrix must be antisym"),
     ],
 )
-def test_malformed_curvature_config_exits_2(tmp_path, capsys, command, cfg, location):
+def test_malformed_curvature_config_exits_2(tmp_path, capsys, monkeypatch, command, cfg,
+                                            location):
+    """A curvature that is not an antisymmetric matrix of degree-2 forms is
+    rejected where the config is read, naming the entry, before any series
+    or sampling runs."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran past the config boundary")
+
+    monkeypatch.setattr(acceptance, "levy_against_series", must_not_run)
+    monkeypatch.setattr(cli.clifford, "a_hat_series", must_not_run)
     path = tmp_path / "omega.json"
     path.write_text(json.dumps(cfg))
     assert run_cli([command, "--config", str(path)]) == 2

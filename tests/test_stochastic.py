@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.linalg
 import scipy.stats
 
 from opcalc import clifford, linalg
-from opcalc.grassmann import MultiVector
+from opcalc.grassmann import MultiVector, exp_even
 from opcalc.jlo import DGAElement
 from opcalc.stochastic_mc import (
     PerturbationSpec,
@@ -27,9 +28,10 @@ from opcalc.stochastic_mc import (
 )
 from opcalc.acceptance import _spec_chains, acceptance_fk_model, bridge_midpoint_chi2
 from opcalc.phi_core import OperatorFamily, phi_fermionic
-from opcalc.stochastic_mc import engine, model as model_module
+from opcalc.stochastic_mc import engine, levy, model as model_module
 from opcalc.stochastic_mc.bridge import _bridge_steps
 from opcalc.stochastic_mc.engine import CHUNK_SIZE, _chunk_rng
+from opcalc.stochastic_mc.levy import _pfaffian_plan, _pfaffian_table
 from opcalc.stochastic_mc.localize import _partition_models
 from opcalc.stochastic_mc.model import TWO_PI, _truncated_kernel
 
@@ -1001,6 +1003,121 @@ def test_levy_d4_matches_doubled_series_identity():
     assert abs(res_half.top_mean - oracle_half) < max(
         4 * res_half.top_stderr, 0.01 * abs(oracle_half) + 0.002
     )
+
+
+def _random_curvature(d, rng, scale):
+    """A d x d antisymmetric matrix of real 2-forms with every pair present."""
+    om = [[MultiVector.zero(d)] * d for _ in range(d)]
+    for i, j in itertools.combinations(range(d), 2):
+        om[i][j] = MultiVector(d, {(1 << a) | (1 << b): rng.uniform(-scale, scale)
+                                   for a, b in itertools.combinations(range(d), 2)})
+        om[j][i] = -1.0 * om[i][j]
+    return om
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_pfaffian_table_is_the_exponential_of_the_two_form(d, dtype):
+    """The table's minors are exp(sum_{a<b} J_ab theta_a theta_b) on every
+    mask (zero on the odd ones), for random real and complex J."""
+    rng = np.random.default_rng(d)
+    paths, pairs = 3, list(itertools.combinations(range(d), 2))
+    masks, _ = _pfaffian_plan(d)
+    assert list(masks[1:1 + len(pairs)]) == [(1 << a) | (1 << b) for a, b in pairs]
+    j = rng.standard_normal((len(pairs), paths)).astype(dtype)
+    if dtype is complex:
+        j += 1j * rng.standard_normal((len(pairs), paths))
+    table = _pfaffian_table(j, d)
+    assert table.dtype == dtype
+    for p in range(paths):
+        form = MultiVector(d, {(1 << a) | (1 << b): j[q, p] for q, (a, b) in enumerate(pairs)})
+        exact = exp_even(form).dense()
+        dense = np.zeros(1 << d, dtype=complex)
+        dense[list(masks)] = table[:, p]
+        assert np.abs(dense - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
+def test_levy_d8_matches_doubled_series():
+    """At d = 8 the top coefficient follows the series at 2 Omega within 4
+    SE; at 64 steps the step bias is about half an SE (0.55 SE on average
+    over seeds 0-7)."""
+    d = 8
+    om = _random_curvature(d, np.random.default_rng(8), 0.3)
+    res = levy_area_estimate(om, d, paths=16384, steps=64, seed=5)
+    oracle = clifford.a_hat_series([[2.0 * e for e in row] for row in om], d)
+    top = (1 << d) - 1
+    assert abs(oracle.coefficient(top)) > 0.1
+    assert abs(res.top_mean - oracle.coefficient(top)) <= 4 * res.top_stderr
+
+
+def test_levy_d4_chunk_working_set():
+    """One d = 4 chunk of 16384 paths holds its pair areas and one real table
+    of 8 minors per path: its traced peak stays under 6 MiB, where the
+    dense complex exponential took 18.8 MiB."""
+    d = 4
+    om = _random_curvature(d, np.random.default_rng(0), 0.3)
+    levy_area_estimate(om, d, paths=16, steps=8)  # caches and imports
+    tracemalloc.start()
+    try:
+        levy_area_estimate(om, d, paths=CHUNK_SIZE, steps=8, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("paths, steps", [(0, 8), (-5, 8), (8, 0), (8, -1)])
+@pytest.mark.parametrize("estimator", ["fk", "moment_probe", "levy", "levy_zero_curvature"])
+def test_monte_carlo_entry_points_reject_non_positive_counts(estimator, paths, steps):
+    """Each Monte Carlo entry point needs a path and a step, also where the
+    zero-curvature Levy area would not sample."""
+    model = TorusModel(1, 1, perturbations=(PerturbationSpec.zeroth(np.ones((1, 1)), 1),))
+    e12 = MultiVector(2, {0b11: 0.9})
+    zero = MultiVector.zero(2)
+    run = {
+        "fk": lambda: fk_estimate(model, 0.5, [0.1], [0.2], paths, steps),
+        "moment_probe": lambda: moment_scaling_probe(model, (1,), 2.0, (0.1, 0.2), paths, steps),
+        "levy": lambda: levy_area_estimate([[zero, e12], [-1.0 * e12, zero]], 2, paths, steps),
+        "levy_zero_curvature": lambda: levy_area_estimate([[zero, zero], [zero, zero]], 2,
+                                                          paths, steps),
+    }[estimator]
+    with pytest.raises(ValueError, match="at least one"):
+        run()
+
+
+@pytest.mark.parametrize("omega, reason", [
+    ([[0, MultiVector.generator(2, 1)], [-1.0 * MultiVector.generator(2, 1), 0]], "degree-2"),
+    ([[0, MultiVector(2, {0b11: 0.9})], [0, 0]], "antisymmetric"),
+])
+def test_levy_rejects_a_curvature_that_is_not_a_two_form_matrix(monkeypatch, omega, reason):
+    """The Pfaffian route needs antisymmetric degree-2 entries; it checks them
+    before any chunk is drawn."""
+    monkeypatch.setattr(levy, "_map_chunks", None)
+    with pytest.raises(ValueError, match=reason):
+        levy_area_estimate(omega, 2, paths=10, steps=8)
+
+
+def test_chunk_moments_square_real_samples_as_they_are():
+    """A real sample stack gives, bitwise, the moments of the same stack held
+    as complex, without a zero imaginary part: one (8, 16384) chunk traces
+    about two copies of itself (the deviations and their squares), where
+    squaring ``.real`` and ``.imag`` traced four."""
+    rng = np.random.default_rng(4)
+    parts = [rng.standard_normal((3, n)) for n in (7, 300, 1)]
+    real = engine._merge_moments(engine._chunk_moments(x) for x in parts)
+    cplx = engine._merge_moments(engine._chunk_moments(x + 0j) for x in parts)
+    assert real[0] == cplx[0]
+    assert real[1].dtype == real[2].dtype == np.float64
+    assert np.array_equal(real[1], cplx[1].real) and not np.any(cplx[1].imag)
+    assert np.array_equal(real[2], cplx[2])
+    samples = rng.standard_normal((8, CHUNK_SIZE))
+    tracemalloc.start()
+    try:
+        engine._chunk_moments(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * samples.nbytes
 
 
 def test_localization_values_flat_spec_chains():
