@@ -260,9 +260,14 @@ class FormMatrix:
 
 
 def curvature_defect(entries):
-    """The first entry (i, j, reason), row by row, at which the square matrix
-    ``entries`` of multivectors is not antisymmetric or not made of
-    degree-2 forms; None when it is a curvature matrix."""
+    """The first entry (i, j, reason), row by row, at which the matrix
+    ``entries`` of multivectors is not square, not antisymmetric or not made
+    of degree-2 forms; None when it is a curvature matrix.  A row of the
+    wrong length is reported at its first missing or extra column."""
+    size = len(entries)
+    for i, row in enumerate(entries):
+        if len(row) != size:
+            return i, min(len(row), size), "curvature matrix must be square"
     for i, row in enumerate(entries):
         for j, entry in enumerate(row):
             if not (entry + entries[j][i]).is_zero(1e-14):

@@ -39,7 +39,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, lgamma
+from math import lgamma
 
 import numpy as np
 
@@ -441,8 +441,8 @@ def simplex_constant(exponents) -> float:
         int_{sigma_n} (s_2-s_1)^(-a_1) ... (1-s_n)^(-a_n) ds
             = prod_j Gamma(1-a_j) / Gamma(n+1 - sum_j a_j).
 
-    Validated against the sorted-uniform Monte Carlo oracle
-    (:func:`simplex_constant_mc`) in the test suite before use.
+    Validated against the Monte Carlo oracle :func:`simplex_constant_mc` in
+    the test suite and in acceptance criterion 4.
     """
     exps = tuple(exponents)
     for a in exps:
@@ -455,45 +455,26 @@ def simplex_constant(exponents) -> float:
     return float(np.exp(log_val))
 
 
-def simplex_constant_mc(exponents, samples: int = 10**6, seed: int = 0):
-    """Monte Carlo oracle for :func:`simplex_constant`.
+def simplex_constant_mc(exponents, samples: int = 10**6, seed: int = 0, stream: int = 0):
+    """Importance-sampling oracle for :func:`simplex_constant`: (estimate, stderr).
 
-    Sorted uniforms are uniform on the ordered simplex (volume 1/n!), so the
-    integral is E[f] / n!.  The spacings of sorted uniforms are exchangeable,
-    so the integrand is averaged over cyclic assignments of the exponents to
-    the n+1 spacings; this is a variance reduction of the same sampler, not
-    a different estimator.  Returns (estimate, stderr).
+    The n+1 spacings g = (s_1, s_2-s_1, ..., 1-s_n) are drawn from
+    Dirichlet(alpha), alpha = 1.5 (1 - a) with a = 0 on s_1, and weighted by
+    the integrand over the density, prod Gamma(alpha) / Gamma(sum alpha) *
+    prod g^(1 - alpha - a).  The variance is finite as alpha < 2 (1 - a), and
+    alpha != 1 - a keeps the weight a check of the closed form.  The samples
+    draw from Philox stream ``stream`` of ``seed`` (``engine._mc_mean``).
     """
-    exps = np.asarray(tuple(exponents), dtype=float)
-    n = len(exps)
-    if n == 0:
-        return 1.0, 0.0
-    # the path engine's moment merge; imported here because its package
-    # imports this module
-    from .stochastic_mc.engine import _chunk_moments, _merge_moments
+    from .stochastic_mc.engine import _mc_mean  # its package imports this module
 
-    rng = np.random.default_rng(seed)
-    parts = []
-    chunk = 1 << 17
-    done = 0
-    exps_padded = np.concatenate([[0.0], exps])  # spacing s_1 carries no factor
-    while done < samples:
-        m = min(chunk, samples - done)
-        s = np.sort(rng.random((m, n)), axis=1)
-        # all n+1 spacings: s_1, s_2-s_1, ..., 1-s_n
-        gaps = np.concatenate(
-            [s[:, :1], np.diff(s, axis=1), 1.0 - s[:, -1:]], axis=1
-        )
-        f = np.zeros(m)
-        for shift in range(n + 1):
-            f += np.prod(gaps ** (-np.roll(exps_padded, shift)), axis=1)
-        f /= n + 1
-        parts.append(_chunk_moments(f))
-        done += m
-    _, mean, m2 = _merge_moments(parts)
-    var = m2 / samples
-    scale = 1.0 / factorial(n)
-    return mean * scale, np.sqrt(var / samples) * scale
+    a = np.concatenate([[0.0], np.asarray(tuple(exponents), dtype=float)])
+    alpha = 1.5 * (1.0 - a)
+    norm = np.exp(sum(lgamma(v) for v in alpha) - lgamma(alpha.sum()))
+
+    def chunk(rng, count):
+        return norm * np.prod(rng.dirichlet(alpha, count) ** (1.0 - alpha - a), axis=1)
+
+    return _mc_mean(chunk, samples, seed, stream)
 
 
 def nilpotency_check(family: OperatorFamily, t: float, l: int):

@@ -21,19 +21,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .model import TWO_PI, winding_cutoff
+from .model import TWO_PI, _image_weights
 
 
 def sample_winding(rng: np.random.Generator, d: int, x, y, t: float, n_paths: int):
     """Winding classes, one integer per coordinate per path."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    wmax = winding_cutoff(t)
-    ws = np.arange(-wmax, wmax + 1)
     out = np.empty((n_paths, d), dtype=np.int64)
     u = rng.random((n_paths, d))
     for m in range(d):
-        weights = np.exp(-((y[m] - x[m] + TWO_PI * ws) ** 2) / (2.0 * t))
+        ws, weights = _image_weights(y[m] - x[m], t)
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
         out[:, m] = ws[np.searchsorted(cdf, u[:, m])]

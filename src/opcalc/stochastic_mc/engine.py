@@ -3,14 +3,14 @@
 Per-path randomness comes from counter-based Philox streams keyed by the
 three words (seed, chunk index, stream) with a fixed chunk size
 (``_chunk_rng``), so any path's draws are a deterministic function of
-(seed, stream, path index) alone.  Every Monte Carlo estimator here runs
-through one chunk map, ``_map_chunks``: the FK estimator (stream 0, or the
-partition index of a localization check), the moment probe (the grid time's
-index) and the Levy area (stream 0).  Worker threads only map chunks; the
-per-chunk results come back in chunk order, and per-chunk means and centred
-second moments are merged in that order (``_merge_moments``), making every
-estimate bitwise independent of the worker count.  Bridge increments come
-step by step from ``bridge._bridge_steps``.
+(seed, stream, path index) alone.  Every Monte Carlo estimate is reduced by
+``_mc_mean``: the chunk map ``_map_chunks`` runs the caller's chunk function,
+and the chunks' means and centred second moments are merged in chunk order
+(``_merge_moments``), so every estimate is bitwise independent of the worker
+count.  Its callers are the FK estimator (stream 0, or a localization
+check's partition index), the moment probe (the grid time's index), the
+Levy area (stream 0) and ``phi_core.simplex_constant_mc``.  Bridge
+increments come step by step from ``bridge._bridge_steps``.
 
 Path functionals.  The kernel estimate is p(t,x,y) E[I_n(t) G(t)], where G
 is the dressed transport and I_m the iterated Ito integrals of the
@@ -292,6 +292,17 @@ def _merge_moments(parts):
     return count, mean, m2
 
 
+def _mc_mean(fn, paths: int, seed: int, stream: int = 0, workers: int = 1):
+    """(mean, entrywise stderr) of the samples ``fn(rng, count)`` returns for
+    each chunk of ``_map_chunks``, one per path on their last axis; each
+    chunk's moments are taken on its worker and merged in chunk order."""
+    def chunk(rng, count):
+        return _chunk_moments(fn(rng, count))
+
+    _, mean, m2 = _merge_moments(_map_chunks(chunk, paths, seed, stream, workers))
+    return mean, np.sqrt(m2 / paths / paths)
+
+
 def _planes(matrices) -> np.ndarray:
     """(k, r, r) matrices as a contiguous (r, r, k) plane stack."""
     return np.ascontiguousarray(np.moveaxis(np.asarray(matrices, dtype=complex), 0, -1))
@@ -431,34 +442,22 @@ def fk_estimate(
     I_n is the iterated integral of the G-dressed increments and G the full
     multiplicative transport Wf(t) V(t); for commuting potentials this is
     the familiar p E[Wf(t) I_n(t) V(t)].  The engine steps Y_n itself, so
-    the mean needs no final product.  Entrywise standard errors come
-    from the per-entry sample variance of real and imaginary parts
-    combined, merged from per-chunk centred moments in chunk order
-    (Chan, Golub & LeVeque), so no E[x^2] - mean^2 cancellation occurs.
-    The paths draw from Philox stream ``stream`` of ``seed``
-    (``_map_chunks``); each worker's bridge adds its own prefetch thread.
+    the mean needs no final product.  The mean and its entrywise standard
+    errors come from ``_mc_mean``, the paths drawing from Philox stream
+    ``stream`` of ``seed``; each worker's bridge adds its own prefetch
+    thread.
     """
     _check_counts(paths, steps)
 
     def chunk(rng, count):
         state = simulate_functionals(model, x, y, t, steps, rng, count)
-        return _chunk_moments(np.moveaxis(state.row, 0, -1))  # over the (r, r, P) planes
+        return np.moveaxis(state.row, 0, -1)  # the (r, r, P) planes
 
-    _, mean, m2 = _merge_moments(_map_chunks(chunk, paths, seed, stream, workers))
-    var = m2 / paths
+    mean, stderr = _mc_mean(chunk, paths, seed, stream, workers)
     p = heat_kernel(model.d, t, x, y)
-    return FkResult(
-        p * mean,
-        p * np.sqrt(var / paths),
-        {
-            "paths": paths,
-            "steps": steps,
-            "seed": seed,
-            "heat_kernel": p,
-            "chunk_size": CHUNK_SIZE,
-            "workers": workers,
-        },
-    )
+    diagnostics = {"paths": paths, "steps": steps, "seed": seed, "heat_kernel": p,
+                   "chunk_size": CHUNK_SIZE, "workers": workers}
+    return FkResult(p * mean, p * stderr, diagnostics)
 
 
 def apply_moment_pattern(model: TorusModel, nu) -> TorusModel:
@@ -522,25 +521,29 @@ def moment_scaling_probe(
     The pattern keeps m = len(nu) perturbations, so the engine's top row is
     Y_m.  On a dressed model each chunk recovers I_m = Y_m G(t)^-1 with one
     batched solve; otherwise Y_m = I_m.  Grid time ``t_grid[ti]`` draws from
-    Philox stream ti of ``seed`` (``_map_chunks``).
+    Philox stream ti of ``seed``; ``diagnostics`` carries each grid time's
+    mean and its stderr (``_mc_mean``).
     """
     _check_counts(paths, steps)
     m = len(tuple(nu))
     probe_model = apply_moment_pattern(model, nu)
     _check_moment_pattern(probe_model, nu)
     x = np.zeros(model.d)
-    means = []
+    means, stderrs = [], []
     for ti, t in enumerate(t_grid):
         def chunk(rng, count, t=float(t)):
             state = simulate_functionals(probe_model, x, x, t, steps, rng, count)
-            return float(np.sum(np.linalg.norm(state.iterated(), axis=(1, 2)) ** b))
+            return np.linalg.norm(state.iterated(), axis=(1, 2)) ** b
 
-        means.append(sum(_map_chunks(chunk, paths, seed, stream=ti), 0.0) / paths)
+        mean, stderr = _mc_mean(chunk, paths, seed, stream=ti)
+        means.append(float(mean))
+        stderrs.append(float(stderr))
     logs_t = np.log(np.asarray(t_grid, dtype=float))
     logs_m = np.log(np.asarray(means))
     slope, intercept = np.polyfit(logs_t, logs_m, 1)
     return float(slope), {
         "means": means,
+        "stderrs": stderrs,
         "t_grid": tuple(float(t) for t in t_grid),
         "intercept": float(intercept),
         "expected_slope": 0.5 * b * (m + sum(nu)),

@@ -11,8 +11,8 @@ in Omega, so passing Omega/2 matches it at Omega.  Over d = 2 both reduce
 to 1 plus a mean-zero top term.
 
 The bridges stream from ``bridge._bridge_steps``, one chunk at a time
-through the engine's chunk map ``engine._map_chunks``, drawing from stream 0
-of the three-word Philox key (seed, chunk index, stream).  The pair areas
+through the engine's chunk map, drawing from stream 0 of the three-word
+Philox key (seed, chunk index, stream).  The pair areas
 accumulate step by step, in place, so no path is stored.  Contracted with
 the degree-2 coefficients of -Omega they give each path's 2-form
 J = sum_{a<b} J_ab theta_a theta_b, and exp(J) has the Pfaffian minor
@@ -20,9 +20,9 @@ Pf(J_I) as its theta_I coefficient on every even mask I (odd ones vanish).
 The table of 2^(d-1) minors, real when Omega is, fills in order of mask
 size by expansion along the lowest generator i1 of I, Pf(I) = J_{i1 j1}
 Pf(I - {i1, j1}) - J_{i1 j2} Pf(I - {i1, j2}) + ... over j1 < j2 < ... in
-I, with Pf of the empty mask 1.  The mean and the top coefficient's error
-bar come from the table's per-chunk centred moments merged in chunk order
-(``engine._merge_moments``).
+I, with Pf of the empty mask 1.  The engine's one reduction
+``engine._mc_mean`` gives the table's mean and the top coefficient's error
+bar.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from ..clifford import curvature_defect
 from ..grassmann import MultiVector
 from .bridge import _bridge_steps
-from .engine import _check_counts, _chunk_moments, _map_chunks, _merge_moments
+from .engine import _check_counts, _mc_mean
 
 
 @lru_cache(maxsize=None)
@@ -110,6 +110,8 @@ def levy_area_estimate(
     if d % 2:
         raise ValueError("d must be even")
     _check_counts(paths, steps)
+    if len(omega) != d:
+        raise ValueError(f"curvature matrix must be {d} x {d}")
     entries = [[e if isinstance(e, MultiVector) else MultiVector.zero(d) for e in row] for row in omega]
     defect = curvature_defect(entries)
     if defect:
@@ -124,12 +126,12 @@ def levy_area_estimate(
 
     def chunk(rng, take):
         # J_ab = -sum_{i<j} Omega_ij[ab] (int Y_j dY_i - int Y_i dY_j)
-        return _chunk_moments(_pfaffian_table(coef @ _pair_areas(rng, d, take, steps), d))
+        return _pfaffian_table(coef @ _pair_areas(rng, d, take, steps), d)
 
-    _, mean, m2 = _merge_moments(_map_chunks(chunk, paths, seed))
+    mean, stderr = _mc_mean(chunk, paths, seed)
     return LevyAreaResult(
         MultiVector(d, dict(zip(_pfaffian_plan(d)[0], mean))),
         complex(mean[-1]),
-        float(np.sqrt(m2[-1] / paths / paths)),
+        float(stderr[-1]),
         {"paths": paths, "steps": steps, "seed": seed},
     )

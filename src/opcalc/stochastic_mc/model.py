@@ -137,19 +137,22 @@ def heat_kernel(d: int, t: float, x, y) -> float:
     if x.shape != (d,) or y.shape != (d,):
         raise ValueError(f"points must be {d}-vectors")
     out = 1.0
-    wmax = winding_cutoff(t)
-    ws = np.arange(-wmax, wmax + 1)
     for m in range(d):
-        delta = y[m] - x[m]
-        out *= np.sum(np.exp(-((delta + TWO_PI * ws) ** 2) / (2.0 * t))) / np.sqrt(
-            TWO_PI * t
-        )
+        out *= np.sum(_image_weights(y[m] - x[m], t)[1]) / np.sqrt(TWO_PI * t)
     return float(out)
 
 
 def winding_cutoff(t: float) -> int:
     """Image count keeping the wrapped-Gaussian tail below 1e-14 * total."""
     return max(2, int(np.ceil((np.pi + np.sqrt(2.0 * t * 40.0)) / TWO_PI)) + 1)
+
+
+def _image_weights(delta: float, t: float):
+    """(ws, weights): the windings w in +-``winding_cutoff(t)`` and their
+    unnormalised wrapped-Gaussian weights exp(-(delta + 2 pi w)^2 / 2t)."""
+    wmax = winding_cutoff(t)
+    ws = np.arange(-wmax, wmax + 1)
+    return ws, np.exp(-((delta + TWO_PI * ws) ** 2) / (2.0 * t))
 
 
 def spectral_phi_kernel(model: TorusModel, t: float, x, y, truncation: int):

@@ -37,6 +37,16 @@ def test_criterion_04_dyson_bound_and_simplex_oracle():
     _run(4)
 
 
+def test_criterion_4_gate_false_fail_rate_is_near_nominal():
+    """Criterion 4's Monte Carlo gate (its nine tuples, streams and 3-SE
+    rule) at 2 10^4 samples, a fiftieth of its own, over seeds 0-99.  Nine
+    3-SE gates on a finite-variance sampler fail about 2.4% of seeds; this
+    run fails 2.  The sorted-uniform sampler it replaced, whose integrand
+    has infinite variance for exponents >= 1/2, failed 48 of them."""
+    fails = sum(acceptance.simplex_mc_worst_z(seed, 2 * 10**4) > 3.0 for seed in range(100))
+    assert fails <= 6
+
+
 def test_criterion_05_derivative_recursion():
     _run(5)
 

@@ -284,9 +284,9 @@ def test_non_positive_counts_exit_2_without_a_report(
 
 
 def test_largest_seeds_run(tmp_path):
-    """2^64 - 1 keys a Philox stream: fk runs on it, and so does localize's
+    """2^64 - 1 keys a Philox stream: fk runs on it, and so do localize's
     Monte Carlo check of two partitions, which draws streams 0 and 1 of
-    that seed."""
+    that seed, and criterion 4, which draws streams 0-8 of it."""
     fk = tmp_path / "fk.json"
     fk.write_text(json.dumps(FK_COUNTS_CONFIG))
     assert run_cli(["fk", "--config", str(fk), "--seed", str(SEED_LIMIT - 1)]) == 0
@@ -297,6 +297,10 @@ def test_largest_seeds_run(tmp_path):
     # 8 steps leave an O(h) bias the 3 SE verdict may flag: a report, not a usage error
     assert run_cli(["localize", "--config", str(chain), "--out", str(out), *argv]) in (0, 1)
     assert json.loads(out.read_text())["results"]["mc_check"] is not None
+    report = tmp_path / "selftest.json"
+    argv = ["--criteria", "4", "--seed", str(SEED_LIMIT - 1), "--out", str(report)]
+    assert run_cli(["selftest", *argv]) in (0, 1)  # a verdict, not a traceback
+    assert list(json.loads(report.read_text())["results"]) == ["criterion_4"]
 
 
 def test_localize_zero_paths_means_no_cross_check(tmp_path):

@@ -204,6 +204,11 @@ def test_a_hat_rejects_bad_input():
     omega[0][1] = MultiVector(4, {0b0011: 1.0})  # not antisymmetric
     with pytest.raises(ValueError):
         clifford.a_hat_series(omega, d)
+    # a row of the wrong length is reported at its first missing or extra column
+    for ragged, at in (([[zero, zero]], (0, 1)), ([[zero, zero], [zero]], (1, 1))):
+        assert clifford.curvature_defect(ragged) == (*at, "curvature matrix must be square")
+        with pytest.raises(ValueError, match="square"):
+            clifford.a_hat_series(ragged, d)
 
 
 def test_x_over_sinh_coefficients_from_exact_bernoulli_numbers():

@@ -513,16 +513,6 @@ def test_simplex_constant_against_mc_oracle():
         assert abs(mc - closed) <= 3.0 * se
 
 
-def test_simplex_constant_mc_stderr_from_centred_moments():
-    """Near a = 0 every sample is 1 + a L with L fixed by the seed, so the
-    stderr is linear in a.  At a = 1e-9 the variance (~1e-18) is below the
-    rounding of E[x^2] - mean^2 (~1e-16); the merged centred moments of the
-    three chunks (two full, one partial) still resolve it."""
-    se = {a: phi_core.simplex_constant_mc((a, a), samples=300000, seed=5)[1]
-          for a in (1e-6, 1e-9)}
-    assert se[1e-9] / se[1e-6] == pytest.approx(1e-3, rel=1e-4)
-
-
 # --- bounds and checks ------------------------------------------------------
 
 

@@ -855,6 +855,26 @@ def test_moment_probe_single_first_order():
     assert abs(slope - 3.0) < 0.15
 
 
+def test_moment_probe_reports_each_grid_time_stderr():
+    """Each grid time's mean comes with the stderr of the per-path |I_m|^b,
+    their standard deviation over sqrt(paths), here over two chunks."""
+    a = 0.8 * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    s = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    v = np.array([[0.5, 0.3], [0.3, -0.4]], dtype=complex)
+    model = TorusModel(1, 2, (a,), perturbations=(PerturbationSpec((s,), v),) * 2)
+    nu, t_grid, paths, steps, seed = (1, 0), (0.05, 0.2), CHUNK_SIZE + 50, 4, 2
+    _, diag = moment_scaling_probe(model, nu, 2.0, t_grid, paths, steps, seed)
+    probe_model, x = engine.apply_moment_pattern(model, nu), np.zeros(1)
+    for ti, t in enumerate(t_grid):
+        def chunk(rng, count, t=t):
+            state = engine.simulate_functionals(probe_model, x, x, t, steps, rng, count)
+            return np.linalg.norm(state.iterated(), axis=(1, 2)) ** 2
+
+        samples = np.concatenate(engine._map_chunks(chunk, paths, seed, stream=ti))
+        assert diag["means"][ti] == pytest.approx(samples.mean(), rel=1e-12)
+        assert diag["stderrs"][ti] == pytest.approx(samples.std() / np.sqrt(paths), rel=1e-10)
+
+
 @pytest.mark.parametrize("dressed", [False, True])
 def test_moment_probe_rejects_patterns_without_the_power_law(monkeypatch, dressed):
     """nu = (0,) on a loop: I_1 = S (z - x) is fixed by the winding class
@@ -1088,13 +1108,36 @@ def test_monte_carlo_entry_points_reject_non_positive_counts(estimator, paths, s
 @pytest.mark.parametrize("omega, reason", [
     ([[0, MultiVector.generator(2, 1)], [-1.0 * MultiVector.generator(2, 1), 0]], "degree-2"),
     ([[0, MultiVector(2, {0b11: 0.9})], [0, 0]], "antisymmetric"),
+    ([[0]], "2 x 2"),
+    ([[0, 0]], "2 x 2"),
+    ([[0, 0], [0]], "square"),
 ])
 def test_levy_rejects_a_curvature_that_is_not_a_two_form_matrix(monkeypatch, omega, reason):
-    """The Pfaffian route needs antisymmetric degree-2 entries; it checks them
-    before any chunk is drawn."""
-    monkeypatch.setattr(levy, "_map_chunks", None)
+    """The Pfaffian route needs a d x d matrix of antisymmetric degree-2
+    entries; it checks them before any chunk is reduced."""
+    monkeypatch.setattr(levy, "_mc_mean", None)
     with pytest.raises(ValueError, match=reason):
         levy_area_estimate(omega, 2, paths=10, steps=8)
+
+
+def test_mc_mean_resolves_a_spread_below_the_rounding_of_the_raw_moments():
+    """Samples 1 + 1e-9 z over three chunks, the last one partial: the
+    variance (~1e-18) is below the rounding of E[x^2] - mean^2 (~1e-16),
+    which misses it, while the merged centred moments of the shared
+    reduction still give the stderr of the deviations x - 1, at any worker
+    count."""
+    def spread(rng, count):
+        return 1.0 + 1e-9 * rng.standard_normal(count)
+
+    paths = 2 * CHUNK_SIZE + 1000
+    x = np.concatenate(engine._map_chunks(spread, paths, seed=5))
+    dev = x - 1.0  # exact
+    var = np.mean((dev - dev.mean()) ** 2)
+    assert abs(np.mean(x**2) - np.mean(x) ** 2 - var) > var
+    mean, stderr = engine._mc_mean(spread, paths, seed=5)
+    assert mean == pytest.approx(1.0 + dev.mean(), rel=1e-15)
+    assert stderr == pytest.approx(np.sqrt(var / paths), rel=1e-6)
+    assert engine._mc_mean(spread, paths, seed=5, workers=2) == (mean, stderr)
 
 
 def test_chunk_moments_square_real_samples_as_they_are():
