@@ -18,14 +18,17 @@ U* P_j U, every e^{-sH} is a row or column scaling by e^{-s lambda}, and the
 result returns to the original basis once.  The ODE never stores its top
 level (the empty suffix): that level's value is one fixed matrix scaled
 entrywise by a real decay recurrence, which the level below reads through
-real lanes, one per block of its scan.  The lift is exponentiated
-with no eigendecomposition, so it cross-checks the other two through an
-independent route.  Its perturbation only moves (slot q, mask S) to
-(slot q+1, S + {j}), so the generator is a permuted direct sum of n 2^(n-1)
-decoupled chains of at most n+1 blocks; ``linalg.expm`` finds them from the
-zero pattern alone and exponentiates each separately.  The lift stays the
-paper's assembled generator (``build_lift``, theta_hat signs, slot wiring)
-and its exponential still knows nothing of which block is read.
+real lanes, one per block of its scan.  Nor does it store the midpoints of
+its bottom level: level 1's end point is summed as level 2's scan produces
+them, so only levels 3 <= k < n keep a per-step stack.  The lift is
+exponentiated with no eigendecomposition, so it cross-checks the other two
+through an independent route.  Its perturbation only moves (slot q, mask S)
+to (slot q+1, S + {j}), so the generator is a permuted direct sum of
+n 2^(n-1) decoupled chains of at most n+1 blocks; ``linalg.expm`` finds them
+from the zero pattern alone and exponentiates each separately.  The lift
+stays the paper's assembled generator (``build_lift``, theta_hat signs, slot
+wiring), assembled once into the array that is exponentiated, and its
+exponential still knows nothing of which block is read.
 
 Conventions fixed here:
   * lift layout is slot-major: row index ((j-1) * 2^n + S) * dim_H + h for
@@ -73,11 +76,17 @@ class OperatorFamily:
 
 @dataclass(frozen=True)
 class FermionicLift:
-    """Enlarged-space generator H_lift + P_lift in the slot-major layout."""
+    """Enlarged-space generator H_lift + P_lift in the slot-major layout.
+
+    H_lift = I (x) H is stored once, as the dim_H matrix ``h``; ``h_part``
+    assembles it on demand.  ``p_part`` is the dense P_lift.  The two share
+    no nonzero entry: every theta_hat changes the exterior mask, so each
+    diagonal (slot, mask) block of P_lift is zero.
+    """
 
     n: int
     dim_h: int
-    h_part: np.ndarray
+    h: np.ndarray
     p_part: np.ndarray
 
     @property
@@ -85,8 +94,8 @@ class FermionicLift:
         return self.n * (1 << self.n) * self.dim_h
 
     @property
-    def generator(self) -> np.ndarray:
-        return self.h_part + self.p_part
+    def h_part(self) -> np.ndarray:
+        return np.kron(np.eye(self.n << self.n), self.h)
 
     def block_index(self, slot: int, mask: int) -> int:
         """Row offset of (slot in 1..n, exterior bitmask) in the layout."""
@@ -128,7 +137,8 @@ def phi_block(h, perturbations, t: float) -> np.ndarray:
 
 
 def build_lift(family: OperatorFamily) -> FermionicLift:
-    """Assemble the enlarged-space generator for n >= 1."""
+    """The enlarged-space generator for n >= 1: P_lift assembled densely,
+    H_lift kept as H alone (:class:`FermionicLift`)."""
     n, dim_h = family.n, family.dim
     if n < 1:
         raise ValueError("lift requires at least one perturbation")
@@ -137,10 +147,8 @@ def build_lift(family: OperatorFamily) -> FermionicLift:
         raise ValueError(
             f"lifted dimension {dim} exceeds budget {linalg.DIMENSION_BUDGET}"
         )
-    lam = 1 << n
-    h_part = np.kron(np.eye(n * lam), family.h.matrix)
     p_part = np.zeros((dim, dim), dtype=complex)
-    blk = lam * dim_h
+    blk = (1 << n) * dim_h
 
     def place(row_slot: int, col_slot: int, index: int):
         theta = theta_hat_matrix(index, n)
@@ -152,23 +160,34 @@ def build_lift(family: OperatorFamily) -> FermionicLift:
     place(1, n, n)
     for q in range(2, n + 1):
         place(q, q - 1, n - q + 1)
-    return FermionicLift(n, dim_h, h_part, p_part)
+    return FermionicLift(n, dim_h, family.h.matrix, p_part)
 
 
 def phi_fermionic(family: OperatorFamily, t: float) -> PhiResult:
     """Phi_t via the exponential of the enlarged-space generator (one
-    ``linalg.expm`` call, which exponentiates each decoupled chain)."""
+    ``linalg.expm`` call, which exponentiates each decoupled chain).
+
+    -t (H_lift + P_lift) is assembled into one new array: -t P_lift, whose
+    diagonal blocks are zero, gains -t H on each diagonal block.  The lift
+    is released before the exponential, so two lift-sized arrays, the
+    generator and its exponential, are the most that live at once."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if family.n == 0:
-        return PhiResult(herm_exp(family.h, t), {"lift_dim": family.dim})
-    lift = build_lift(family)
-    big = linalg.expm(-t * lift.generator)
     n, dim_h = family.n, family.dim
+    if n == 0:
+        return PhiResult(herm_exp(family.h, t), {"lift_dim": dim_h})
+    lift = build_lift(family)
     r0 = lift.block_index(n, (1 << n) - 1)
     c0 = lift.block_index(n, 0)
+    dim = lift.dim
+    gen = np.multiply(lift.p_part, -t)
+    diag = -t * lift.h
+    del lift
+    for k in range(0, dim, dim_h):
+        gen[k : k + dim_h, k : k + dim_h] = diag
+    big = linalg.expm(gen)
     value = (-1.0) ** n * big[r0 : r0 + dim_h, c0 : c0 + dim_h]
-    return PhiResult(value, {"lift_dim": lift.dim})
+    return PhiResult(value, {"lift_dim": dim})
 
 
 def _to_eigenbasis(family: OperatorFamily):
@@ -245,31 +264,38 @@ def phi_ode(family: OperatorFamily, t: float, steps: int = 4096) -> PhiResult:
     U (p^_1 (.) g_N) U*, with g_N one contraction of two decay tables
     (:func:`_decay_sum`).  For n >= 2, level n-1's forcing terms read g at
     the odd top indices through real lanes, one per block of its scan
-    (:func:`_top_lanes`).  A lower level k < n-1 reads the complex
-    odd-index values that level k+1 keeps: every level 2 <= k < n keeps its
-    odd-index grid values, the midpoints the level below reads, and level 1
-    keeps only its end point, which returns to the original basis as
-    U Phi~ U*.
+    (:func:`_top_lanes`).  A lower level 2 <= k < n-1 reads the complex
+    odd-index values that level k+1 keeps: every level 3 <= k < n keeps its
+    odd-index grid values, the midpoints the level below reads
+    (:class:`_OddValues`).  Level 1 is not scanned for n >= 3: its end point
+    is sum_i D_1^(N_1-1-i) (.) (p^_1 @ S_i), S_i level 2's midpoint values,
+    and is summed as level 2's scan produces them (:class:`_BottomSum`), so
+    level 2 keeps nothing.  For n = 2 level 1 is scanned on the top level's
+    lanes.  Level 1's end point returns to the original basis as U Phi~ U*.
 
     Each level k < n runs its N_k steps as a blocked scan
     (:func:`_midpoint_scan`):
       * within blocks: the steps split into nb blocks of an even length b
         near sqrt(N_k) (longer for large matrices, so that nb of them stay
         in cache).  Each of b iterations advances every block by one
-        step from a zero start, and writes the even-step values into the
-        kept array as they appear;
+        step from a zero start, and hands the even-step values to the
+        level's sink as they appear: stored (levels k >= 3), or, at level
+        2, multiplied by p^_1 and added into level 1's block sums, the same
+        nb products per block step that a scan of level 1 would make;
       * carry pass: one sequential pass over the nb block ends gives each
         block's carry-in, c_q = e^{-bh lambda} c_{q-1} + (end of block q-1),
         zero for the first block;
-      * fix-up: each kept value then gains its block's carry, in place,
+      * fix-up: each stored value then gains its block's carry, in place,
         kept[q, jj] += e^{-(2jj+1) h lambda} c_q, one block step at a time,
-        with no full-trajectory temporary.  Level 1 keeps nothing; its end
-        point is the last carry, stepped through the fewer than 2 nb steps
-        left after the last full block;
+        with no full-trajectory temporary.  At level 2 the carries enter
+        level 1's block sums by linearity, one product per block, and one
+        carry pass over those sums gives level 1's end point.  Each level's
+        end point is then stepped through the fewer than 2 nb steps left
+        after the last full block;
       * the forcing terms are formed on the fly, one block step (nb terms)
-        at a time, so a level below n-1 holds its suffix and kept values
-        (1.5 N_k matrices) but never all N_k forcing terms, and level n-1
-        holds only its kept values.
+        at a time, so a level 3 <= k < n-1 holds its suffix and kept values
+        (1.5 N_k matrices) but never all N_k forcing terms, level n-1 holds
+        only its kept values, and level 2 holds at most its suffix.
     Python iterations per level fall from N_k to about 2.5 sqrt(N_k) (2.5 b
     where the block count is held down).  The scan evaluates the per-step
     rule's recurrence exactly; only the order of summation differs, and
@@ -297,15 +323,24 @@ def phi_ode(family: OperatorFamily, t: float, steps: int = 4096) -> PhiResult:
     if n == 1:
         cur = top * _decay_sum(top_h, lam, 0, top_steps)
     suffix = None  # odd-index values of level k+1, the midpoints of level k
-    for k in range(n - 1, 0, -1):
+    for k in range(n - 1, 1 if n > 2 else 0, -1):
         nsteps, h, p = level(k)
         if k == n - 1:
             forcing = _top_lanes(top_h, lam, top, p, nsteps)
         else:
             forcing = lambda sl, out: np.matmul(p, suffix[sl], out=out)
-        kept = np.empty((nsteps // 2, dim, dim), dtype=complex) if k > 1 else None
-        cur = _midpoint_scan(np.exp(-h * lam)[:, None], forcing, nsteps, kept)
-        suffix, kept = kept, None  # suffix holds the only reference
+        if k == 1:
+            sink = None
+        elif k == 2:
+            _, h1, p1 = level(1)
+            sink = _BottomSum(np.exp(-h1 * lam)[:, None], p1, nsteps)
+        else:
+            sink = _OddValues(nsteps, dim)
+        cur = _midpoint_scan(np.exp(-h * lam)[:, None], forcing, nsteps, sink)
+        if k > 2:
+            suffix = sink.values
+    if n > 2:
+        cur = sink.end  # level 1's end point; level 2's own is not needed
     return PhiResult(u @ cur @ u.conj().T, {"steps": steps, "step_size": t / steps})
 
 
@@ -394,10 +429,10 @@ def _scan_geometry(nsteps: int, dim: int):
     return nb, 2 * (nsteps // (2 * nb))
 
 
-def _midpoint_scan(decay, forcing, nsteps: int, kept):
+def _midpoint_scan(decay, forcing, nsteps: int, sink):
     """End value of cur_{i+1} = decay * cur_i + forcing_i, cur_0 = 0, over
     ``nsteps`` steps, by the blocked scan described in :func:`phi_ode`;
-    with ``kept``, kept[i // 2] = cur_{i+1} for every even step index i.
+    ``sink`` receives every odd-index value cur_{i+1}, i even.
 
     ``decay`` is a (dim, 1) row scaling with entries in [0, 1], and
     ``forcing(sl, out)`` writes the terms of the steps in slice ``sl`` into
@@ -408,31 +443,106 @@ def _midpoint_scan(decay, forcing, nsteps: int, kept):
     steps j = 0, ..., b - 1 in turn, then with slice(i, i + 1) for the
     nsteps - nb b < 2 nb tail steps i = nb b, ..., nsteps - 1 in turn, which
     run one at a time from the last carry.
+
+    The sink sees the values as the scan produces them (:class:`_OddValues`
+    stores them, :class:`_BottomSum` sums them): ``sink.block(jj, local)``
+    after each even block step j = 2 jj, with local[q] block q's value from a
+    zero start; then ``sink.carry(decay, carries)`` once, with carries[q]
+    the value entering block q, which adds decay^(2jj+1) carries[q] to each
+    of those; then ``sink.tail(i // 2, cur)`` after each even tail step i.
     """
     dim = decay.shape[0]
     nb, b = _scan_geometry(nsteps, dim)
     full = nb * b
-    blocks = None if kept is None else kept[: full // 2].reshape(nb, b // 2, dim, dim)
     local = np.zeros((nb, dim, dim), dtype=complex)
     term = np.empty_like(local)
     for j in range(b):
         local *= decay
         local += forcing(slice(j, full, b), term)
-        if blocks is not None and j % 2 == 0:
-            blocks[:, j // 2] = local
+        if sink is not None and j % 2 == 0:
+            sink.block(j // 2, local)
     # local[q] becomes block q's carry-in; cur ends as the carry out of the last block
     cur = np.zeros((dim, dim), dtype=complex)
     decay_b = decay**b
     for q in range(nb):
         cur, local[q] = decay_b * cur + local[q], cur
-    if blocks is not None:
-        for jj in range(b // 2):
-            blocks[:, jj] += np.multiply(decay ** (2 * jj + 1), local, out=term)
+    if sink is not None:
+        sink.carry(decay, local)
     for i in range(full, nsteps):
         cur = decay * cur + forcing(slice(i, i + 1), term[:1])[0]
-        if kept is not None and i % 2 == 0:
-            kept[i // 2] = cur
+        if sink is not None and i % 2 == 0:
+            sink.tail(i // 2, cur)
     return cur
+
+
+class _OddValues:
+    """Storing sink of :func:`_midpoint_scan`: ``values[i // 2]`` is the
+    scan's cur_{i+1} for every even step i, the midpoints the level below
+    reads.  A block's values are stored as the scan reaches them and gain
+    their carry in place, one block step at a time."""
+
+    def __init__(self, nsteps: int, dim: int):
+        nb, b = _scan_geometry(nsteps, dim)
+        self.values = np.empty(((nsteps + 1) // 2, dim, dim), dtype=complex)
+        self._blocks = self.values[: nb * b // 2].reshape(nb, b // 2, dim, dim)
+
+    def block(self, jj: int, local):
+        self._blocks[:, jj] = local
+
+    def carry(self, decay, carries):
+        scaled = np.empty_like(carries)
+        for jj in range(self._blocks.shape[1]):
+            self._blocks[:, jj] += np.multiply(decay ** (2 * jj + 1), carries, out=scaled)
+
+    def tail(self, jj: int, cur):
+        self.values[jj] = cur
+
+
+class _BottomSum:
+    """Summing sink of :func:`_midpoint_scan` over level 2 of
+    :func:`phi_ode`: the end point of level 1,
+
+        sum_i D^(N-1-i) (.) (p @ S_i),
+
+    with D = ``decay`` level 1's step decay, p = ``p`` its p^_1, N its step
+    count and S_i level 2's value at its grid index 2i + 1, formed as level
+    2's scan produces the S_i, none of which is stored.
+
+    Level 1's steps split into the blocks of level 2's scan, halved: block
+    q's zero-start sum runs the per-step recurrence acc <- D (.) acc + p @ S
+    on the block-local values, one batched product per even block step.
+    Level 2's carry c_q enters S_i of block step jj as D2^(2jj+1) (.) c_q,
+    so it adds (p (.) M) @ c_q to block q's sum, with
+    M[a, c] = sum_jj D_a^(b/2-1-jj) D2_c^(2jj+1).  One carry pass over the
+    block sums, with D^(b/2), and the per-step recurrence over the tail
+    values give ``end``.  Every weight is a power (at most 1) of a rounded
+    step decay, as the per-step recurrence applies it."""
+
+    def __init__(self, decay, p, nsteps: int):
+        nb, b = _scan_geometry(nsteps, p.shape[0])
+        self._decay, self._p, self._half = decay, p, b // 2
+        self._acc = np.zeros((nb,) + p.shape, dtype=complex)
+        self._term = np.empty_like(self._acc)
+        self.end = None
+
+    def block(self, jj: int, local):
+        self._acc *= self._decay
+        self._acc += np.matmul(self._p, local, out=self._term)
+
+    def carry(self, decay, carries):
+        l = np.arange(self._half)
+        rows = self._decay[:, 0] ** (self._half - 1 - l)[:, None]
+        cols = decay[:, 0] ** (2 * l + 1)[:, None]
+        weights = np.einsum("la,lc->ac", rows, cols)
+        self._acc += np.matmul(self._p * weights, carries, out=self._term)
+        end = np.zeros_like(self._p)
+        decay_half = self._decay**self._half
+        for acc in self._acc:
+            end = decay_half * end + acc
+        self.end = end
+
+    def tail(self, jj: int, cur):
+        self.end = self._decay * self.end + self._p @ cur
 
 
 def simplex_constant(exponents) -> float:
