@@ -16,7 +16,9 @@ sum of ``stochastic_mc.model``, not a per-mode ``phi_block`` sum.
 ``partition_blocks`` is the one assembly of the partition sum, for
 ``chern_eval`` and the flat-torus models alike; it drops every partition with
 a vanishing block.  Every Phi of ``chern_eval`` comes from
-``phi_core.phi_block``, the one block-bidiagonal (Van Loan) route.  The
+``phi_core.phi_block``, the one route: a closed form in the eigenbasis of
+t D^2 for partitions of at most one block, one block-bidiagonal (Van Loan)
+exponential for longer ones.  The
 t -> 0 limit is the localization target
     ((-1)^n 2^(2n) / (n! (2 pi sqrt(-1))^(d/2))) * vol * top(w_0'^w_1''^...^w_n''),
 which ``richardson`` approaches along the line through the last two grid

@@ -152,10 +152,11 @@ def _weak_components(m: np.ndarray) -> list:
 def _check_norm(m: np.ndarray) -> None:
     """ValueError if a matrix of ``m`` (one matrix or a stack) exceeds the
     expm norm limit; the message gives the largest exact norm."""
+    stack = m if m.ndim == 3 else m[None]
     if m.shape[-1] > 512:
-        norm = np.max(np.linalg.norm(m, None, axis=(-2, -1)), initial=0.0)  # Frobenius
+        # Frobenius, sqrt(<a, a>) of each matrix: one dot product, no temporary
+        norm = max((np.sqrt(np.vdot(a, a).real) for a in stack), default=0.0)
     else:
-        stack = m if m.ndim == 3 else m[None]
         mags = np.abs(stack)
         screen = np.sqrt(
             mags.sum(axis=-2).max(axis=-1, initial=0.0)

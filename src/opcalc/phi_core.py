@@ -3,9 +3,11 @@
     Phi_t(P_1, ..., P_n) = int_{0<=s_1<=...<=s_n<=t}
         e^{-s_1 H} P_1 e^{-(s_2-s_1) H} P_2 ... P_n e^{-(t-s_n) H} ds
 
-through :func:`phi_block`, the one route every consumer calls (one exponential
-of the (n+1) dim block-bidiagonal generator, Van Loan 1978), and through the
-paper's three independent evaluators, kept as its oracles: the
+through :func:`phi_block`, the one route every consumer calls (in the
+eigenbasis of H for n <= 1, where n = 1 is P~ times the first divided
+difference of e^{-t lambda}; for n >= 2 one exponential of the (n+1) dim
+block-bidiagonal generator, Van Loan 1978), and through the paper's three
+independent evaluators, kept as its oracles: the
 enlarged-space (Fermionic) lift whose single matrix exponential encodes
 Phi_t, a nested quadrature and a midpoint ODE.  Also here: the simplex
 norm-bound machinery and structural checks (nilpotency of the lifted
@@ -112,12 +114,17 @@ def phi_block(h, perturbations, t: float) -> np.ndarray:
     """Phi^H_t(P_1, ..., P_n), t >= 0, for H and each P_j given as (..., r, r)
     arrays, one matrix or a stack; each P_j broadcasts to H's shape.
 
-    One batched eigh checks every H >= 0 (to -1e-12 ||H||, the tolerance of
-    ``linalg.hermitian``).  For n = 0 the result is e^{-tH} by spectral
-    calculus.  For n >= 1 it is the top-right block of one stacked
-    exponential of the (n+1) r block-bidiagonal matrix with -t (H - lo) on
-    the diagonal and t P_j on the superdiagonal (Van Loan 1978), times
-    e^{-t lo}, where lo = lambda_min(H) keeps |e^{-t(H - lo)}| <= 1.
+    One batched eigh H = U diag(lambda) U* checks every H >= 0 (to
+    -1e-12 ||H||, the tolerance of ``linalg.hermitian``), and its basis
+    evaluates n <= 1 in closed form.  For n = 0 the result is e^{-tH} by
+    spectral calculus.  For n = 1 it is U (P~ (.) W) U*, P~ = U* P U, with W
+    the first divided difference of e^{-t lambda} (Daleckii & Krein 1965):
+    W_ab = e^{-t min(lambda_a, lambda_b)} (1 - e^{-t g}) / g, g =
+    |lambda_a - lambda_b|, taken with ``expm1`` and equal to t where g = 0.
+    For n >= 2 it is the top-right block of one stacked exponential of the
+    (n+1) r block-bidiagonal matrix with -t (H - lo) on the diagonal and
+    t P_j on the superdiagonal (Van Loan 1978), times e^{-t lo}, where
+    lo = lambda_min(H) keeps |e^{-t(H - lo)}| <= 1.
     """
     h = np.asarray(h)
     r, n = h.shape[-1], len(perturbations)
@@ -126,6 +133,14 @@ def phi_block(h, perturbations, t: float) -> np.ndarray:
         raise ValueError(f"operator is not nonnegative: min eigenvalue {vals.min():.3e}")
     if n == 0:
         return (vecs * np.exp(-t * vals)[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    if n == 1:
+        vecs_h = np.conj(np.swapaxes(vecs, -1, -2))
+        lam_a, lam_b = vals[..., :, None], vals[..., None, :]
+        gap = np.abs(lam_a - lam_b)
+        safe = np.where(gap == 0.0, 1.0, gap)
+        diff = np.where(gap == 0.0, t, -np.expm1(-t * gap) / safe)
+        weights = np.exp(-t * np.minimum(lam_a, lam_b)) * diff
+        return vecs @ ((vecs_h @ perturbations[0] @ vecs) * weights) @ vecs_h
     lo = vals[..., 0, None, None]
     gen = np.zeros(h.shape[:-2] + (n + 1, r, n + 1, r), dtype=complex)
     for j in range(n + 1):

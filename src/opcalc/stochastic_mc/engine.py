@@ -20,8 +20,9 @@ G-dressed increments (left-endpoint evaluation, step k, h = t/steps):
     I_m(k+1)  = I_m(k) + I_{m-1}(k) G_k local_m(k) G_k^-1,  I_0 = I,
     local_m   = sum_j S_m^j dB^j_k + h V_m.
 The engine steps the enlarged-space row Y_m = I_m G instead, the stochastic
-form of the block-bidiagonal (Van Loan) transport that ``phi_block`` uses
-for the oracle.  Multiplying the recurrence by G_{k+1} on the right gives
+form of the block-bidiagonal (Van Loan) transport that ``phi_block``
+exponentiates for the oracle at n >= 2.  Multiplying the recurrence by
+G_{k+1} on the right gives
     Y_0 = G,    Y_m <- (Y_m + Y_{m-1} local_m) E M_k,   E = expm(-h W),
 taking m in descending order so that Y_{m-1} is still the left value.  No
 G^-1 appears, and the estimate averages Y_n(t) as it is.  Expanding the

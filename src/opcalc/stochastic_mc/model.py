@@ -14,8 +14,10 @@ the scalar H_k = (|k|^2/2 + w) I, so Phi^{H_k}_t(P_{1,k}, ..., P_{n,k}) =
 e^{-t(|k|^2/2 + w)} t^n/n! P_{1,k} ... P_{n,k}, and the mode sum factorises
 into 1-D moment sums with no per-mode exponential.  Every other model
 evaluates a chunk of modes at once: the (N, r, r) stacks of H_k and P_{j,k}
-go to ``phi_core.phi_block``, the one Van Loan block-bidiagonal route for
-Phi^{H_k}_t(P_{1,k}, ..., P_{n,k}), which also checks every H_k >= 0.
+go to ``phi_core.phi_block``, the one route for
+Phi^{H_k}_t(P_{1,k}, ..., P_{n,k}).  Its batched eigh checks every H_k >= 0
+and, for n <= 1, evaluates every mode in closed form in H_k's eigenbasis;
+n >= 2 takes one stacked Van Loan exponential per chunk.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from ..phi_core import phi_block, phi_fermionic  # noqa: F401  (perfbench's tracer test patches phi_fermionic here)
 
 TWO_PI = 2.0 * np.pi
-MODE_CHUNK = 128  # modes per stacked exponential, bounding its work arrays
+MODE_CHUNK = 128  # modes per phi_block call, bounding its work arrays
 CHECK_WINDOW = 8  # |k|_inf bound of the nonnegativity check when W is not >= 0
 
 
@@ -224,7 +226,9 @@ def _moment_sum(model: TorusModel, w: float, t: float, delta, truncation: int):
 
 def _mode_sum(model: TorusModel, t: float, delta, truncation: int):
     """(2 pi)^-d sum_{|k|_inf <= K} e^{ik delta} Phi^{H_k}_t(P_{1,k}, ...),
-    one ``phi_block`` call per chunk of modes, which checks every H_k >= 0."""
+    one ``phi_block`` call per chunk of modes, which checks every H_k >= 0
+    (a closed form in H_k's eigenbasis for n <= 1, one stacked Van Loan
+    exponential for n >= 2)."""
     out = np.zeros((model.r, model.r), dtype=complex)
     for ks in _mode_chunks(model.d, truncation):
         h, perts = model.mode_blocks(ks)

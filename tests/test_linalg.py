@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -121,6 +123,19 @@ def test_expm_norm_guard_decisions():
     linalg.expm(-400.0 * np.eye(600))
     with pytest.raises(ValueError, match=r"matrix norm 1\.102e\+04 exceeds"):
         linalg.expm(-450.0 * np.eye(600))
+
+
+def test_expm_norm_guard_above_512_rows_makes_no_temporary():
+    """Above 512 rows the guard's Frobenius norm is one dot product per
+    matrix, with no matrix-sized temporary."""
+    m = np.full((768, 768), 1e-3 + 1e-3j)
+    tracemalloc.start()
+    try:
+        linalg._check_norm(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes / 16
 
 
 def test_expm_norm_guard_takes_no_svd_when_the_screen_clears(monkeypatch):

@@ -1,6 +1,7 @@
 import tracemalloc
 from math import factorial
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -172,20 +173,108 @@ def test_two_by_two_analytic_case():
 
 
 def test_phi_block_stack_matches_single_calls():
-    """A stack of H's gives each member's Phi_t; a single P broadcasts over
-    the stack; an H with a negative eigenvalue anywhere in it is rejected."""
+    """A stack of H's gives each member's Phi_t at n = 1 (closed form) and
+    n = 2 (Van Loan); a single P broadcasts over the stack; an H with a
+    negative eigenvalue anywhere in it is rejected."""
     rng = np.random.default_rng(7)
     fams = [random_family(rng, 3, 2) for _ in range(4)]
     hs = np.stack([f.h.matrix for f in fams])
     p1 = np.stack([f.perturbations[0] for f in fams])
     p2 = fams[0].perturbations[1]
-    got = phi_core.phi_block(hs, (p1, p2), 0.6)
-    for i, f in enumerate(fams):
-        single = phi_core.phi_fermionic(OperatorFamily(f.h, (p1[i], p2)), 0.6).value
-        assert np.linalg.norm(got[i] - single) <= 1e-12 * np.linalg.norm(single)
+    for perts in ((p1,), (p2,), (p1, p2)):
+        got = phi_core.phi_block(hs, perts, 0.6)
+        for i, f in enumerate(fams):
+            members = tuple(np.broadcast_to(p, hs.shape)[i] for p in perts)
+            single = phi_core.phi_fermionic(OperatorFamily(f.h, members), 0.6).value
+            assert np.linalg.norm(got[i] - single) <= 1e-12 * np.linalg.norm(single)
     hs[2] -= (np.linalg.eigvalsh(hs[2])[0] + 0.5) * np.eye(3)  # lambda_min = -0.5
-    with pytest.raises(ValueError, match="not nonnegative"):
-        phi_core.phi_block(hs, (p1, p2), 0.6)
+    for perts in ((p1,), (p1, p2)):
+        with pytest.raises(ValueError, match="not nonnegative"):
+            phi_core.phi_block(hs, perts, 0.6)
+
+
+# --- phi_block at n = 1: the closed form against two references ---------------
+
+
+def van_loan_n1(h, p, t):
+    """Phi_t(P) for an (N, r, r) stack of H: e^{-t lo} times the top-right
+    block of exp([[-t (H - lo), t P], [0, -t (H - lo)]]), lo = lambda_min(H)
+    (Van Loan 1978)."""
+    r = h.shape[-1]
+    lo = np.linalg.eigvalsh(h)[:, 0, None, None]
+    shifted = -t * (h - lo * np.eye(r))
+    gen = np.zeros((len(h), 2 * r, 2 * r), dtype=complex)
+    gen[:, :r, :r] = gen[:, r:, r:] = shifted
+    gen[:, :r, r:] = t * p
+    return linalg.expm(gen)[:, :r, r:] * np.exp(-t * lo)
+
+
+def mpmath_n1(h, p, t):
+    """The same block exponential of the unshifted generator, for each
+    matrix of the stack, in 50-digit arithmetic."""
+    r = h.shape[-1]
+    out = np.empty(h.shape, dtype=complex)
+    with mpmath.workdps(50):
+        for k, (hk, pk) in enumerate(zip(h, np.broadcast_to(p, h.shape))):
+            gen = mpmath.zeros(2 * r)
+            for a in range(r):
+                for b in range(r):
+                    gen[a, b] = gen[r + a, r + b] = -t * mpmath.mpc(hk[a, b])
+                    gen[a, r + b] = t * mpmath.mpc(pk[a, b])
+            big = mpmath.expm(gen)
+            out[k] = [[complex(big[a, r + b]) for b in range(r)] for a in range(r)]
+    return out
+
+
+def spectral_stack(rng, eigvals):
+    """An (N, r, r) stack of Hermitian U diag(lambda) U*, U random unitary,
+    one row of ``eigvals`` per matrix."""
+    eigvals = np.atleast_2d(eigvals)
+    g = rng.standard_normal(eigvals.shape + eigvals.shape[-1:])
+    u, _ = np.linalg.qr(g + 1j * rng.standard_normal(g.shape))
+    h = (u * eigvals[:, None, :]) @ np.conj(np.swapaxes(u, 1, 2))
+    return 0.5 * (h + np.conj(np.swapaxes(h, 1, 2)))
+
+
+N1_CASES = {
+    # name: (the stack of H, built from an rng; t; relative bound)
+    "exact_tie": (lambda rng: 0.7 * np.eye(4)[None], 0.9, 1e-14),
+    "near_tie_1e-13": (lambda rng: spectral_stack(rng, [0.4, 0.4 + 1e-13, 1.1, 2.3]), 0.9, 1e-14),
+    "near_tie_1e-9": (lambda rng: spectral_stack(rng, [0.4, 0.4 + 1e-9, 1.1, 2.3]), 0.9, 1e-14),
+    "zero_eigenvalue": (lambda rng: spectral_stack(rng, [0.0, 0.5, 1.3, 2.0]), 1.3, 1e-14),
+    "broadcast_stack": (
+        lambda rng: spectral_stack(rng, np.linspace([0.0, 0.3, 0.8, 1.5], [1.0, 1.7, 2.2, 3.0], 5)),
+        0.6,
+        1e-14,
+    ),
+    # eigh's absolute eigenvalue error (~eps ||H||) is multiplied by t
+    "stiff": (lambda rng: spectral_stack(rng, [0.0, 0.3, 50.0, 1e3]), 5.0, 1e-12),
+}
+
+
+@pytest.mark.parametrize("case", list(N1_CASES))
+def test_phi_block_n1_closed_form_accuracy(case):
+    """The n = 1 divided-difference closed form matches the Van Loan block
+    exponential and a 50-digit one: ties, near ties, a zero eigenvalue, one
+    P broadcast over a stack of H, and a stiff H."""
+    make_h, t, bound = N1_CASES[case]
+    rng = np.random.default_rng(11)
+    h = make_h(rng)
+    p = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    got = phi_core.phi_block(h, (p,), t)
+    assert got.shape == h.shape
+    ref = mpmath_n1(h, p, t)
+    for other in (ref, van_loan_n1(h, p, t)):
+        assert np.linalg.norm(got - other) <= bound * np.linalg.norm(ref)
+    if case == "exact_tie":
+        assert np.linalg.norm(got - t * np.exp(-0.7 * t) * p) <= 1e-14 * np.linalg.norm(got)
+
+
+def test_phi_block_n1_at_time_zero_is_zero():
+    rng = np.random.default_rng(12)
+    h = spectral_stack(rng, [[0.0, 0.5, 1.3], [0.2, 0.2, 4.0]])
+    p = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    assert not np.any(phi_core.phi_block(h, (p,), 0.0))
 
 
 def test_quadrature_constant_integrand_product_order():

@@ -26,7 +26,14 @@ from opcalc.stochastic_mc import (
     spectral_phi_kernel,
     spin_torus_model,
 )
-from opcalc.acceptance import _spec_chains, acceptance_fk_model, bridge_midpoint_chi2
+from opcalc.acceptance import (
+    FK_T,
+    FK_X,
+    FK_Y,
+    _spec_chains,
+    acceptance_fk_model,
+    bridge_midpoint_chi2,
+)
 from opcalc.phi_core import OperatorFamily, phi_fermionic
 from opcalc.stochastic_mc import engine, levy, model as model_module
 from opcalc.stochastic_mc.bridge import _bridge_steps
@@ -262,6 +269,25 @@ def test_only_models_with_scalar_mode_hamiltonians_skip_phi_block(monkeypatch):
         _truncated_kernel(model, 0.5, x, y, 3)
         counts[name] = list(calls)
     assert counts == {"flat": [], "scalar_w": [], "connection": [49], "diagonal_w": [49]}
+
+
+def test_n1_mode_sums_make_no_matrix_exponential(monkeypatch):
+    """phi_block evaluates n = 1 in closed form in the basis of its eigh, so
+    criterion 9's n = 1 oracle makes no linalg.expm call; the same model at
+    n = 2 makes one stacked exponential per chunk of modes."""
+    calls = []
+    expm = linalg.expm
+
+    def counting_expm(m):
+        calls.append(np.shape(m))
+        return expm(m)
+
+    monkeypatch.setattr(linalg, "expm", counting_expm)
+    model = acceptance_fk_model()
+    spectral_phi_kernel(model, FK_T, FK_X, FK_Y, 16)
+    assert calls == []
+    _truncated_kernel(model.with_perturbations(model.perturbations * 2), FK_T, FK_X, FK_Y, 3)
+    assert calls == [(49, 6, 6)]
 
 
 def test_negative_potential_checks_every_mode_hamiltonian():
