@@ -10,10 +10,9 @@ The general matrix exponential is a numpy scaling-and-squaring Pade kernel
 scaling come from its own 1-norm, so its result does not depend on the
 stack it arrives in.  Every contract on top of it (norm guard, Hermitian
 agreement, semigroup property, agreement with SciPy's ``expm``) is tested in
-this package.  A reducible matrix is exponentiated one weakly connected
-component of its nonzero pattern at a time, the exact direct-sum identity,
-so the Fermionic lift costs its decoupled chains rather than its full
-dimension.
+this package.  The kernel does not look for structure: a caller with a
+direct sum (the Fermionic lift's decoupled chains, :mod:`opcalc.phi_core`)
+passes its summands one at a time.
 """
 
 from __future__ import annotations
@@ -62,25 +61,11 @@ def expm(m: np.ndarray) -> np.ndarray:
     ``EXPM_NORM_LIMIT``.  It is computed (one SVD) only where the cheap
     upper bound sqrt(||m||_1 ||m||_inf) >= ||m||_2 exceeds the limit.  Above
     512 rows the Frobenius norm, also an upper bound, is compared instead.
-
-    A 2-D matrix whose nonzero pattern has several weakly connected
-    components is a permuted direct sum, so its exponential is the direct
-    sum of the exponentials of the components' principal submatrices; each
-    is computed separately and every entry outside them is exactly 0.  A
-    single-component matrix and every stack go to the Pade kernel whole.
+    Every matrix goes to the Pade kernel whole, whatever its zero pattern.
     """
     m = _as_square(m, stack=True)
     _check_norm(m)
-    if m.ndim == 3:
-        return _pade_expm(m)
-    components = _weak_components(m)
-    if len(components) == 1:
-        return _pade_expm(m[None])[0]
-    out = np.zeros_like(m)
-    for idx in components:
-        block = np.ix_(idx, idx)
-        out[block] = _pade_expm(m[block][None])[0]
-    return out
+    return _pade_expm(m) if m.ndim == 3 else _pade_expm(m[None])[0]
 
 
 def _pade_expm(a: np.ndarray) -> np.ndarray:
@@ -128,25 +113,6 @@ def _pade_group(a: np.ndarray, m: int, s: int) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
-
-
-def _weak_components(m: np.ndarray) -> list:
-    """Index arrays of the weakly connected components of the nonzero
-    pattern of a square matrix, each ascending, by smallest index."""
-    adj = m != 0
-    adj = adj | adj.T
-    unseen = np.ones(len(m), dtype=bool)
-    components = []
-    while unseen.any():
-        reach = np.zeros(len(m), dtype=bool)
-        frontier = reach.copy()
-        frontier[np.argmax(unseen)] = True
-        while frontier.any():  # breadth-first: add the neighbours of the frontier
-            reach |= frontier
-            frontier = adj[frontier].any(axis=0) & ~reach
-        unseen &= ~reach
-        components.append(np.flatnonzero(reach))
-    return components
 
 
 def _check_norm(m: np.ndarray) -> None:

@@ -26,15 +26,18 @@ them, so only levels 3 <= k < n keep a per-step stack.  The lift is
 exponentiated with no eigendecomposition, so it cross-checks the other two
 through an independent route.  Its perturbation only moves (slot q, mask S)
 to (slot q+1, S + {j}), so the generator is a permuted direct sum of
-n 2^(n-1) decoupled chains of at most n+1 blocks; ``linalg.expm`` finds them
-from the zero pattern alone and exponentiates each separately.  The lift
-stays the paper's assembled generator (``build_lift``, theta_hat signs, slot
-wiring), assembled once into the array that is exponentiated, and its
-exponential still knows nothing of which block is read.
+n 2^(n-1) decoupled chains of at most n+1 blocks.  The lift is kept as its
+nonzero dim_H blocks (``build_lift``, theta_hat signs, slot wiring), the
+chains are the weakly connected components of its block pattern, and each
+chain's generator is assembled and exponentiated on its own, so no
+lift-sized array is ever formed.  Every chain is exponentiated, not only
+the one that holds the block that is read: the result is the exponential of
+the paper's whole lift.
 
 Conventions fixed here:
   * lift layout is slot-major: row index ((j-1) * 2^n + S) * dim_H + h for
-    slot j in 1..n, exterior-algebra bitmask S, and H-coordinate h;
+    slot j in 1..n, exterior-algebra bitmask S, and H-coordinate h; the
+    block of (j, S) is (j-1) * 2^n + S;
   * the lifted perturbation places theta_hat(n-q+1) (x) P_{n-q+1} in slot-row
     q, slot-column q-1 (row 1 wraps to column n with theta_hat(n) (x) P_n);
   * Phi_t is (-1)^n times the block of exp(-t(H_lift + P_lift)) with rows at
@@ -78,18 +81,21 @@ class OperatorFamily:
 
 @dataclass(frozen=True)
 class FermionicLift:
-    """Enlarged-space generator H_lift + P_lift in the slot-major layout.
+    """Enlarged-space generator H_lift + P_lift in the slot-major layout,
+    kept as its nonzero dim_H blocks.
 
-    H_lift = I (x) H is stored once, as the dim_H matrix ``h``; ``h_part``
-    assembles it on demand.  ``p_part`` is the dense P_lift.  The two share
-    no nonzero entry: every theta_hat changes the exterior mask, so each
-    diagonal (slot, mask) block of P_lift is zero.
+    H_lift = I (x) H is stored once, as the dim_H matrix ``h``.  P_lift is
+    ``p_blocks``, {(row block, column block): theta_hat sign times P_j}, one
+    entry per nonzero theta_hat entry.  ``h_part`` and ``p_part`` assemble
+    the dense matrices on demand.  The two share no nonzero entry: every
+    theta_hat changes the exterior mask, so each diagonal block of P_lift is
+    zero.
     """
 
     n: int
     dim_h: int
     h: np.ndarray
-    p_part: np.ndarray
+    p_blocks: dict
 
     @property
     def dim(self) -> int:
@@ -99,9 +105,17 @@ class FermionicLift:
     def h_part(self) -> np.ndarray:
         return np.kron(np.eye(self.n << self.n), self.h)
 
+    @property
+    def p_part(self) -> np.ndarray:
+        d = self.dim_h
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for (r, c), block in self.p_blocks.items():
+            out[r * d : (r + 1) * d, c * d : (c + 1) * d] = block
+        return out
+
     def block_index(self, slot: int, mask: int) -> int:
-        """Row offset of (slot in 1..n, exterior bitmask) in the layout."""
-        return ((slot - 1) * (1 << self.n) + mask) * self.dim_h
+        """Block of (slot in 1..n, exterior bitmask) in the layout."""
+        return (slot - 1) * (1 << self.n) + mask
 
 
 @dataclass(frozen=True)
@@ -152,8 +166,8 @@ def phi_block(h, perturbations, t: float) -> np.ndarray:
 
 
 def build_lift(family: OperatorFamily) -> FermionicLift:
-    """The enlarged-space generator for n >= 1: P_lift assembled densely,
-    H_lift kept as H alone (:class:`FermionicLift`)."""
+    """The enlarged-space generator for n >= 1: P_lift as its nonzero
+    blocks, H_lift kept as H alone (:class:`FermionicLift`)."""
     n, dim_h = family.n, family.dim
     if n < 1:
         raise ValueError("lift requires at least one perturbation")
@@ -162,47 +176,75 @@ def build_lift(family: OperatorFamily) -> FermionicLift:
         raise ValueError(
             f"lifted dimension {dim} exceeds budget {linalg.DIMENSION_BUDGET}"
         )
-    p_part = np.zeros((dim, dim), dtype=complex)
-    blk = (1 << n) * dim_h
+    p_blocks = {}
+    size = 1 << n
 
     def place(row_slot: int, col_slot: int, index: int):
         theta = theta_hat_matrix(index, n)
-        block = np.kron(theta, family.perturbations[index - 1])
-        r0 = (row_slot - 1) * blk
-        c0 = (col_slot - 1) * blk
-        p_part[r0 : r0 + blk, c0 : c0 + blk] = block
+        p = family.perturbations[index - 1]
+        for a, b in zip(*np.nonzero(theta)):
+            key = ((row_slot - 1) * size + int(a), (col_slot - 1) * size + int(b))
+            p_blocks[key] = theta[a, b] * p
 
     place(1, n, n)
     for q in range(2, n + 1):
         place(q, q - 1, n - q + 1)
-    return FermionicLift(n, dim_h, family.h.matrix, p_part)
+    return FermionicLift(n, dim_h, family.h.matrix, p_blocks)
 
 
 def phi_fermionic(family: OperatorFamily, t: float) -> PhiResult:
-    """Phi_t via the exponential of the enlarged-space generator (one
-    ``linalg.expm`` call, which exponentiates each decoupled chain).
+    """Phi_t via the exponential of the enlarged-space generator, one
+    ``linalg.expm`` call per decoupled chain.
 
-    -t (H_lift + P_lift) is assembled into one new array: -t P_lift, whose
-    diagonal blocks are zero, gains -t H on each diagonal block.  The lift
-    is released before the exponential, so two lift-sized arrays, the
-    generator and its exponential, are the most that live at once."""
+    A chain's -t (H_lift + P_lift) is the principal submatrix of the dense
+    generator on its blocks, in ascending order: its P_lift blocks scaled by
+    -t, and -t H on each diagonal block.  Each chain's exponential is
+    dropped once its read block, if it holds one, is copied, so the largest
+    array is one chain's, (n+1) dim_H rows at most."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     n, dim_h = family.n, family.dim
     if n == 0:
         return PhiResult(herm_exp(family.h, t), {"lift_dim": dim_h})
     lift = build_lift(family)
-    r0 = lift.block_index(n, (1 << n) - 1)
-    c0 = lift.block_index(n, 0)
-    dim = lift.dim
-    gen = np.multiply(lift.p_part, -t)
+    row = lift.block_index(n, (1 << n) - 1)
+    col = lift.block_index(n, 0)
     diag = -t * lift.h
-    del lift
-    for k in range(0, dim, dim_h):
-        gen[k : k + dim_h, k : k + dim_h] = diag
-    big = linalg.expm(gen)
-    value = (-1.0) ** n * big[r0 : r0 + dim_h, c0 : c0 + dim_h]
-    return PhiResult(value, {"lift_dim": dim})
+    pattern = np.zeros((n << n,) * 2, dtype=bool)
+    pattern[tuple(zip(*lift.p_blocks))] = True
+    value = None
+    for chain in _weak_components(pattern):  # ascending blocks of each chain
+        at = {int(b): k * dim_h for k, b in enumerate(chain)}
+        gen = np.zeros((len(chain) * dim_h,) * 2, dtype=complex)
+        for (r, c), block in lift.p_blocks.items():
+            if r in at:  # then c is in the chain too
+                gen[at[r] : at[r] + dim_h, at[c] : at[c] + dim_h] = block
+        np.multiply(gen, -t, out=gen)
+        for k in at.values():
+            gen[k : k + dim_h, k : k + dim_h] = diag
+        big = linalg.expm(gen)
+        if row in at:  # the chain (slot n, empty) -> ... -> (slot n, full)
+            value = (-1.0) ** n * big[at[row] : at[row] + dim_h, at[col] : at[col] + dim_h]
+    return PhiResult(value, {"lift_dim": lift.dim})
+
+
+def _weak_components(m: np.ndarray) -> list:
+    """Index arrays of the weakly connected components of the nonzero
+    pattern of a square matrix, each ascending, by smallest index."""
+    adj = m != 0
+    adj = adj | adj.T
+    unseen = np.ones(len(m), dtype=bool)
+    components = []
+    while unseen.any():
+        reach = np.zeros(len(m), dtype=bool)
+        frontier = reach.copy()
+        frontier[np.argmax(unseen)] = True
+        while frontier.any():  # breadth-first: add the neighbours of the frontier
+            reach |= frontier
+            frontier = adj[frontier].any(axis=0) & ~reach
+        unseen &= ~reach
+        components.append(np.flatnonzero(reach))
+    return components
 
 
 def _to_eigenbasis(family: OperatorFamily):

@@ -54,19 +54,6 @@ def test_expm_stack_matches_each_matrix_and_keeps_the_guards():
             linalg.expm(np.zeros(shape))
 
 
-def test_expm_splits_a_permuted_direct_sum_into_its_blocks():
-    rng = np.random.default_rng(10)
-    blocks = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in (1, 3, 5)]
-    blocks[2][4] = 0.0  # an exact zero row keeps its block connected through its column
-    dense = scipy.linalg.block_diag(*blocks)
-    perm = rng.permutation(dense.shape[0])
-    got = linalg.expm(dense[np.ix_(perm, perm)])
-    want = scipy.linalg.block_diag(*(scipy.linalg.expm(b) for b in blocks))[np.ix_(perm, perm)]
-    inside = scipy.linalg.block_diag(*(np.ones((k, k)) for k in (1, 3, 5)))[np.ix_(perm, perm)] != 0
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    assert np.all(got[~inside] == 0)
-
-
 def test_expm_irreducible_matrices_and_stacks_go_to_the_kernel_whole():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))

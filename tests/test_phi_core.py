@@ -72,8 +72,8 @@ def test_build_lift_slot_pattern_one_block_per_row_and_column():
 @pytest.mark.parametrize("n, dim", [(4, 8), (3, 4)])
 def test_lift_exponential_runs_one_chain_at_a_time(monkeypatch, n, dim):
     """P_lift only moves (slot q, mask S) to (slot q+1, S + {j}), so the
-    lift is a direct sum of n 2^(n-1) chains of at most n+1 blocks, and
-    ``linalg.expm`` exponentiates each chain on its own."""
+    lift's block wiring splits it into n 2^(n-1) chains of at most n+1
+    blocks, and ``phi_fermionic`` exponentiates each chain on its own."""
     sizes = []
     pade_expm = linalg._pade_expm
 
@@ -91,11 +91,30 @@ def test_lift_exponential_runs_one_chain_at_a_time(monkeypatch, n, dim):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("n, dim", [(1, 4), (2, 3), (3, 3), (4, 3)])
+def test_fermionic_chains_match_the_dense_lift_exponential(n, dim):
+    """The block storage and the chain assembly against the paper's dense
+    lift: (-1)^n times the (slot n, full mask) x (slot n, empty mask) block
+    of the Pade kernel's exponential of the whole -t (h_part + p_part)."""
+    rng = np.random.default_rng(40 + n)
+    for t in (0.3, 1.1):
+        fam = random_family(rng, dim, n, scale=1.5)
+        lift = phi_core.build_lift(fam)
+        big = linalg._pade_expm((-t * (lift.h_part + lift.p_part))[None])[0]
+        r0 = lift.block_index(n, (1 << n) - 1) * dim
+        c0 = lift.block_index(n, 0) * dim
+        want = (-1.0) ** n * big[r0 : r0 + dim, c0 : c0 + dim]
+        got = phi_core.phi_fermionic(fam, t).value
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("n, dim", [(3, 16), (4, 8)])
-def test_fermionic_peak_memory_is_two_lift_sized_arrays(n, dim):
-    """H_lift is stored as H alone and -t (H_lift + P_lift) is assembled
-    into one array after which the lift is dropped, so the generator and
-    its exponential are the only lift-sized arrays alive at once."""
+def test_fermionic_peak_memory_is_below_half_a_lift_sized_array(n, dim):
+    """P_lift is kept as its nonzero blocks and each chain is assembled and
+    exponentiated on its own, so no lift-sized array is ever allocated: the
+    traced peak is a few chain-sized arrays, 0.39 and 0.09 of one lift-sized
+    array here, where a dense generator and its exponential read 2.34 and
+    2.08."""
     family = random_family(np.random.default_rng(5), dim, n)
     lift_bytes = (n * (1 << n) * dim) ** 2 * 16
     tracemalloc.start()
@@ -104,7 +123,7 @@ def test_fermionic_peak_memory_is_two_lift_sized_arrays(n, dim):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * lift_bytes
+    assert peak < 0.5 * lift_bytes
 
 
 def test_lifted_perturbation_nilpotent_exactly():
