@@ -17,12 +17,11 @@ the perturbed semigroup).
 The nested quadrature and the midpoint ODE are built from the semigroup
 alone, so both run in H's eigenbasis: each P_j is transformed once to
 U* P_j U, every e^{-sH} is a row or column scaling by e^{-s lambda}, and the
-result returns to the original basis once.  The ODE never stores its top
-level (the empty suffix): that level's value is one fixed matrix scaled
-entrywise by a real decay recurrence, which the level below reads through
-real lanes, one per block of its scan.  Nor does it store the midpoints of
-its bottom level: level 1's end point is summed as level 2's scan produces
-them, so only levels 3 <= k < n keep a per-step stack.  The lift is
+result returns to the original basis once.  One level-1 step of the ODE
+is a fixed block-triangular map of all its levels stacked, so the ODE is
+the steps-th power of that one-step propagator, taken by binary powering:
+its cost is logarithmic in the step count and its memory does not depend
+on it.  It builds no generator and calls no ``expm``.  The lift is
 exponentiated with no eigendecomposition, so it cross-checks the other two
 through an independent route.  Its perturbation only moves (slot q, mask S)
 to (slot q+1, S + {j}), so the generator is a permuted direct sum of
@@ -302,62 +301,25 @@ def phi_ode(family: OperatorFamily, t: float, steps: int = 4096) -> PhiResult:
     Each suffix level k obeys Phi' = -H Phi + P_k Phi(suffix), stepped by
     the variation-of-constants midpoint rule
         Phi(s+h) = e^{-hH} Phi(s) + h e^{-(h/2)H} P_k Phi_{s+h/2}(suffix).
-    Level k runs on step h / 2^(k-1) so every midpoint suffix value is a
-    grid point of the next level; the empty suffix is e^{-sH} exactly.
-    Second-order accurate in the step size.
+    Level k runs on step h_k = h / 2^(k-1), h = t / steps, so every
+    midpoint suffix value is a grid point of the next level; the empty
+    suffix, level n+1, is e^{-sH} exactly.  Second-order accurate in h.
 
     The system is integrated in H's eigenbasis: with P~_k = U* P_k U each
-    propagator is the vector e^{-h lambda}, so a step is a row scaling plus
-    the level's forcing term, the product of p^_k = h e^{-(h/2) lambda} P~_k
-    with the suffix value at the step's midpoint.
-
-    The top level (k = n, empty suffix, N = steps 2^(n-1) steps of size h)
-    is never stored.  Its midpoint values are the vectors
-    e^{-(i+1/2) h lambda}, so each of its forcing terms is a column scaling
-    of the fixed p^_n, and its value after m steps is p^_n (.) g_m, where g
-    is the real dim x dim recurrence
-        g_{m+1} = e^{-h lambda} (.) g_m + mu_m,   mu_m[c] = e^{-(m+1/2) h lambda_c},
-    g_0 = 0: a row scaling plus one broadcast row.  For n = 1 the result is
-    U (p^_1 (.) g_N) U*, with g_N one contraction of two decay tables
-    (:func:`_decay_sum`).  For n >= 2, level n-1's forcing terms read g at
-    the odd top indices through real lanes, one per block of its scan
-    (:func:`_top_lanes`).  A lower level 2 <= k < n-1 reads the complex
-    odd-index values that level k+1 keeps: every level 3 <= k < n keeps its
-    odd-index grid values, the midpoints the level below reads
-    (:class:`_OddValues`).  Level 1 is not scanned for n >= 3: its end point
-    is sum_i D_1^(N_1-1-i) (.) (p^_1 @ S_i), S_i level 2's midpoint values,
-    and is summed as level 2's scan produces them (:class:`_BottomSum`), so
-    level 2 keeps nothing.  For n = 2 level 1 is scanned on the top level's
-    lanes.  Level 1's end point returns to the original basis as U Phi~ U*.
-
-    Each level k < n runs its N_k steps as a blocked scan
-    (:func:`_midpoint_scan`):
-      * within blocks: the steps split into nb blocks of an even length b
-        near sqrt(N_k) (longer for large matrices, so that nb of them stay
-        in cache).  Each of b iterations advances every block by one
-        step from a zero start, and hands the even-step values to the
-        level's sink as they appear: stored (levels k >= 3), or, at level
-        2, multiplied by p^_1 and added into level 1's block sums, the same
-        nb products per block step that a scan of level 1 would make;
-      * carry pass: one sequential pass over the nb block ends gives each
-        block's carry-in, c_q = e^{-bh lambda} c_{q-1} + (end of block q-1),
-        zero for the first block;
-      * fix-up: each stored value then gains its block's carry, in place,
-        kept[q, jj] += e^{-(2jj+1) h lambda} c_q, one block step at a time,
-        with no full-trajectory temporary.  At level 2 the carries enter
-        level 1's block sums by linearity, one product per block, and one
-        carry pass over those sums gives level 1's end point.  Each level's
-        end point is then stepped through the fewer than 2 nb steps left
-        after the last full block;
-      * the forcing terms are formed on the fly, one block step (nb terms)
-        at a time, so a level 3 <= k < n-1 holds its suffix and kept values
-        (1.5 N_k matrices) but never all N_k forcing terms, level n-1 holds
-        only its kept values, and level 2 holds at most its suffix.
-    Python iterations per level fall from N_k to about 2.5 sqrt(N_k) (2.5 b
-    where the block count is held down).  The scan evaluates the per-step
-    rule's recurrence exactly; only the order of summation differs, and
-    every decay power is at most 1, so nothing is rescaled by an inverse
-    power (which overflows on a stiff H).
+    propagator is the vector e^{-h_k lambda}.  One level-1 step is then a
+    fixed linear map T of the stacked state (S_1, ..., S_n, S_{n+1}), block
+    upper triangular with (n+1) dim rows, built from the bottom up: level
+    n+1 alone steps by A_{n+1} = diag(e^{-h_{n+1} lambda}), and a step of
+    levels k..n+1 is
+        A_k = (I (+) A_{k+1}) U_k (I (+) A_{k+1}),
+    where U_k is the identity except for level k's row block,
+    [diag(e^{-h_k lambda}), h_k e^{-(h_k/2) lambda} (.) P~_k]: levels above
+    k advance half a step to the midpoint, level k takes its step, and the
+    levels above advance the other half.  T = A_1, and from the start
+    (0, ..., 0, I) the end point of level 1 is the (1, n+1) block of
+    T^steps, which binary powering reaches in about 2 log2(steps) products.
+    Every diagonal block of A_k^m is e^{-m h_k lambda}, so each product's
+    diagonal is written from ``exp`` rather than carried as rounded powers.
     """
     if t <= 0:
         raise ValueError("ode evaluation requires t > 0")
@@ -370,236 +332,34 @@ def phi_ode(family: OperatorFamily, t: float, steps: int = 4096) -> PhiResult:
         raise ValueError("step underflow")
     lam, u, ps = _to_eigenbasis(family)
 
-    def level(k: int):
-        """(steps, step size, h e^{-(h/2) lambda} P~_k) of level k."""
-        nsteps = steps * 2 ** (k - 1)
-        h = t / nsteps
-        return nsteps, h, (h * np.exp(-h / 2.0 * lam))[:, None] * ps[k - 1]
+    def exact_diagonal(m, tau):
+        """m with every diagonal entry set from e^{-tau lambda}."""
+        np.fill_diagonal(m, np.tile(np.exp(-tau * lam), m.shape[-1] // dim))
+        return m
 
-    top_steps, top_h, top = level(n)
-    if n == 1:
-        cur = top * _decay_sum(top_h, lam, 0, top_steps)
-    suffix = None  # odd-index values of level k+1, the midpoints of level k
-    for k in range(n - 1, 1 if n > 2 else 0, -1):
-        nsteps, h, p = level(k)
-        if k == n - 1:
-            forcing = _top_lanes(top_h, lam, top, p, nsteps)
-        else:
-            forcing = lambda sl, out: np.matmul(p, suffix[sl], out=out)
-        if k == 1:
-            sink = None
-        elif k == 2:
-            _, h1, p1 = level(1)
-            sink = _BottomSum(np.exp(-h1 * lam)[:, None], p1, nsteps)
-        else:
-            sink = _OddValues(nsteps, dim)
-        cur = _midpoint_scan(np.exp(-h * lam)[:, None], forcing, nsteps, sink)
-        if k > 2:
-            suffix = sink.values
-    if n > 2:
-        cur = sink.end  # level 1's end point; level 2's own is not needed
-    return PhiResult(u @ cur @ u.conj().T, {"steps": steps, "step_size": t / steps})
-
-
-def _decay_sum(h: float, lam, start: int, count: int) -> np.ndarray:
-    """Real (dim, dim) sum over l < count of
-    e^{-(count-1-l) h lambda_a} e^{-(start+l+1/2) h lambda_c}: the top-level
-    recurrence g <- e^{-h lambda} (.) g + mu_m of :func:`phi_ode` stepped from
-    zero through m = start, ..., start + count - 1, as one contraction of
-    two (count, dim) decay tables.  The row factors are powers of the
-    rounded step decay e^{-h lambda}, as the per-step recurrence applies it;
-    every power is at most 1.  The contraction is einsum's own loop, not a
-    BLAS product: on a 2-vCPU host a threaded (32 x 2048) @ (2048 x 32)
-    product at times took 50-150 ms per call, the einsum 0.7-0.9 ms."""
-    l = np.arange(count)
-    rows = np.exp(-h * lam) ** (count - 1 - l)[:, None]
-    cols = np.exp(-np.multiply.outer((start + l + 0.5) * h, lam))
-    return np.einsum("la,lc->ac", rows, cols)
-
-
-def _top_lanes(h: float, lam, top, p, nsteps: int):
-    """Forcing terms of level n-1 in :func:`phi_ode`, p @ (top (.) g_{2i+1})
-    for its step i, as a ``forcing`` callable for :func:`_midpoint_scan`.
-
-    ``h`` is the top level's step and g its real recurrence; ``top`` is
-    p^_n, ``p`` is p^_{n-1} and ``nsteps`` the step count of level n-1.
-    g is read through nb real lanes, one per block of level n-1's scan
-    (the shared :func:`_scan_geometry`): at block step j lane q holds
-    g_{2(qb+j)+1}, the midpoint that step needs, and after each read it
-    advances two top-level steps.  The tail steps after the last full block
-    continue the last lane.  Lane q starts at g_{2qb+1}: lane 0 at
-    g_1 = mu_0, and lane q+1 = e^{-2bh lambda} (.) lane q + E_q, one carry
-    pass, where E_q, the zero-start sum over top steps 2qb+1 ... 2qb+2b, is
-    E_0 = _decay_sum(h, lam, 1, 2b) scaled by the columns
-    e^{-2qbh lambda_c}.  Every power is at most 1, and the row powers are
-    powers of the rounded step decay, as in the per-step recurrence.
-    Calls must come in the scan's documented order; any other call raises
-    RuntimeError.
-    """
-    dim = len(lam)
-    nb, b = _scan_geometry(nsteps, dim)
-    full = nb * b
-    # mu_m for m = 0 ... 2 nsteps, one (1, dim) row each: the only top-level table
-    mu = np.exp(-np.multiply.outer((np.arange(2 * nsteps + 1) + 0.5) * h, lam))[:, None, :]
-    decay = np.exp(-h * lam)[:, None]
-    lanes = np.empty((nb, dim, dim))
-    lanes[0] = mu[0]
-    e0 = _decay_sum(h, lam, 1, 2 * b)
-    for q in range(nb - 1):
-        lanes[q + 1] = decay ** (2 * b) * lanes[q] + e0 * np.exp(-(2 * q * b * h) * lam)
-    scaled = np.empty((nb, dim, dim), dtype=complex)
-    calls = 0
-
-    def forcing(sl, out):
-        nonlocal calls
-        i = full + calls - b  # the tail step this call should ask for
-        expected = slice(calls, full, b) if calls < b else slice(i, i + 1)
-        if sl != expected or i >= nsteps:
-            raise RuntimeError(f"lane read {sl} out of order: expected {expected}")
-        calls += 1
-        start, stop, step = sl.indices(nsteps)
-        g = lanes[nb - len(out) :]  # all lanes, or the last one in the tail
-        np.matmul(p, np.multiply(top, g, out=scaled[: len(out)]), out=out)
-        for r in (1, 2):  # g_{2i+1} -> g_{2i+3} through mu_{2i+1}, mu_{2i+2}
-            g *= decay
-            g += mu[2 * start + r : 2 * stop - 1 + r : 2 * step]
-        return out
-
-    return forcing
-
-
-# Upper bound on the bytes of one stack of nb block matrices in
-# _midpoint_scan.  Past it there are fewer, longer blocks, so that the scan's
-# two stacks (block values and terms) stay in cache.  On random dim-32
-# families at 2048 steps (2-vCPU Xeon, 2 MB L2 per core) this put phi_ode
-# 11-22 % below sqrt(N) blocks.
-_SCAN_STACK_BYTES = 1 << 18
-
-
-def _scan_geometry(nsteps: int, dim: int):
-    """(nb, b) of :func:`_midpoint_scan` over ``nsteps`` >= 2 steps of
-    (dim, dim) matrices: nb is about sqrt(nsteps), or fewer where nb
-    matrices would exceed ``_SCAN_STACK_BYTES``, and b is the longest even
-    block length of which nb fit."""
-    sqrt_b = max(2, 2 * int(np.sqrt(nsteps) / 2))
-    nb = min(nsteps // sqrt_b, max(1, _SCAN_STACK_BYTES // (16 * dim * dim)))
-    return nb, 2 * (nsteps // (2 * nb))
-
-
-def _midpoint_scan(decay, forcing, nsteps: int, sink):
-    """End value of cur_{i+1} = decay * cur_i + forcing_i, cur_0 = 0, over
-    ``nsteps`` steps, by the blocked scan described in :func:`phi_ode`;
-    ``sink`` receives every odd-index value cur_{i+1}, i even.
-
-    ``decay`` is a (dim, 1) row scaling with entries in [0, 1], and
-    ``forcing(sl, out)`` writes the terms of the steps in slice ``sl`` into
-    ``out``, a (len, dim, dim) buffer, and returns it.  The blocks are
-    :func:`_scan_geometry`'s nb blocks of even length b, so a step's parity
-    within its block is its global parity.  The call order is part of this
-    contract: ``forcing`` is called with slice(j, nb b, b) for the block
-    steps j = 0, ..., b - 1 in turn, then with slice(i, i + 1) for the
-    nsteps - nb b < 2 nb tail steps i = nb b, ..., nsteps - 1 in turn, which
-    run one at a time from the last carry.
-
-    The sink sees the values as the scan produces them (:class:`_OddValues`
-    stores them, :class:`_BottomSum` sums them): ``sink.block(jj, local)``
-    after each even block step j = 2 jj, with local[q] block q's value from a
-    zero start; then ``sink.carry(decay, carries)`` once, with carries[q]
-    the value entering block q, which adds decay^(2jj+1) carries[q] to each
-    of those; then ``sink.tail(i // 2, cur)`` after each even tail step i.
-    """
-    dim = decay.shape[0]
-    nb, b = _scan_geometry(nsteps, dim)
-    full = nb * b
-    local = np.zeros((nb, dim, dim), dtype=complex)
-    term = np.empty_like(local)
-    for j in range(b):
-        local *= decay
-        local += forcing(slice(j, full, b), term)
-        if sink is not None and j % 2 == 0:
-            sink.block(j // 2, local)
-    # local[q] becomes block q's carry-in; cur ends as the carry out of the last block
-    cur = np.zeros((dim, dim), dtype=complex)
-    decay_b = decay**b
-    for q in range(nb):
-        cur, local[q] = decay_b * cur + local[q], cur
-    if sink is not None:
-        sink.carry(decay, local)
-    for i in range(full, nsteps):
-        cur = decay * cur + forcing(slice(i, i + 1), term[:1])[0]
-        if sink is not None and i % 2 == 0:
-            sink.tail(i // 2, cur)
-    return cur
-
-
-class _OddValues:
-    """Storing sink of :func:`_midpoint_scan`: ``values[i // 2]`` is the
-    scan's cur_{i+1} for every even step i, the midpoints the level below
-    reads.  A block's values are stored as the scan reaches them and gain
-    their carry in place, one block step at a time."""
-
-    def __init__(self, nsteps: int, dim: int):
-        nb, b = _scan_geometry(nsteps, dim)
-        self.values = np.empty(((nsteps + 1) // 2, dim, dim), dtype=complex)
-        self._blocks = self.values[: nb * b // 2].reshape(nb, b // 2, dim, dim)
-
-    def block(self, jj: int, local):
-        self._blocks[:, jj] = local
-
-    def carry(self, decay, carries):
-        scaled = np.empty_like(carries)
-        for jj in range(self._blocks.shape[1]):
-            self._blocks[:, jj] += np.multiply(decay ** (2 * jj + 1), carries, out=scaled)
-
-    def tail(self, jj: int, cur):
-        self.values[jj] = cur
-
-
-class _BottomSum:
-    """Summing sink of :func:`_midpoint_scan` over level 2 of
-    :func:`phi_ode`: the end point of level 1,
-
-        sum_i D^(N-1-i) (.) (p @ S_i),
-
-    with D = ``decay`` level 1's step decay, p = ``p`` its p^_1, N its step
-    count and S_i level 2's value at its grid index 2i + 1, formed as level
-    2's scan produces the S_i, none of which is stored.
-
-    Level 1's steps split into the blocks of level 2's scan, halved: block
-    q's zero-start sum runs the per-step recurrence acc <- D (.) acc + p @ S
-    on the block-local values, one batched product per even block step.
-    Level 2's carry c_q enters S_i of block step jj as D2^(2jj+1) (.) c_q,
-    so it adds (p (.) M) @ c_q to block q's sum, with
-    M[a, c] = sum_jj D_a^(b/2-1-jj) D2_c^(2jj+1).  One carry pass over the
-    block sums, with D^(b/2), and the per-step recurrence over the tail
-    values give ``end``.  Every weight is a power (at most 1) of a rounded
-    step decay, as the per-step recurrence applies it."""
-
-    def __init__(self, decay, p, nsteps: int):
-        nb, b = _scan_geometry(nsteps, p.shape[0])
-        self._decay, self._p, self._half = decay, p, b // 2
-        self._acc = np.zeros((nb,) + p.shape, dtype=complex)
-        self._term = np.empty_like(self._acc)
-        self.end = None
-
-    def block(self, jj: int, local):
-        self._acc *= self._decay
-        self._acc += np.matmul(self._p, local, out=self._term)
-
-    def carry(self, decay, carries):
-        l = np.arange(self._half)
-        rows = self._decay[:, 0] ** (self._half - 1 - l)[:, None]
-        cols = decay[:, 0] ** (2 * l + 1)[:, None]
-        weights = np.einsum("la,lc->ac", rows, cols)
-        self._acc += np.matmul(self._p * weights, carries, out=self._term)
-        end = np.zeros_like(self._p)
-        decay_half = self._decay**self._half
-        for acc in self._acc:
-            end = decay_half * end + acc
-        self.end = end
-
-    def tail(self, jj: int, cur):
-        self.end = self._decay * self.end + self._p @ cur
+    step = t / steps / 2**n  # level n+1's step
+    a = np.diag(np.exp(-step * lam)).astype(complex)
+    for k in range(n, 0, -1):
+        step *= 2.0  # h_k
+        p = (step * np.exp(-step / 2.0 * lam))[:, None] * ps[k - 1]
+        below = a
+        a = np.zeros((len(below) + dim,) * 2, dtype=complex)
+        a[:dim, dim:] = p @ below[:dim]
+        a[dim:, dim:] = below @ below
+        exact_diagonal(a, step)
+    # binary powering: row = level 1's rows of T^done, a = T^(2^j)
+    row, done, power, rest = None, 0, 1, steps
+    while True:
+        if rest & 1:
+            row = a[:dim].copy() if row is None else row @ a
+            done += power
+            exact_diagonal(row[:, :dim], done * step)
+        rest >>= 1
+        if not rest:
+            break
+        a = exact_diagonal(a @ a, 2 * power * step)
+        power *= 2
+    return PhiResult(u @ row[:, n * dim :] @ u.conj().T, {"steps": steps, "step_size": t / steps})
 
 
 def simplex_constant(exponents) -> float:

@@ -397,8 +397,8 @@ def eigenbasis_cases():
         # at lambda = 1e3 the late midpoints e^{-(i+1/2) h lambda} underflow to 0
         pytest.param(rotated_family(rng, [0.0, 0.5, 300.0, 1e3], 2), 1.0, id="stiff"),
     ]
-    # at lambda = 1e5 the top level's step decay and the column powers that
-    # scale its lane starts underflow to 0 as well
+    # at lambda = 1e5 the top level's step decay, and with it the
+    # propagator's diagonal and its powers, underflow to 0 as well
     cases += [
         pytest.param(rotated_family(rng, [0.0, 0.5, 300.0, 1e5], n), 1.0, id=f"stiff_n{n}")
         for n in (1, 3)
@@ -423,154 +423,74 @@ def test_eigenbasis_evaluators_match_dense_loops(family, t):
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def per_step_ode(family, t, steps):
-    """The step loop of phi_ode before the blocked scan, verbatim: one
-    Python iteration per step of every level."""
+def per_step_ode(family, t, steps, dtype=np.float64):
+    """The step loop of the midpoint scheme, one Python iteration per step
+    of every level, run in ``dtype`` from phi_ode's float64 eigenbasis."""
     n, dim = family.n, family.dim
     lam, u, ps = phi_core._to_eigenbasis(family)
+    lam, t = lam.astype(dtype), dtype(t)
+    cdtype = np.result_type(dtype, 1j)
+    ps = [p.astype(cdtype) for p in ps]
 
     suffix = None  # odd-index values of level k+1, the midpoints of level k
     for k in range(n, 0, -1):
         nsteps = steps * 2 ** (k - 1)
         h = t / nsteps
         decay = np.exp(-h * lam)[:, None]
-        p = (h * np.exp(-h / 2.0 * lam))[:, None] * ps[k - 1]
+        p = (h * np.exp(-h / 2 * lam))[:, None] * ps[k - 1]
         if k == n:
-            mids = np.exp(-np.multiply.outer((np.arange(nsteps) + 0.5) * h, lam))
+            mids = np.exp(-np.multiply.outer((np.arange(nsteps) + dtype(0.5)) * h, lam))
             forcing = (p * mid for mid in mids)
         else:
             forcing = p @ suffix
             suffix = None  # read once; release before the next level's values
-        kept = np.empty((nsteps // 2, dim, dim), dtype=complex) if k > 1 else None
-        cur = np.zeros((dim, dim), dtype=complex)  # Phi_0 = 0 for n >= 1
+        kept = np.empty((nsteps // 2, dim, dim), dtype=cdtype) if k > 1 else None
+        cur = np.zeros((dim, dim), dtype=cdtype)  # Phi_0 = 0 for n >= 1
         for i, term in enumerate(forcing):
             cur *= decay
             cur += term
             if kept is not None and i % 2 == 0:
                 kept[i // 2] = cur
         suffix, kept = kept, None  # suffix holds the only reference
-    return u @ cur @ u.conj().T
+    return u @ cur.astype(complex) @ u.conj().T
 
 
-@pytest.mark.parametrize("steps", [16, 17, 100, 2048])
-@pytest.mark.parametrize("dim", [2, 8, 32])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+# The long-double loop's products are numpy's own loops, not BLAS, and cost
+# about steps 2^(n-1) dim^3: n = 4, dim 32 at 2048 steps alone takes about
+# 6 s.  So dim 32 runs 2048 steps at n = 1 only.  2048 steps run at every n
+# for dims 2 and 8; the float64 loop's worst drift, n = 4, dim 8, is one of
+# them.  2047, whose every bit makes the powering take a product, runs on
+# dim 2 at every n and on dim 32 at n = 1.
+SCAN_CASES = [(n, dim, s) for n in (1, 2, 3, 4) for dim in (2, 8, 32) for s in (16, 17, 100)]
+SCAN_CASES += [(n, dim, 2048) for n in (1, 2, 3, 4) for dim in (2, 8)] + [(1, 32, 2048)]
+SCAN_CASES += [(n, 2, 2047) for n in (1, 2, 3, 4)] + [(1, 32, 2047)]
+
+
+@pytest.mark.parametrize("n,dim,steps", SCAN_CASES)
 def test_blocked_scan_matches_per_step_loop(n, dim, steps):
-    """Only the order of summation differs.  17 and 100 leave a tail after
-    the last full block, and 17 gives an odd step count at level 1."""
+    """phi_ode's power of the one-step propagator against the per-step loop
+    run in long double: only the rounding differs.  17, 100 and 2047 are
+    odd or not powers of two, so the powering takes extra products."""
+    assert np.finfo(np.longdouble).eps < 1e-18  # else the reference is plain float64
     family = random_family(np.random.default_rng(1000 * n + dim), dim, n)
     got = phi_core.phi_ode(family, 0.7, steps).value
-    ref = per_step_ode(family, 0.7, steps)
-    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    ref = per_step_ode(family, 0.7, steps, np.longdouble)
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize(
-    "nsteps, dim", [(n, 3) for n in (16, 17, 100, 2048, 16384)] + [(n, 32) for n in (16, 17, 2048)]
-)
-def test_midpoint_scan_steps_blocks_not_single_steps(nsteps, dim):
-    """The scan asks for forcing terms once per block step and once per
-    tail step, and gives the end point and every kept even-step value of
-    the one-step recurrence; an odd step count keeps its last step too.
-    Small matrices take about sqrt(nsteps) blocks, so fewer than
-    2 sqrt(nsteps) calls; 32 x 32 ones at most 16 blocks (16 KB each), so
-    at most about nsteps / 16 calls."""
-    rng = np.random.default_rng(nsteps)
-    decay = np.exp(-rng.random(dim))[:, None] ** (1.0 / np.sqrt(nsteps))
-    terms = rng.standard_normal((nsteps, dim, dim)) + 1j * rng.standard_normal((nsteps, dim, dim))
-    calls = []
-
-    def forcing(sl, out):
-        calls.append(sl)
-        out[...] = terms[sl]
-        return out
-
-    kept = phi_core._OddValues(nsteps, dim)
-    end = phi_core._midpoint_scan(decay, forcing, nsteps, kept)
-    assert len(calls) < max(2 * np.sqrt(nsteps), nsteps / 8)
-    cur = np.zeros((dim, dim), dtype=complex)
-    for i, term in enumerate(terms):
-        cur = decay * cur + term
-        if i % 2 == 0:
-            assert np.linalg.norm(kept.values[i // 2] - cur) <= 1e-13 * np.linalg.norm(cur)
-    assert np.linalg.norm(end - cur) <= 1e-13 * np.linalg.norm(cur)
-
-
-@pytest.mark.parametrize(
-    "nsteps, dim, stack_bytes, nb, tail",
-    [(50, 3, None, 8, 2), (3, 2, None, 1, 1), (51, 3, 16 * 3 * 3, 1, 1)],
-)
-def test_top_lanes_read_g_at_every_odd_top_index(monkeypatch, nsteps, dim, stack_bytes, nb, tail):
-    """With top = 1 and p = I the lane source's term for step i of the
-    level below is g_{2i+1} itself.  Read in the scan's call order, it
-    matches the one-step real recurrence at every odd top index: through
-    the full blocks, through a tail after the last full block, and with a
-    single lane (a stack cap of one matrix forces nb = 1)."""
-    if stack_bytes is not None:
-        monkeypatch.setattr(phi_core, "_SCAN_STACK_BYTES", stack_bytes)
-    rng = np.random.default_rng(nsteps)
-    lam = 5.0 * np.sort(rng.random(dim))
-    h = 0.7 / (2 * nsteps)
-    g, odd = np.zeros((dim, dim)), []
-    for m in range(2 * nsteps):
-        g = np.exp(-h * lam)[:, None] * g + np.exp(-(m + 0.5) * h * lam)
-        if m % 2 == 0:
-            odd.append(g)  # g_{m+1}
-    assert phi_core._scan_geometry(nsteps, dim)[0] == nb
-    b = (nsteps - tail) // nb
-    source = phi_core._top_lanes(h, lam, np.ones((dim, dim), dtype=complex), np.eye(dim), nsteps)
-    out = np.empty((nb, dim, dim), dtype=complex)
-    read = {}
-    for j in range(b):
-        read.update(zip(range(j, nb * b, b), source(slice(j, nb * b, b), out).copy()))
-    for i in range(nb * b, nsteps):
-        read[i] = source(slice(i, i + 1), out[:1])[0].copy()
-    assert sorted(read) == list(range(nsteps))
-    for i, got in read.items():
-        assert np.abs(got.imag).max() == 0.0
-        assert np.abs(got.real - odd[i]).max() <= 1e-14 * np.abs(odd[i]).max()
-
-
-def test_top_lanes_reject_reads_out_of_the_scan_order():
-    lam, nsteps = np.array([0.5, 2.0]), 50
-    nb, b = phi_core._scan_geometry(nsteps, 2)
-    out = np.empty((nb, 2, 2), dtype=complex)
-
-    def source():
-        return phi_core._top_lanes(0.01, lam, np.ones((2, 2)), np.eye(2), nsteps)
-
-    with pytest.raises(RuntimeError, match="out of order"):
-        source()(slice(1, nb * b, b), out)  # skips block step 0
-    with pytest.raises(RuntimeError, match="out of order"):
-        source()(slice(nb * b, nb * b + 1), out[:1])  # a tail step before the blocks
-    lanes = source()
-    for j in range(b):
-        lanes(slice(j, nb * b, b), out)
-    for i in range(nb * b, nsteps):
-        lanes(slice(i, i + 1), out[:1])
-    with pytest.raises(RuntimeError, match="out of order"):
-        lanes(slice(nsteps, nsteps + 1), out[:1])  # past the last step
-
-
-@pytest.mark.parametrize(
-    "n,steps,share", [(2, 2048, 0.15), (3, 1024, 0.4), (3, 1024, 0.15)]
-)
-def test_ode_peak_memory_never_holds_the_top_level(n, steps, share):
-    """phi_ode never stores its top level, and level 1 is summed as level 2
-    produces its midpoints, so at n <= 3 no level keeps a per-step stack:
-    the peak allocation is the scan's block stacks and the top level's
-    decay table, about a tenth of one top-level trajectory of dense
-    matrices at n = 3.  The 0.4 case is the bound that held while level 2
-    still kept a quarter trajectory of midpoints; 0.15 is the bound now."""
-    dim = 16
-    family = random_family(np.random.default_rng(17), dim, n)
-    trajectory_bytes = steps * 2 ** (n - 1) * dim * dim * 16
-    tracemalloc.start()
-    try:
-        phi_core.phi_ode(family, 0.5, steps)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < share * trajectory_bytes
+def test_ode_peak_memory_does_not_grow_with_steps():
+    """phi_ode holds the propagator and its powers, whose size does not
+    depend on the step count: 65536 steps peak within 1.5x of 64."""
+    family = random_family(np.random.default_rng(17), 16, 3)
+    peaks = []
+    for steps in (64, 65536):
+        tracemalloc.start()
+        try:
+            phi_core.phi_ode(family, 0.5, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_ode_second_order_convergence():
