@@ -493,6 +493,27 @@ def test_ode_peak_memory_does_not_grow_with_steps():
     assert peaks[1] < 1.5 * peaks[0]
 
 
+@pytest.mark.parametrize(
+    "n,steps,share", [(2, 2048, 0.15), (3, 1024, 0.4), (3, 1024, 0.15)]
+)
+def test_ode_peak_memory_never_holds_the_top_level(n, steps, share):
+    """phi_ode never stores a per-step trajectory: its peak allocation stays
+    below a share of one top-level trajectory of dense matrices (steps
+    2^(n-1) matrices of dim x dim).  0.4 and 0.15 are the bounds the earlier
+    level-by-level scan was held to; the propagator power keeps only its
+    powers, far below either."""
+    dim = 16
+    family = random_family(np.random.default_rng(17), dim, n)
+    trajectory_bytes = steps * 2 ** (n - 1) * dim * dim * 16
+    tracemalloc.start()
+    try:
+        phi_core.phi_ode(family, 0.5, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < share * trajectory_bytes
+
+
 def test_ode_second_order_convergence():
     rng = np.random.default_rng(7)
     fam = random_family(rng, 4, 2)
