@@ -12,7 +12,7 @@ stack it arrives in.  Every contract on top of it (norm guard, Hermitian
 agreement, semigroup property, agreement with SciPy's ``expm``) is tested in
 this package.  The kernel does not look for structure: a caller with a
 direct sum (the Fermionic lift's decoupled chains, :mod:`opcalc.phi_core`)
-passes its summands one at a time.
+passes only the summand it reads.
 """
 
 from __future__ import annotations

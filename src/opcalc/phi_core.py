@@ -26,12 +26,12 @@ exponentiated with no eigendecomposition, so it cross-checks the other two
 through an independent route.  Its perturbation only moves (slot q, mask S)
 to (slot q+1, S + {j}), so the generator is a permuted direct sum of
 n 2^(n-1) decoupled chains of at most n+1 blocks.  The lift is kept as its
-nonzero dim_H blocks (``build_lift``, theta_hat signs, slot wiring), the
-chains are the weakly connected components of its block pattern, and each
-chain's generator is assembled and exponentiated on its own, so no
-lift-sized array is ever formed.  Every chain is exponentiated, not only
-the one that holds the block that is read: the result is the exponential of
-the paper's whole lift.
+nonzero dim_H blocks (``build_lift``, theta_hat signs, slot wiring), and the
+Fermionic integral reads one block of its exponential, which depends only
+on the chain that holds it (the block-triangular exponential of Van Loan
+1978).  So that one chain, found by walking the block wiring from
+(slot n, empty mask), is assembled and exponentiated, and no lift-sized
+array is ever formed.
 
 Conventions fixed here:
   * lift layout is slot-major: row index ((j-1) * 2^n + S) * dim_H + h for
@@ -193,13 +193,18 @@ def build_lift(family: OperatorFamily) -> FermionicLift:
 
 def phi_fermionic(family: OperatorFamily, t: float) -> PhiResult:
     """Phi_t via the exponential of the enlarged-space generator, one
-    ``linalg.expm`` call per decoupled chain.
+    ``linalg.expm`` call on the one decoupled chain that holds the block
+    that is read.
 
-    A chain's -t (H_lift + P_lift) is the principal submatrix of the dense
-    generator on its blocks, in ascending order: its P_lift blocks scaled by
-    -t, and -t H on each diagonal block.  Each chain's exponential is
-    dropped once its read block, if it holds one, is copied, so the largest
-    array is one chain's, (n+1) dim_H rows at most."""
+    Each theta_hat adds one generator to the mask, so a block feeds at most
+    one block, is fed by at most one, and nothing feeds (slot n, empty
+    mask): the walk from it along ``p_blocks`` is that whole chain, n+1
+    blocks ending at (slot n, full mask).  Its -t (H_lift + P_lift) is
+    the principal submatrix of the dense generator on those blocks, in
+    ascending order: its P_lift blocks scaled by -t, and -t H on each
+    diagonal block.  The other chains do not reach the read block, so they
+    are neither exponentiated nor norm-checked; the largest array is the
+    one chain's, (n+1) dim_H rows."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     n, dim_h = family.n, family.dim
@@ -208,42 +213,21 @@ def phi_fermionic(family: OperatorFamily, t: float) -> PhiResult:
     lift = build_lift(family)
     row = lift.block_index(n, (1 << n) - 1)
     col = lift.block_index(n, 0)
+    feeds = {c: r for r, c in lift.p_blocks}
+    walk = [col]
+    while walk[-1] in feeds:  # (slot n, empty) -> ... -> (slot n, full)
+        walk.append(feeds[walk[-1]])
+    at = {b: k * dim_h for k, b in enumerate(sorted(walk))}
+    gen = np.zeros((len(walk) * dim_h,) * 2, dtype=complex)
+    for c, r in zip(walk, walk[1:]):
+        gen[at[r] : at[r] + dim_h, at[c] : at[c] + dim_h] = lift.p_blocks[r, c]
+    np.multiply(gen, -t, out=gen)
     diag = -t * lift.h
-    pattern = np.zeros((n << n,) * 2, dtype=bool)
-    pattern[tuple(zip(*lift.p_blocks))] = True
-    value = None
-    for chain in _weak_components(pattern):  # ascending blocks of each chain
-        at = {int(b): k * dim_h for k, b in enumerate(chain)}
-        gen = np.zeros((len(chain) * dim_h,) * 2, dtype=complex)
-        for (r, c), block in lift.p_blocks.items():
-            if r in at:  # then c is in the chain too
-                gen[at[r] : at[r] + dim_h, at[c] : at[c] + dim_h] = block
-        np.multiply(gen, -t, out=gen)
-        for k in at.values():
-            gen[k : k + dim_h, k : k + dim_h] = diag
-        big = linalg.expm(gen)
-        if row in at:  # the chain (slot n, empty) -> ... -> (slot n, full)
-            value = (-1.0) ** n * big[at[row] : at[row] + dim_h, at[col] : at[col] + dim_h]
+    for k in at.values():
+        gen[k : k + dim_h, k : k + dim_h] = diag
+    big = linalg.expm(gen)
+    value = (-1.0) ** n * big[at[row] : at[row] + dim_h, at[col] : at[col] + dim_h]
     return PhiResult(value, {"lift_dim": lift.dim})
-
-
-def _weak_components(m: np.ndarray) -> list:
-    """Index arrays of the weakly connected components of the nonzero
-    pattern of a square matrix, each ascending, by smallest index."""
-    adj = m != 0
-    adj = adj | adj.T
-    unseen = np.ones(len(m), dtype=bool)
-    components = []
-    while unseen.any():
-        reach = np.zeros(len(m), dtype=bool)
-        frontier = reach.copy()
-        frontier[np.argmax(unseen)] = True
-        while frontier.any():  # breadth-first: add the neighbours of the frontier
-            reach |= frontier
-            frontier = adj[frontier].any(axis=0) & ~reach
-        unseen &= ~reach
-        components.append(np.flatnonzero(reach))
-    return components
 
 
 def _to_eigenbasis(family: OperatorFamily):

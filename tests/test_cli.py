@@ -44,6 +44,20 @@ def test_phi_all_methods_report(family_config, tmp_path, capsys):
         assert mat["rows"] == mat["cols"] == 2
 
 
+def test_phi_fermionic_over_the_expm_norm_limit_exits_2(tmp_path, capsys):
+    cfg = {
+        "H": matrix_to_json(np.diag([0.0, 2e4]).astype(complex)),
+        "P": [matrix_to_json(np.array([[0, 1], [1, 0]], dtype=complex))] * 2,
+    }
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    args = ["phi", "--config", str(path), "--t", "1", "--method", "fermionic"]
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert "exceeds expm limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_phi_malformed_matrix_exits_2(tmp_path, capsys):
     bad = {"H": {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0], "im": [0.0] * 4}}
     path = tmp_path / "bad.json"

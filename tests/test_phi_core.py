@@ -69,26 +69,35 @@ def test_build_lift_slot_pattern_one_block_per_row_and_column():
     assert occupancy[0, 2] == 1 and occupancy[2, 1] == 1
 
 
-@pytest.mark.parametrize("n, dim", [(4, 8), (3, 4)])
-def test_lift_exponential_runs_one_chain_at_a_time(monkeypatch, n, dim):
+@pytest.mark.parametrize("n, dim", [(4, 8), (3, 4), (1, 4)])
+def test_lift_exponential_runs_only_the_read_chain(monkeypatch, n, dim):
     """P_lift only moves (slot q, mask S) to (slot q+1, S + {j}), so the
-    lift's block wiring splits it into n 2^(n-1) chains of at most n+1
-    blocks, and ``phi_fermionic`` exponentiates each chain on its own."""
-    sizes = []
+    lift's block wiring splits it into n 2^(n-1) chains, and the block that
+    is read lies on one of them, of n+1 blocks: ``phi_fermionic`` makes one
+    Pade call, on that chain alone."""
+    shapes = []
     pade_expm = linalg._pade_expm
 
     def counting_expm(m):
-        sizes.append(m.shape[-1])
+        shapes.append(m.shape)
         return pade_expm(m)
 
     monkeypatch.setattr(linalg, "_pade_expm", counting_expm)
     fam = random_family(np.random.default_rng(20 + n), dim, n)
     got = phi_core.phi_fermionic(fam, 0.7).value
-    assert len(sizes) == n * (1 << (n - 1))
-    assert max(sizes) <= (n + 1) * dim
-    assert sum(sizes) == n * (1 << n) * dim
+    assert shapes == [(1, (n + 1) * dim, (n + 1) * dim)]
     want = phi_core.phi_block(fam.h.matrix, fam.perturbations, 0.7)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_fermionic_norm_guard_applies_to_the_read_chain():
+    """-t H on the read chain's diagonal has norm 2e4, above
+    ``linalg.EXPM_NORM_LIMIT``: the one exponential is refused."""
+    h = linalg.hermitian(np.diag([0.0, 2e4]).astype(complex), require_nonneg=True)
+    p = np.array([[0, 1], [1, 0]], dtype=complex)
+    fam = OperatorFamily(h, (p, 0.5 * p))
+    with pytest.raises(ValueError, match="exceeds expm limit"):
+        phi_core.phi_fermionic(fam, 1.0)
 
 
 @pytest.mark.parametrize("n, dim", [(1, 4), (2, 3), (3, 3), (4, 3)])
@@ -110,11 +119,11 @@ def test_fermionic_chains_match_the_dense_lift_exponential(n, dim):
 
 @pytest.mark.parametrize("n, dim", [(3, 16), (4, 8)])
 def test_fermionic_peak_memory_is_below_half_a_lift_sized_array(n, dim):
-    """P_lift is kept as its nonzero blocks and each chain is assembled and
-    exponentiated on its own, so no lift-sized array is ever allocated: the
-    traced peak is a few chain-sized arrays, 0.39 and 0.09 of one lift-sized
-    array here, where a dense generator and its exponential read 2.34 and
-    2.08."""
+    """P_lift is kept as its nonzero blocks and only the read chain is
+    assembled and exponentiated, so no lift-sized array is ever allocated:
+    the traced peak is a few chain-sized arrays, 0.36 and 0.08 of one
+    lift-sized array here, where a dense generator and its exponential read
+    2.34 and 2.08."""
     family = random_family(np.random.default_rng(5), dim, n)
     lift_bytes = (n * (1 << n) * dim) ** 2 * 16
     tracemalloc.start()
