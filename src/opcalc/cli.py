@@ -22,9 +22,9 @@ from .jsonio import (
     chain_from_json,
     curvature_from_json,
     family_from_json,
-    load_config,
     matrix_to_json,
     point_from_json,
+    read_config,
     torus_model_from_json,
     write_report,
 )
@@ -95,10 +95,12 @@ def _time(value, cfg: dict):
 #
 # Each handler returns (config echo, results, verdicts); selftest also returns
 # its per-criterion seconds.  ``main`` times the call and writes the report.
+# A --config command echoes the file's own text (``read_config``), the others
+# their arguments.
 
 
 def cmd_phi(args):
-    cfg = load_config(args.config)
+    cfg, echo = read_config(args.config)
     fam = family_from_json(cfg)
     t = _time(args.t, cfg)
     nodes = _count(args.nodes, {}, "nodes", 32, "--nodes", minimum=4)
@@ -127,11 +129,11 @@ def cmd_phi(args):
         devs = acceptance.pairwise_relative_deviation(vals)
         results["pairwise_relative_deviation"] = devs
         verdicts["cross_method_1e-6"] = max(devs.values()) <= 1e-6
-    return cfg, results, verdicts
+    return echo, results, verdicts
 
 
 def cmd_jlo(args):
-    cfg = load_config(args.config)
+    cfg, echo = read_config(args.config)
     _, chain = chain_from_json(cfg)
     t_grid = _parse_t_grid(args.t_grid)
     # K = 0 keeps the one mode k = 0
@@ -154,7 +156,7 @@ def cmd_jlo(args):
             ["t", "value_re", "value_im"],
             [(t, v.real, v.imag) for t, v, _ in res.sweep],
         )
-    return cfg, results, verdicts
+    return echo, results, verdicts
 
 
 def cmd_patodi(args):
@@ -181,7 +183,7 @@ def cmd_patodi(args):
 
 
 def cmd_ahat(args):
-    cfg = load_config(args.config)
+    cfg, echo = read_config(args.config)
     d, omega = curvature_from_json(cfg)
     series = clifford.a_hat_series(omega, d)
     results = {
@@ -193,11 +195,11 @@ def cmd_ahat(args):
         "top": series.coefficient((1 << d) - 1),
     }
     verdicts = {"degree0_is_one": series.coefficient(0) == 1.0}
-    return cfg, results, verdicts
+    return echo, results, verdicts
 
 
 def cmd_fk(args):
-    cfg = load_config(args.config)
+    cfg, echo = read_config(args.config)
     model = torus_model_from_json(cfg)
     t = _time(args.t, cfg)
     x = point_from_json(cfg.get("x", [0.0] * model.d), model.d, "config.x")
@@ -216,11 +218,11 @@ def cmd_fk(args):
         "diagnostics": res.diagnostics,
     }
     verdicts = {"within_3_stderr": bool(np.all(z <= 3.0))}
-    return cfg, results, verdicts
+    return echo, results, verdicts
 
 
 def cmd_levy_area(args):
-    cfg = load_config(args.config)
+    cfg, echo = read_config(args.config)
     d, omega = curvature_from_json(cfg)
     if len(omega) != d:
         raise ConfigError("config.omega", f"levy-area needs a {d} x {d} matrix")
@@ -237,11 +239,11 @@ def cmd_levy_area(args):
         "diagnostics": res.diagnostics,
     }
     verdicts = {"within_tolerance": diff <= tol}
-    return cfg, results, verdicts
+    return echo, results, verdicts
 
 
 def cmd_localize(args):
-    cfg = load_config(args.config)
+    cfg, echo = read_config(args.config)
     d, chain = chain_from_json(cfg)
     t_grid = _parse_t_grid(args.t_grid)
     # command-line counts only: the empty config adds no config keys
@@ -269,7 +271,7 @@ def cmd_localize(args):
             ["t", "value_re", "value_im"],
             [(t, v.real, v.imag) for t, v, _ in res.sweep],
         )
-    return cfg, results, verdicts
+    return echo, results, verdicts
 
 
 def cmd_bridge_test(args):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import numpy as np
 
@@ -201,20 +202,47 @@ def point_from_json(obj, d: int, location: str) -> np.ndarray:
     return point
 
 
-def load_config(path: str) -> dict:
-    """The JSON object in the UTF-8 file ``path``."""
+_BLANK_CONTROLS = bytes.maketrans(b"\r\n\t", b"   ")
+_NON_ASCII = re.compile("[^\x00-\x7f]")
+
+
+def _echo_text(data: bytes) -> str:
+    """A config file's JSON text ``data`` on one ASCII line: CR, LF and tab,
+    which strict JSON admits only between tokens, become spaces, the ends are
+    stripped and non-ASCII characters, which it admits only inside strings,
+    become ``\\uXXXX`` escapes (surrogate pairs above U+FFFF).  ``json.loads``
+    of it equals ``json.loads`` of the file."""
+    data = data.translate(_BLANK_CONTROLS).strip(b" ")
+    if data.isascii():
+        return data.decode("ascii")
+    return _NON_ASCII.sub(lambda m: json.dumps(m.group())[1:-1], data.decode("utf-8"))
+
+
+def read_config(path: str) -> tuple[dict, bytes]:
+    """The JSON object in the UTF-8 file ``path`` and the file's bytes, from
+    one read of the file.  A report that is given the bytes as its config
+    echoes what was parsed, even if the file changes later."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise ConfigError(path, "file not found") from None
+    try:
+        # decoded first: ``json.loads`` of bytes would accept a BOM and UTF-16/32
+        obj = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(path, f"not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected a JSON object")
-    return obj
+    return obj, data
+
+
+def load_config(path: str) -> dict:
+    """The JSON object in the UTF-8 file ``path``, as :func:`read_config`
+    parses it, for callers that echo no config."""
+    return read_config(path)[0]
 
 
 def _json_default(o):
@@ -233,7 +261,8 @@ def _json_default(o):
 def canonical_json(obj) -> str:
     """The canonical JSON text of ``obj``: sorted keys, the default
     separators, ``_json_default`` for the values reports carry, ASCII only,
-    and no indent, so ``json`` runs its C encoder."""
+    and no indent, so ``json`` runs its C encoder.  Reports write every field
+    this way except a config file's echo."""
     return json.dumps(obj, sort_keys=True, default=_json_default)
 
 
@@ -257,11 +286,17 @@ def write_report(fields: dict, path: str | None) -> str:
     """The report of ``fields`` with its ``results_digest``, as one line of
     JSON, written to ``path`` when given.
 
-    Each field is encoded once, by :func:`canonical_json`; the digest is
-    :func:`digest_of` {"results": ..., "verdicts": ...}, taken from those
-    two fields' texts.
+    Each field is encoded once: ``bytes`` (a config file as
+    :func:`read_config` returns it) as the file's own JSON text on one line
+    (:func:`_echo_text`, keys in the file's order), every other value by
+    :func:`canonical_json`.  The fields follow in sorted key order.  The
+    digest is :func:`digest_of` {"results": ..., "verdicts": ...}, taken
+    from those two fields' texts, so the config echo never enters it.
     """
-    texts = {key: canonical_json(value) for key, value in fields.items()}
+    texts = {
+        key: _echo_text(value) if isinstance(value, bytes) else canonical_json(value)
+        for key, value in fields.items()
+    }
     digest = _digest({key: texts[key] for key in ("results", "verdicts")})
     texts["results_digest"] = json.dumps(digest)
     text = _object_text(texts)

@@ -77,12 +77,44 @@ def test_phi_invalid_json_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("content, message", [
     (b"[1, 2]", "expected a JSON object"),
     (b'{"H": "\xff"}', "not UTF-8"),
+    (b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM"),
+    ("{}".encode("utf-16"), "not UTF-8"),
 ])
 def test_config_must_be_a_utf8_json_object(tmp_path, capsys, content, message):
     path = tmp_path / "config.json"
     path.write_bytes(content)
     assert run_cli(["phi", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_config_is_read_once(family_config, tmp_path, monkeypatch):
+    """The report echoes the config as it was parsed, even when the file
+    changes while the command runs."""
+    parsed = json.loads(Path(family_config).read_text())
+    fermionic = cli.phi_core.phi_fermionic
+
+    def rewrite_then_evaluate(fam, t):
+        Path(family_config).write_text(json.dumps({"H": parsed["H"], "note": "rewritten"}))
+        return fermionic(fam, t)
+
+    monkeypatch.setattr(cli.phi_core, "phi_fermionic", rewrite_then_evaluate)
+    out = tmp_path / "report.json"
+    assert run_cli(["phi", "--config", family_config, "--method", "fermionic",
+                    "--out", str(out)]) == 0
+    assert json.loads(Path(family_config).read_text())["note"] == "rewritten"
+    assert json.loads(out.read_text())["config"] == parsed
+
+
+def test_config_echo_keeps_the_file_spelling(tmp_path):
+    """The report's config is the file's own JSON text on one line: its
+    number spellings and key order, not a re-encoding of the parsed values."""
+    path = tmp_path / "family.json"
+    matrix = '{"rows": 1, "cols": 1, "re": [1.30], "im": [0]}'
+    path.write_text(f'{{"t": 5.0e-1,\n\t"H": {matrix},\r\n"P": [{matrix}]}}\n')
+    out = tmp_path / "report.json"
+    assert run_cli(["phi", "--config", str(path), "--out", str(out)]) == 0
+    echo = f'"config": {{"t": 5.0e-1,  "H": {matrix},  "P": [{matrix}]}}'
+    assert echo in out.read_text()
 
 
 def test_jlo_subcommand_sweep(tmp_path, capsys):
@@ -380,7 +412,8 @@ def test_results_digest_is_recomputable_from_the_report(family_config, tmp_path)
     """results_digest is the SHA-256 of the report's results and verdicts as
     written, so a reader recomputes it from the file alone, by the rule
     docs/formats.md gives.  A --config command echoes the config file's JSON
-    value, and a report is ASCII even when its config is not."""
+    value, and a report is one ASCII line even when its config spans lines,
+    uses tabs and CRLF or holds characters outside ASCII and the BMP."""
     chain = tmp_path / "chain.json"
     # an indented UTF-8 file with a key no schema reads
     chain.write_text(json.dumps({**LOCALIZE_CHAIN_CONFIG, "note": "\u03a6_t"}, indent=2,
@@ -391,8 +424,15 @@ def test_results_digest_is_recomputable_from_the_report(family_config, tmp_path)
     fk.write_text(json.dumps(FK_COUNTS_CONFIG))
     omega = tmp_path / "omega.json"
     omega.write_text(json.dumps({k: LEVY_COUNTS_CONFIG[k] for k in ("d", "omega")}) + "\n\n")
+    # CRLF line endings, tab indentation and an astral-plane note key
+    family = tmp_path / "family_crlf.json"
+    family_text = json.dumps({**json.loads(Path(family_config).read_text()),
+                              "note \U0001d6f7": "\u03a6_t \U0001d6f7"},
+                             indent="\t", ensure_ascii=False)
+    family.write_bytes(family_text.replace("\n", "\r\n").encode("utf-8") + b"\r\n")
     runs = [
         ["phi", "--config", family_config],
+        ["phi", "--config", str(family), "--method", "ode", "--steps", "64"],
         ["localize", "--config", str(chain), "--paths", "64", "--steps", "8"],
         ["jlo", "--config", str(chain), "--truncation", "2"],
         ["levy-area", "--config", str(levy)],
@@ -405,7 +445,9 @@ def test_results_digest_is_recomputable_from_the_report(family_config, tmp_path)
     for argv in runs:
         out = tmp_path / "report.json"
         assert run_cli(argv + ["--out", str(out)]) in (0, 1)
-        assert out.read_bytes().isascii(), argv[0]
+        written = out.read_bytes()
+        assert written.isascii() and written.count(b"\n") == 1, argv[0]
+        assert written.endswith(b"\n"), argv[0]
         report = json.loads(out.read_text(encoding="utf-8"))
         payload = {"results": report["results"], "verdicts": report["verdicts"]}
         assert acceptance.digest_of(payload) == report["results_digest"], argv[0]
