@@ -20,7 +20,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .grassmann import MultiVector, berezin
+from .grassmann import MultiVector, berezin, exp_even
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -310,8 +310,6 @@ def a_hat_series(omega, d: int) -> MultiVector:
         sign = -sign
 
     half_tr = log_x.trace() * 0.5
-    from .grassmann import exp_even
-
     return exp_even(half_tr)
 
 

@@ -248,15 +248,16 @@ def phi_quadrature(family: OperatorFamily, t: float, nodes_per_dim: int = 32) ->
     ``np.einsum`` contraction over the node axis, whose accumulation order
     is numpy's (not pairwise summation).  The result returns to the original
     basis once, as U K_n(t) U*.  The integrand is smooth in finite
-    dimension, so no endpoint singularities arise.
+    dimension, so no endpoint singularities arise.  With no perturbation
+    (n = 0) the integral is e^{-tH} itself.
     """
     if t <= 0:
         raise ValueError("quadrature requires t > 0")
-    if family.n < 1:
-        raise ValueError("quadrature requires n >= 1")
     if nodes_per_dim < 4:
         raise ValueError("need at least 4 nodes per dimension")
     n, dim = family.n, family.dim
+    if n == 0:
+        return PhiResult(herm_exp(family.h, t), {"nodes_per_dim": nodes_per_dim, "total_nodes": 1})
     lam, u, ps = _to_eigenbasis(family)
     x0, w0 = np.polynomial.legendre.leggauss(nodes_per_dim)
 

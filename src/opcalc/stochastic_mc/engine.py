@@ -9,8 +9,9 @@ and the chunks' means and centred second moments are merged in chunk order
 (``_merge_moments``), so every estimate is bitwise independent of the worker
 count.  Its callers are the FK estimator (stream 0, or a localization
 check's partition index), the moment probe (the grid time's index), the
-Levy area (stream 0) and ``phi_core.simplex_constant_mc``.  Bridge
-increments come step by step from ``bridge._bridge_steps``.
+Levy area (stream 0) and ``phi_core.simplex_constant_mc``.  The stepper
+``_step_rows`` takes the lifted endpoints z and an increment stream, here
+``bridge._bridge_steps``.
 
 Path functionals.  The kernel estimate is p(t,x,y) E[I_n(t) G(t)], where G
 is the dressed transport and I_m the iterated Ito integrals of the
@@ -41,7 +42,7 @@ increments telescope to z - x, so the loop steps with M'_k alone and every
 Y_m is multiplied once, after the loop, by the per-path phase
 exp(sum_j a_j (z_j - x_j)).
 
-Step factor.  Each step multiplies every row by one right factor E M'_k,
+Step factor.  Each step multiplies the rows by one right factor E M'_k,
 E = expm(-h W), built by ``_step_generator``.  For r = 2 the traceless
 planes are projected once to exactly skew-Hermitian and kept as three real
 coordinate rows (Im a00, Re a01, Im a01) of shape (3, d); a step's
@@ -55,19 +56,21 @@ r >= 3 exponentiates the generator with the per-matrix Pade kernel
 ``linalg._pade_expm`` and multiplies by E.  Either way a path's factor does
 not depend on the other paths of the stack.
 
-Plane layout.  Inside the step loop every per-path stack (the rows Y_m and
+Plane layout.  Inside the step loop every per-path stack (a row Y_m and
 the step factors) is a C-contiguous (r, r, P) complex array: entry (i, j)
-of all P paths is one contiguous plane.  A product of two stacks is r
-broadcast multiply-adds of (r, 1, P) by (1, r, P) planes (``_plane_mul``),
-and the constant factors E and hV enter as (r, r, 1) arrays that broadcast
-over the paths.  A step multiplies every row by its factor E M'_k, one
-product per row.  A linear combination sum_q C_q c_q of constant (r, r)
+of all P paths is one contiguous plane, and the rows Y_0..Y_n are one
+(n+1, r, r, P) stack.  A product is r broadcast multiply-adds of (..., r,
+1, P) by (1, r, P) planes (``_plane_mul``); constant factors E and hV are
+(r, r, 1) arrays.  A step adds Y_{m-1} local_m into Y_m for m = n..1, then
+multiplies the whole stack by E M'_k in one product that broadcasts over
+the row axis.  A linear combination sum_q C_q c_q of constant (r, r)
 planes with per-path real rows c_q (the generators sum_j S^j dB^j and
 sum_j A'_j dB^j, and the r = 2 factor) is one real matmul of the (P, q)
 rows by an (r r, q, 2) real table of the planes, written through the float
-view of the complex output (``_combine``).  Products write into buffers
-allocated once per call.  ``FunctionalState`` exposes the final planes as
-(P, r, r) views.
+view of the complex output (``_combine``).  The stack product writes into
+a spare stack with a scratch stack, allocated once per call; the products
+Y_{m-1} local_m borrow their planes.  ``FunctionalState`` exposes rows 0
+and n of the final stack as (P, r, r) views.
 """
 
 from __future__ import annotations
@@ -85,20 +88,16 @@ from .model import TWO_PI, TorusModel, heat_kernel
 CHUNK_SIZE = 16384
 
 
-def _plane_mul(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
-    """``a b`` for plane stacks of shape (r, r, P); returns ``out``.
+def _plane_mul(a: np.ndarray, b: np.ndarray, out, tmp) -> np.ndarray:
+    """``a b`` for plane stacks of shape (..., r, r, P); returns ``out``.
 
     An r-term sum of broadcast products of contiguous (P,) planes; a factor
-    of shape (r, r, 1) is constant over the paths.  ``out`` and ``tmp`` are
-    (r, r, P) buffers that must not overlap ``a`` or ``b``.
+    of shape (r, r, 1) is constant over the paths, and leading axes
+    broadcast.  ``tmp`` has the shape of ``out``; neither overlaps a or b.
     """
-    if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    np.multiply(a[:, :1], b[:1], out=out)
-    if tmp is None:
-        tmp = np.empty_like(out)
-    for k in range(1, a.shape[0]):
-        np.multiply(a[:, k:k + 1], b[k:k + 1], out=tmp)
+    np.multiply(a[..., :1, :], b[..., :1, :, :], out=out)
+    for k in range(1, a.shape[-2]):
+        np.multiply(a[..., k:k + 1, :], b[..., k:k + 1, :, :], out=tmp)
         out += tmp
     return out
 
@@ -207,9 +206,9 @@ class FunctionalState:
 
     ``full_transport`` is the dressed transport G(t) and ``row`` the
     enlarged-space row Y_n(t) = I_n(t) G(t) of the model's order n (G(t)
-    itself for n = 0).  Each array is a (P, r, r) view of the engine's
-    (r, r, P) planes.  ``dressed`` is False when G(t) is the identity on
-    every path (no connection, no potential), so that Y_n = I_n.
+    itself for n = 0).  Each array is a (P, r, r) view of one row of the
+    engine's (n+1, r, r, P) stack.  ``dressed`` is False when G(t) is the
+    identity on every path (no connection, no potential), so that Y_n = I_n.
     """
 
     full_transport: np.ndarray  # (P, r, r)
@@ -351,28 +350,14 @@ def _step_generator(model: TorusModel, h: float, n_paths: int):
     return traces, step
 
 
-def simulate_functionals(
-    model: TorusModel,
-    x,
-    y,
-    t: float,
-    steps: int,
-    rng: np.random.Generator,
-    n_paths: int,
-) -> FunctionalState:
-    """Run the per-step row updates Y_0 = G, Y_m = I_m G (m = 1..n) for a
-    batch of bridges; returns G(t) and Y_n(t).
-
-    Increments are generated step by step; paths are never stored.
+def _step_rows(model: TorusModel, x, z, h: float, increments) -> FunctionalState:
+    """Step the rows Y_0 = G, Y_m = I_m G (m = 1..n) as one (n+1, r, r, P)
+    stack over ``increments``, one (d, P) array per step of length ``h`` of
+    bridges from the d-vector ``x`` to the (d, P) endpoints ``z``; returns
+    G(t) and Y_n(t).  Each increment is read during its own step only.
     """
-    d, r, n = model.d, model.r, model.n
-    h = t / steps
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    windings = sample_winding(rng, d, x, y, t, n_paths)
-    z = np.ascontiguousarray((y + TWO_PI * windings).T)  # (d, P)
-
+    r, n = model.r, model.n
+    n_paths = z.shape[1]
     traces, step = _step_generator(model, h, n_paths)
     s_tables = [_real_table(_planes(spec.first_order)) if np.any(spec.first_order) else None
                 for spec in model.perturbations]
@@ -381,43 +366,50 @@ def simulate_functionals(
     # without a connection or a potential Y_0 = G stays the identity
     dressed = step is not None
 
-    shape = (r, r, n_paths)
-    rows = [np.zeros(shape, dtype=complex) for _ in range(n + 1)]
+    stack = np.zeros((n + 1, r, r, n_paths), dtype=complex)
     for i in range(r):
-        rows[0][i, i] = 1.0
-    tmp, spare, prod, local_buf = (np.empty(shape, dtype=complex) for _ in range(4))
+        stack[0, i, i] = 1.0
+    # the stack product writes into ``spare`` with scratch ``tmp``; before
+    # it, local_m borrows spare[0] and its product with Y_{m-1} tmp[:2]
+    if dressed:
+        spare, tmp = np.empty_like(stack), np.empty_like(stack)
+    else:
+        spare, tmp = (np.empty((k, r, r, n_paths), dtype=complex) for k in (1, 2))
 
-    for _, db in _bridge_steps(rng, x, z, t, steps):
-        # the right factor E M_k of this step (None when it is the identity)
-        em = None if step is None else step(db)
+    for db in increments:
         for i in range(n, 0, -1):
             if s_tables[i - 1] is not None:
-                local = _combine(s_tables[i - 1], db, local_buf)
+                local = _combine(s_tables[i - 1], db, spare[0])
                 if hv[i - 1] is not None:
                     local += hv[i - 1]
             else:
                 local = hv[i - 1]  # None: a zero increment
             if local is not None:
                 if i == 1 and not dressed:  # Y_0 = I
-                    rows[1] += local
+                    stack[1] += local
                 else:
-                    rows[i] += _plane_mul(rows[i - 1], local, prod, tmp)
-            if em is not None:
-                rows[i], spare = _plane_mul(rows[i], em, spare, tmp), rows[i]
-        if em is not None:
-            rows[0], spare = _plane_mul(rows[0], em, spare, tmp), rows[0]
+                    stack[i] += _plane_mul(stack[i - 1], local, *tmp[:2])
+        if dressed:  # the right factor E M'_k of this step, on every row
+            stack, spare = _plane_mul(stack, step(db), spare, tmp), stack
 
     if traces.any():
-        phase = np.exp(traces @ (z - x[:, None]))  # the per-path phase
-        rows[0] *= phase
-        if n:
-            rows[n] *= phase
+        stack *= np.exp(traces @ (z - x[:, None]))  # the per-path phase
 
-    return FunctionalState(
-        np.moveaxis(rows[0], -1, 0),
-        np.moveaxis(rows[n], -1, 0),
-        dressed or bool(traces.any()),
-    )
+    return FunctionalState(np.moveaxis(stack[0], -1, 0), np.moveaxis(stack[n], -1, 0),
+                           dressed or bool(traces.any()))
+
+
+def simulate_functionals(model: TorusModel, x, y, t: float, steps: int,
+                         rng: np.random.Generator, n_paths: int) -> FunctionalState:
+    """``_step_rows`` along a batch of torus bridges from x to y: the
+    windings are drawn first, then the increments step by step from
+    ``bridge._bridge_steps``; paths are never stored."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    windings = sample_winding(rng, model.d, x, y, t, n_paths)
+    z = np.ascontiguousarray((y + TWO_PI * windings).T)  # (d, P)
+    increments = (db for _, db in _bridge_steps(rng, x, z, t, steps))
+    return _step_rows(model, x, z, t / steps, increments)
 
 
 @dataclass(frozen=True)

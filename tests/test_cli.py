@@ -10,7 +10,7 @@ import pytest
 
 import opcalc
 from opcalc import acceptance, cli
-from opcalc.jsonio import matrix_to_json, write_report
+from opcalc.jsonio import matrix_from_json, matrix_to_json, write_report
 
 
 @pytest.fixture()
@@ -42,6 +42,21 @@ def test_phi_all_methods_report(family_config, tmp_path, capsys):
     for method in ("fermionic", "quadrature", "ode"):
         mat = report["results"][method]["value"]
         assert mat["rows"] == mat["cols"] == 2
+
+
+def test_phi_without_perturbations_runs_every_method(tmp_path):
+    """With no P the default --method all runs, and every evaluator
+    returns e^{-tH}."""
+    path = tmp_path / "h_only.json"
+    path.write_text(json.dumps(PHI_FAMILY_CONFIG))
+    out = tmp_path / "report.json"
+    assert run_cli(["phi", "--config", str(path), "--t", "0.5", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verdicts"]["cross_method_1e-6"] is True
+    expect = np.diag(np.exp(-0.5 * np.array([0.0, 1.3])))
+    for method in ("fermionic", "quadrature", "ode"):
+        value = matrix_from_json(report["results"][method]["value"])
+        assert np.abs(value - expect).max() < 1e-12
 
 
 def test_phi_fermionic_over_the_expm_norm_limit_exits_2(tmp_path, capsys):

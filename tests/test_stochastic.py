@@ -540,14 +540,10 @@ def test_transport_commuting_closed_form():
     model = TorusModel(2, 2, tuple(k * s for k in kappa))
     x, y, t = np.zeros(2), np.array([1.0, 2.0]), 0.4
 
-    # reimplement the stepper coarsely and compare with exp(s . kappa . (B_t - B_0))
-    rng1 = _chunk_rng(12, 0)
-    state = simulate_functionals(model, x, y, t, 4096, rng1, 256)
-    # reproduce the same increments to learn each path's endpoint lift
-    rng2 = _chunk_rng(12, 0)
-    windings, pos = sample_bridge_batch(rng2, 2, x, y, t, 4096, 256)
-    lifts = pos[:, -1, :] - pos[:, 0, :]
-    import scipy.linalg
+    # compare with exp(s . kappa . (B_t - B_0)), B_t - B_0 = z - x the endpoint lift
+    _, z, increments = chunk_bridges(x, y, t, 4096, 12, 256)
+    state = engine._step_rows(model, x, z, t / 4096, increments)
+    lifts = (z - x[:, None]).T
 
     worst = 0.0
     for i in range(256):
@@ -575,14 +571,27 @@ def test_w_functional_scalar_exact():
     assert np.allclose(state.full_transport, np.exp(-w * 0.7) * np.eye(2), atol=1e-12)
 
 
+def chunk_bridges(x, y, t, steps, seed, paths):
+    """The windings (P, d), lifted endpoints z (d, P) and increment stream
+    of ``paths`` torus bridges from x to y drawn from ``_chunk_rng(seed,
+    0)``; the stream yields (d, P) arrays that its next step overwrites."""
+    rng = _chunk_rng(seed, 0)
+    windings = sample_winding(rng, len(x), x, y, t, paths)
+    z = np.ascontiguousarray((y + TWO_PI * windings).T)
+    return windings, z, (db for _, db in _bridge_steps(rng, x, z, t, steps))
+
+
 def first_two_orders(model, x, y, t, steps, seed, paths):
     """The states of the order-1 truncation of ``model`` and of ``model``
-    itself on the same paths: the windings and bridge draws do not depend on
-    the model, so fresh copies of one chunk stream drive both."""
-    return tuple(
-        simulate_functionals(m, x, y, t, steps, _chunk_rng(seed, 0), paths)
+    itself, stepped on the same recorded bridges of ``chunk_bridges``, with
+    those bridges' endpoints z and list of increments."""
+    _, z, stream = chunk_bridges(x, y, t, steps, seed, paths)
+    increments = [db.copy() for db in stream]
+    states = tuple(
+        engine._step_rows(m, x, z, t / steps, increments)
         for m in (model.with_perturbations(model.perturbations[:1]), model)
     )
+    return states, z, increments
 
 
 def test_psi_deterministic_zeroth_order():
@@ -599,7 +608,7 @@ def test_psi_deterministic_zeroth_order():
         ),
     )
     t, steps = 0.8, 512
-    s1, s2 = first_two_orders(model, np.zeros(1), np.zeros(1), t, steps, 15, 8)
+    (s1, s2), *_ = first_two_orders(model, np.zeros(1), np.zeros(1), t, steps, 15, 8)
     assert np.allclose(s1.iterated(), v1 * t, atol=1e-12)
     # left-endpoint Riemann sum of int_0^t s ds = t^2/2 with error t^2/(2 steps)
     expect = v1 @ v2 * t**2 / 2
@@ -621,17 +630,13 @@ def test_psi_gaussian_law_first_order():
         ),
     )
     t, steps, paths = 0.6, 16, 200000
-    rng = _chunk_rng(16, 0)
     x = np.zeros(2)
-    state = simulate_functionals(model, x, x, t, steps, rng, paths)
+    w, z, increments = chunk_bridges(x, x, t, steps, 16, paths)
+    state = engine._step_rows(model, x, z, t / steps, increments)
     vals = state.iterated()[:, 0, 0].real
     # B_t - B_0 = 2 pi w with the winding class w, so Psi = sum_j s_j 2 pi w_j
     assert abs(vals.mean()) < 0.02
     # variance: sum_j s_j^2 * Var(2 pi w_j); compare against the empirical winding law
-    rng2 = _chunk_rng(16, 0)
-    from opcalc.stochastic_mc import sample_winding
-
-    w = sample_winding(rng2, 2, x, x, t, paths)
     expect_var = sum(
         c**2 * np.var(TWO_PI * w[:, j]) for j, c in enumerate(s_coeffs)
     )
@@ -650,14 +655,11 @@ def test_iterated_ito_quadratic_variation_identity():
     )
     t, steps, paths = 0.5, 256, 4096
     x = np.zeros(1)
-    s1, s2 = first_two_orders(model, x, x, t, steps, 17, paths)
+    (s1, s2), _, increments = first_two_orders(model, x, x, t, steps, 17, paths)
     psi = s1.iterated()[:, 0, 0]
     i2 = s2.iterated()[:, 0, 0]
-    # reconstruct the quadratic variation from the same increments
-    rng2 = _chunk_rng(17, 0)
-    _, pos = sample_bridge_batch(rng2, 1, x, x, t, steps, paths)
-    inc = np.diff(pos[:, :, 0], axis=1)
-    qv = np.sum(inc**2, axis=1)
+    # the quadratic variation of the same increments
+    qv = np.sum(np.square(increments)[:, 0], axis=0)
     assert np.abs(2 * i2 - (psi**2 - qv)).max() < 1e-10
 
 
@@ -691,7 +693,7 @@ def test_generic_plane_code_reproduces_the_2x2_fast_path():
         ),
     )
     x, y, t = np.array([0.3, 1.9]), np.array([2.2, 0.4]), 0.6
-    states2, states3 = (first_two_orders(m, x, y, t, 32, 18, 64) for m in (model2, model3))
+    states2, states3 = (first_two_orders(m, x, y, t, 32, 18, 64)[0] for m in (model2, model3))
     for s2, s3 in zip(states2, states3):  # orders 1 and 2
         assert np.abs(s2.full_transport - s3.full_transport[:, :2, :2]).max() < 1e-12
         assert np.abs(s2.row - s3.row[:, :2, :2]).max() < 1e-12
@@ -712,15 +714,13 @@ def test_engine_matches_a_per_step_expm_reference_stepper():
     )
     model = TorusModel(2, 2, a, w, perts)
     x, y, t, steps, paths = np.array([0.3, 1.9]), np.array([2.2, 0.4]), 0.6, 24, 12
-    s1, s2 = first_two_orders(model, x, y, t, steps, 21, paths)
+    (s1, s2), _, increments = first_two_orders(model, x, y, t, steps, 21, paths)
 
-    rng = _chunk_rng(21, 0)
-    z = (y + TWO_PI * sample_winding(rng, 2, x, y, t, paths)).T
     h = t / steps
     e_w = scipy.linalg.expm(-h * w)
     g = np.repeat(np.eye(2, dtype=complex)[None], paths, axis=0)
     i1, i2 = np.zeros_like(g), np.zeros_like(g)
-    for _, db in _bridge_steps(rng, x, z, t, steps):
+    for db in increments:
         for p in range(paths):
             g_inv = np.linalg.inv(g[p])
             dpsi1, dpsi2 = (
@@ -750,12 +750,12 @@ def test_simulate_reproducible_streams():
     assert np.array_equal(a.full_transport, b.full_transport)
 
 
-@pytest.mark.parametrize("n, per_step", [(0, 1), (1, 3)])
+@pytest.mark.parametrize("n, per_step", [(0, 1), (1, 2)])
 def test_step_loop_plane_products(monkeypatch, n, per_step):
     """On the criterion-9 model (r = 2, A and W both non-zero) the step
     factor E M'_k comes out of one real contraction, so a step makes one
-    plane product per row Y_m for it, plus one for each Y_{m-1} local_m;
-    nothing else is multiplied."""
+    plane product for it, on the whole stack of rows Y_0..Y_n, plus one for
+    each Y_{m-1} local_m; nothing else is multiplied."""
     model = acceptance_fk_model()
     if n == 0:
         model = model.with_perturbations(())
@@ -1110,6 +1110,27 @@ def test_levy_d4_chunk_working_set():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("n, bound_mib", [(0, 6.7), (1, 9.7)])
+def test_fk_chunk_working_set(n, bound_mib):
+    """One chunk of 16384 paths on the criterion-9 model (r = 2, d = 2)
+    holds the (n+1)-row stack, the spare stack its step product writes and
+    that product's scratch; local_m and its product with Y_{m-1} borrow
+    rows of the last two.  The traced peak stays under 6.7 MiB at n = 0 and
+    9.7 MiB at n = 1, where separate rows with four (r, r, P) buffers took
+    8.68 and 9.68 MiB."""
+    model = acceptance_fk_model()
+    if n == 0:
+        model = model.with_perturbations(())
+    simulate_functionals(model, FK_X, FK_Y, FK_T, 8, _chunk_rng(0, 0), 16)  # caches
+    tracemalloc.start()
+    try:
+        simulate_functionals(model, FK_X, FK_Y, FK_T, 16, _chunk_rng(1, 0), CHUNK_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 @pytest.mark.parametrize("paths, steps", [(0, 8), (-5, 8), (8, 0), (8, -1)])
