@@ -370,16 +370,17 @@ def _step_rows(model: TorusModel, x, z, h: float, increments) -> FunctionalState
     for i in range(r):
         stack[0, i, i] = 1.0
     # the stack product writes into ``spare`` with scratch ``tmp``; before
-    # it, local_m borrows spare[0] and its product with Y_{m-1} tmp[:2]
+    # it, the products Y_{m-1} local_m borrow three of their planes
     if dressed:
-        spare, tmp = np.empty_like(stack), np.empty_like(stack)
+        spare, tmp = np.empty((2,) + stack.shape, dtype=complex)
     else:
-        spare, tmp = (np.empty((k, r, r, n_paths), dtype=complex) for k in (1, 2))
+        spare, tmp = (), np.empty((3, r, r, n_paths), dtype=complex)
 
     for db in increments:
         for i in range(n, 0, -1):
+            local_buf, prod, scratch = (*spare, *tmp)[:3]
             if s_tables[i - 1] is not None:
-                local = _combine(s_tables[i - 1], db, spare[0])
+                local = _combine(s_tables[i - 1], db, local_buf)
                 if hv[i - 1] is not None:
                     local += hv[i - 1]
             else:
@@ -388,7 +389,7 @@ def _step_rows(model: TorusModel, x, z, h: float, increments) -> FunctionalState
                 if i == 1 and not dressed:  # Y_0 = I
                     stack[1] += local
                 else:
-                    stack[i] += _plane_mul(stack[i - 1], local, *tmp[:2])
+                    stack[i] += _plane_mul(stack[i - 1], local, prod, scratch)
         if dressed:  # the right factor E M'_k of this step, on every row
             stack, spare = _plane_mul(stack, step(db), spare, tmp), stack
 

@@ -583,15 +583,13 @@ def chunk_bridges(x, y, t, steps, seed, paths):
 
 def first_two_orders(model, x, y, t, steps, seed, paths):
     """The states of the order-1 truncation of ``model`` and of ``model``
-    itself, stepped on the same recorded bridges of ``chunk_bridges``, with
-    those bridges' endpoints z and list of increments."""
+    itself, stepped on the same bridges of ``chunk_bridges``, and the list
+    of those bridges' increments."""
     _, z, stream = chunk_bridges(x, y, t, steps, seed, paths)
     increments = [db.copy() for db in stream]
-    states = tuple(
-        engine._step_rows(m, x, z, t / steps, increments)
-        for m in (model.with_perturbations(model.perturbations[:1]), model)
-    )
-    return states, z, increments
+    s1, s2 = (engine._step_rows(m, x, z, t / steps, increments)
+              for m in (model.with_perturbations(model.perturbations[:1]), model))
+    return s1, s2, increments
 
 
 def test_psi_deterministic_zeroth_order():
@@ -608,7 +606,7 @@ def test_psi_deterministic_zeroth_order():
         ),
     )
     t, steps = 0.8, 512
-    (s1, s2), *_ = first_two_orders(model, np.zeros(1), np.zeros(1), t, steps, 15, 8)
+    s1, s2, _ = first_two_orders(model, np.zeros(1), np.zeros(1), t, steps, 15, 8)
     assert np.allclose(s1.iterated(), v1 * t, atol=1e-12)
     # left-endpoint Riemann sum of int_0^t s ds = t^2/2 with error t^2/(2 steps)
     expect = v1 @ v2 * t**2 / 2
@@ -655,7 +653,7 @@ def test_iterated_ito_quadratic_variation_identity():
     )
     t, steps, paths = 0.5, 256, 4096
     x = np.zeros(1)
-    (s1, s2), _, increments = first_two_orders(model, x, x, t, steps, 17, paths)
+    s1, s2, increments = first_two_orders(model, x, x, t, steps, 17, paths)
     psi = s1.iterated()[:, 0, 0]
     i2 = s2.iterated()[:, 0, 0]
     # the quadratic variation of the same increments
@@ -693,7 +691,7 @@ def test_generic_plane_code_reproduces_the_2x2_fast_path():
         ),
     )
     x, y, t = np.array([0.3, 1.9]), np.array([2.2, 0.4]), 0.6
-    states2, states3 = (first_two_orders(m, x, y, t, 32, 18, 64)[0] for m in (model2, model3))
+    states2, states3 = (first_two_orders(m, x, y, t, 32, 18, 64)[:2] for m in (model2, model3))
     for s2, s3 in zip(states2, states3):  # orders 1 and 2
         assert np.abs(s2.full_transport - s3.full_transport[:, :2, :2]).max() < 1e-12
         assert np.abs(s2.row - s3.row[:, :2, :2]).max() < 1e-12
@@ -714,7 +712,7 @@ def test_engine_matches_a_per_step_expm_reference_stepper():
     )
     model = TorusModel(2, 2, a, w, perts)
     x, y, t, steps, paths = np.array([0.3, 1.9]), np.array([2.2, 0.4]), 0.6, 24, 12
-    (s1, s2), _, increments = first_two_orders(model, x, y, t, steps, 21, paths)
+    s1, s2, increments = first_two_orders(model, x, y, t, steps, 21, paths)
 
     h = t / steps
     e_w = scipy.linalg.expm(-h * w)
