@@ -165,28 +165,14 @@ def alpha_of(a: np.ndarray, d: int) -> MultiVector:
     return MultiVector(d, coeffs)
 
 
-@dataclass(frozen=True)
-class PatodiWord:
-    """Word of spin-representation factors T(A_1)...T(A_k)."""
-
-    factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "factors", tuple(_check_antisymmetric(a) for a in self.factors)
-        )
-
-    @property
-    def order(self) -> int:
-        return len(self.factors)
-
-
-def patodi_vanishing(rep: SpinorRep, word: PatodiWord) -> float:
-    """|Str| of a word of at most l-1 factors; vanishes identically."""
-    if word.order > rep.l - 1:
+def patodi_vanishing(rep: SpinorRep, factors) -> float:
+    """|Str(T(A_1)...T(A_k))| for a word of at most l-1 antisymmetric
+    factors; vanishes identically."""
+    factors = tuple(factors)
+    if len(factors) > rep.l - 1:
         raise ValueError("word order exceeds l-1; use patodi_top_identity")
     prod = np.eye(rep.dim, dtype=complex)
-    for a in word.factors:
+    for a in factors:
         prod = prod @ t_of(rep, a)
     return abs(supertrace(rep, prod))
 
@@ -211,54 +197,6 @@ def patodi_top_identity(rep: SpinorRep, factors):
     return lhs, rhs, abs(lhs - rhs)
 
 
-class FormMatrix:
-    """Small matrix with multivector entries, for curvature power series."""
-
-    def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        self.size = len(self.entries)
-        self.n = self.entries[0][0].n
-
-    @staticmethod
-    def identity(size: int, n: int) -> "FormMatrix":
-        one = MultiVector.one(n)
-        zero = MultiVector.zero(n)
-        return FormMatrix(
-            [[one if i == j else zero for j in range(size)] for i in range(size)]
-        )
-
-    def __matmul__(self, other: "FormMatrix") -> "FormMatrix":
-        out = []
-        for i in range(self.size):
-            row = []
-            for j in range(self.size):
-                acc = MultiVector.zero(self.n)
-                for k in range(self.size):
-                    acc = acc + self.entries[i][k].wedge(other.entries[k][j])
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(out)
-
-    def __add__(self, other: "FormMatrix") -> "FormMatrix":
-        return FormMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.size)]
-                for i in range(self.size)
-            ]
-        )
-
-    def scale(self, c: complex) -> "FormMatrix":
-        return FormMatrix(
-            [[e * c for e in row] for row in self.entries]
-        )
-
-    def trace(self) -> MultiVector:
-        acc = MultiVector.zero(self.n)
-        for i in range(self.size):
-            acc = acc + self.entries[i][i]
-        return acc
-
-
 def curvature_defect(entries):
     """The first entry (i, j, reason), row by row, at which the matrix
     ``entries`` of multivectors is not square, not antisymmetric or not made
@@ -281,36 +219,36 @@ def a_hat_series(omega, d: int) -> MultiVector:
     """det^(1/2)((Omega/2) / sinh(Omega/2)) as a finite even power series.
 
     ``omega`` is a d x d antisymmetric matrix whose entries are degree-2
-    multivectors over d generators; nilpotency truncates every series past
-    degree d.  The degree-0 coefficient is always 1, and only degrees
+    multivectors over d generators.  The series is summed as
+    exp((1/2) sum_k c_k tr((Omega/2)^(2k))), with c_k the x^(2k) coefficient
+    of log(x / sinh x): det f(M) = exp(tr log f(M)) holds exactly because
+    the even-form entries commute, and nilpotency stops the sum at
+    k = d/4.  The degree-0 coefficient is always 1, and only degrees
     divisible by 4 occur.
     """
     entries = [[_as_form(e, d) for e in row] for row in omega]
-    size = len(entries)
     defect = curvature_defect(entries)
     if defect:
         raise ValueError(defect[2])
-    half = FormMatrix(entries).scale(0.5)
-    half_sq = half @ half
+    half = [[e * 0.5 for e in row] for row in entries]
+    half_sq = _form_matmul(half, half)
+    power, log_tr = half_sq, MultiVector.zero(d)
+    for k in range(1, d // 4 + 1):
+        if k > 1:
+            power = _form_matmul(power, half_sq)
+        c = _log_x_over_sinh_coeff(k)
+        log_tr = sum((power[i][i] * c for i in range(len(power))), log_tr)
+    return exp_even(log_tr * 0.5)
 
-    # X = (Omega/2)/sinh(Omega/2) = I + Y with Y nilpotent of degree >= 4
-    y = FormMatrix.identity(size, d).scale(0.0)
-    power = FormMatrix.identity(size, d)
-    for k in range(1, d // 4 + 2):
-        power = power @ half_sq
-        y = y + power.scale(_x_over_sinh_coeff(k))
 
-    # log(I + Y) = Y - Y^2/2 + Y^3/3 - ...
-    log_x = y
-    y_pow = y
-    sign = -1.0
-    for k in range(2, d // 4 + 2):
-        y_pow = y_pow @ y
-        log_x = log_x + y_pow.scale(sign / k)
-        sign = -sign
-
-    half_tr = log_x.trace() * 0.5
-    return exp_even(half_tr)
+def _form_matmul(a, b):
+    """Product of two square matrices (lists of rows) of multivectors."""
+    size = len(a)
+    zero = MultiVector.zero(a[0][0].n)
+    return [
+        [sum((a[i][k].wedge(b[k][j]) for k in range(size)), zero) for j in range(size)]
+        for i in range(size)
+    ]
 
 
 def _as_form(e, d: int) -> MultiVector:
@@ -324,10 +262,10 @@ def _as_form(e, d: int) -> MultiVector:
 
 
 @lru_cache(maxsize=None)
-def _x_over_sinh_coeff(k: int) -> float:
-    """Taylor coefficient of x/sinh(x) at x^(2k), k >= 0, correctly rounded."""
-    # x/sinh x = sum_m (2 - 4^m) B_{2m} x^{2m} / (2m)!
-    return float((2 - 4**k) * _bernoulli(2 * k) / factorial(2 * k))
+def _log_x_over_sinh_coeff(k: int) -> float:
+    """Taylor coefficient of log(x/sinh(x)) at x^(2k), k >= 1, correctly
+    rounded: -4^k B_{2k} / (2k (2k)!)."""
+    return float(-(4**k) * _bernoulli(2 * k) / (2 * k * factorial(2 * k)))
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,7 @@ from math import factorial
 
 import numpy as np
 
-from .clifford import SpinorRep, clifford_quantize
+from .clifford import SpinorRep, clifford_quantize, supertrace
 from .grassmann import MultiVector, berezin
 from .phi_core import phi_block
 
@@ -101,9 +101,6 @@ class FredholmModule:
 
     def quantize(self, form: MultiVector) -> np.ndarray:
         return clifford_quantize(self.rep, form)
-
-    def supertrace(self, m: np.ndarray) -> complex:
-        return complex(np.trace(self.grading @ m))
 
 
 def random_odd_dirac(rep: SpinorRep, rng: np.random.Generator) -> np.ndarray:
@@ -228,7 +225,7 @@ def chern_eval(module: FredholmModule, chain, t: float) -> complex:
     for m, blocks in partition_blocks(chain, (np.sqrt(t) * module.dirac,), module.quantize):
         perturbations = tuple(commutator + zeroth for commutator, zeroth in blocks)
         acc = acc + (-1.0) ** m * phi_block(h_t, perturbations, 1.0)
-    return module.supertrace(c0 @ acc)
+    return supertrace(module.rep, c0 @ acc)
 
 
 def mckean_singer(grading: np.ndarray, dirac: np.ndarray, t_grid):

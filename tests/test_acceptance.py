@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from opcalc import acceptance
-from opcalc.stochastic_mc import fk_estimate
+from opcalc.stochastic_mc import engine
+from test_stochastic import chunk_bridges
 
 
 def _run(number):
@@ -135,14 +136,23 @@ def test_criterion_time_limit(monkeypatch):
     assert free.elapsed == 2.0
 
 
-def test_fk_step_drift_invariant():
-    """Doubling the steps moves the estimate by less than its stderr."""
+def test_fk_step_bias_halves_with_the_step():
+    """Criterion 9's model stepped at N steps and, on the pairwise sums of
+    the same increments, at N/2: E[F_N - F_{N/2}] is the O(h) step bias of
+    the left-point scheme, so it halves per entry from N = 16 to 32 to 64
+    and stays many standard errors away from 0."""
     model = acceptance.acceptance_fk_model()
-    x = np.array([0.4, 2.1])
-    y = np.array([1.3, 5.6])
-    r512 = fk_estimate(model, 0.5, x, y, paths=10**5, steps=512, seed=0)
-    r1024 = fk_estimate(model, 0.5, x, y, paths=10**5, steps=1024, seed=0)
-    drift = np.abs(r512.estimate - r1024.estimate)
-    combined = np.sqrt(r512.stderr**2 + r1024.stderr**2)
-    assert float((drift / np.maximum(combined, 1e-300)).max()) <= 3.0
-    assert float((drift / np.maximum(r512.stderr, 1e-300)).max()) <= 3.0
+    t, x, y = acceptance.FK_T, acceptance.FK_X, acceptance.FK_Y
+    means = []
+    for steps in (16, 32, 64):
+        _, z, stream = chunk_bridges(x, y, t, steps, 0, 16384)
+        fine = [db.copy() for db in stream]
+        coarse = [a + b for a, b in zip(fine[::2], fine[1::2])]
+        diff = (engine._step_rows(model, x, z, t / steps, fine).row
+                - engine._step_rows(model, x, z, 2 * t / steps, coarse).row)
+        mean = diff.mean(axis=0)
+        stderr = np.sqrt((diff.real.var(axis=0) + diff.imag.var(axis=0)) / len(diff))
+        assert np.all(np.abs(mean) > 20.0 * stderr)
+        means.append(mean)
+    for coarse_mean, fine_mean in zip(means, means[1:]):
+        assert np.abs(coarse_mean / fine_mean - 2.0).max() < 0.2

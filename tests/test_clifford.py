@@ -102,20 +102,13 @@ def test_patodi_vanishing_random_words(d):
     rng = np.random.default_rng(d)
     for _ in range(25):
         order = int(rng.integers(1, rep.l))
-        word = clifford.PatodiWord(tuple(random_antisym(rng, d) for _ in range(order)))
+        word = [random_antisym(rng, d) for _ in range(order)]
         assert clifford.patodi_vanishing(rep, word) <= 1e-10
-    assert clifford.patodi_vanishing(rep, clifford.PatodiWord(())) == 0.0
+    assert clifford.patodi_vanishing(rep, ()) == 0.0
     with pytest.raises(ValueError):
-        too_long = clifford.PatodiWord(tuple(random_antisym(rng, d) for _ in range(rep.l)))
-        clifford.patodi_vanishing(rep, too_long)
-
-
-def test_patodi_word_order_concatenates():
-    rng = np.random.default_rng(2)
-    w1 = clifford.PatodiWord((random_antisym(rng, 6),))
-    w2 = clifford.PatodiWord(tuple(random_antisym(rng, 6) for _ in range(2)))
-    combined = clifford.PatodiWord(w1.factors + w2.factors)
-    assert combined.order == w1.order + w2.order
+        clifford.patodi_vanishing(rep, [random_antisym(rng, d) for _ in range(rep.l)])
+    with pytest.raises(ValueError, match="antisymmetric"):
+        clifford.patodi_vanishing(rep, [np.eye(d)])
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
@@ -176,6 +169,27 @@ def test_a_hat_d4_block_closed_form():
     assert abs(series.coefficient(0b1111) - a * b / 12.0) < 1e-13
 
 
+@pytest.mark.parametrize("blocks, want", [
+    # theta = a e12 + b e34 + c e56 + e e78 on entry (0, 1)
+    ({(0, 1): {0b11: 0.7, 0b1100: -1.3, 0b110000: 0.9, 0b11000000: 1.1}}, 7.0 / 240.0),
+    # a e12 + b e34 on entry (0, 1), c e56 + e e78 on entry (2, 3)
+    ({(0, 1): {0b11: 0.7, 0b1100: -1.3}, (2, 3): {0b110000: 0.9, 0b11000000: 1.1}},
+     4.0 / 576.0),
+], ids=["one_block", "two_blocks"])
+def test_a_hat_d8_top_coefficient_closed_forms(blocks, want):
+    """The top coefficient at d = 8 is want * a b c e: one block reads the
+    k = 2 log coefficient, two blocks the square of the k = 1 term."""
+    d = 8
+    zero = MultiVector.zero(d)
+    omega = [[zero for _ in range(d)] for _ in range(d)]
+    for (i, j), coeffs in blocks.items():
+        omega[i][j] = MultiVector(d, coeffs)
+        omega[j][i] = -1.0 * omega[i][j]
+    series = clifford.a_hat_series(omega, d)
+    assert series.coefficient(0) == 1.0
+    assert abs(series.coefficient(0xFF) - want * 0.7 * -1.3 * 0.9 * 1.1) < 1e-15
+
+
 def test_a_hat_degrees_multiple_of_four():
     rng = np.random.default_rng(3)
     d = 6
@@ -211,7 +225,7 @@ def test_a_hat_rejects_bad_input():
             clifford.a_hat_series(ragged, d)
 
 
-def test_x_over_sinh_coefficients_from_exact_bernoulli_numbers():
+def test_log_x_over_sinh_coefficients_from_exact_bernoulli_numbers():
     """B_2k are exact Fractions; SciPy's float Bernoulli numbers agree to
     their own accuracy (~2e-12 relative at k <= 30)."""
     from scipy.special import bernoulli
@@ -219,11 +233,11 @@ def test_x_over_sinh_coefficients_from_exact_bernoulli_numbers():
     assert [clifford._bernoulli(m) for m in (0, 1, 2, 4, 12)] == [
         1, Fraction(-1, 2), Fraction(1, 6), Fraction(-1, 30), Fraction(-691, 2730)
     ]
-    assert [clifford._x_over_sinh_coeff(k) for k in range(4)] == [
-        1.0, -1.0 / 6.0, 7.0 / 360.0, -31.0 / 15120.0
+    assert [clifford._log_x_over_sinh_coeff(k) for k in range(1, 4)] == [
+        -1.0 / 6.0, 1.0 / 180.0, -1.0 / 2835.0
     ]
     ref = bernoulli(60)
-    for k in range(31):
+    for k in range(1, 31):
         assert float(clifford._bernoulli(2 * k)) == pytest.approx(ref[2 * k], rel=1e-11, abs=0)
-        want = (2.0 - 4.0**k) * ref[2 * k] / factorial(2 * k)
-        assert clifford._x_over_sinh_coeff(k) == pytest.approx(want, rel=1e-11, abs=0)
+        want = -(4.0**k) * ref[2 * k] / (2 * k * factorial(2 * k))
+        assert clifford._log_x_over_sinh_coeff(k) == pytest.approx(want, rel=1e-11, abs=0)
